@@ -712,6 +712,22 @@ let sim_cmd =
       const sim_run $ sim_design_arg $ sim_backend_arg $ sim_cycles_arg
       $ seed_arg $ cores_arg)
 
+(* ---- the in-process determinism gate of serve/cluster/scenario/tune ---- *)
+
+(* Run the campaign twice, print the first run, and exit 1 if the two
+   canonical renderings differ or the first run reports problems (one
+   stderr line each, prefixed with the subcommand name). *)
+let deterministic_run ~name ~diverged ~run ~canonical ~print ~problems =
+  let r1 = run () in
+  let r2 = run () in
+  print r1;
+  let deterministic = String.equal (canonical r1) (canonical r2) in
+  if not deterministic then
+    Printf.eprintf "%s: NON-DETERMINISTIC: %s\n" name diverged;
+  let problems = problems r1 in
+  List.iter (Printf.eprintf "%s: %s\n" name) problems;
+  if (not deterministic) || problems <> [] then exit 1
+
 (* ---- serve subcommand: multi-tenant serving campaign ---- *)
 
 let serve_run seed n_clients n_tenants duration_us policy platform cores batch
@@ -757,18 +773,16 @@ let serve_run seed n_clients n_tenants duration_us policy platform cores batch
     if hang then Some (Fault.Plan.with_hang ~after:1 ~system:0 ~core:0 Fault.Plan.none)
     else None
   in
-  let r = Serve.run ?plan ~platform:plat cfg () in
-  (* determinism gate: the same seed must reproduce the same campaign,
-     down to every counter and quantile in the digest *)
-  let r2 = Serve.run ?plan ~platform:plat cfg () in
-  print_string (Serve.render r);
-  Printf.printf "digest: %s\n" (Serve.digest r);
-  let problems = Serve.violations r in
-  List.iter (fun p -> Printf.eprintf "serve: accounting: %s\n" p) problems;
-  let deterministic = String.equal (Serve.digest r) (Serve.digest r2) in
-  if not deterministic then
-    Printf.eprintf "serve: NON-DETERMINISTIC: same seed diverged\n";
-  if problems <> [] || not deterministic then exit 1
+  (* the same seed must reproduce the same campaign, down to every
+     counter and quantile in the digest *)
+  deterministic_run ~name:"serve" ~diverged:"same seed diverged"
+    ~run:(Serve.run ?plan ~platform:plat cfg)
+    ~canonical:Serve.digest
+    ~print:(fun r ->
+      print_string (Serve.render r);
+      Printf.printf "digest: %s\n" (Serve.digest r))
+    ~problems:(fun r ->
+      List.map (fun p -> "accounting: " ^ p) (Serve.violations r))
 
 let serve_clients_arg =
   let doc = "Clients per tenant." in
@@ -876,30 +890,25 @@ let cluster_run seed devices warm duration_us rate kills restores curve =
           (fun (dev, at_us) -> Cluster.Restore { at = at_us * 1_000_000; dev })
           restores
     in
-    let r = Cluster.run ~chaos cfg () in
-    (* determinism gate: the same seed must reproduce the same campaign,
-       down to every device generation and latency quantile *)
-    let r2 = Cluster.run ~chaos cfg () in
-    print_string (Cluster.render r);
-    Printf.printf "digest: %s\n" (Cluster.digest r);
-    let problems = Cluster.violations r in
-    List.iter (fun p -> Printf.eprintf "cluster: accounting: %s\n" p) problems;
-    if r.Cluster.c_lost_acked <> 0 then
-      Printf.eprintf "cluster: %d acknowledged commands lost\n"
-        r.Cluster.c_lost_acked;
-    (if kills <> [] && r.Cluster.c_quarantines = 0 then
-       Printf.eprintf "cluster: a kill was scheduled but nothing quarantined\n");
-    let deterministic =
-      String.equal (Cluster.digest r) (Cluster.digest r2)
-    in
-    if not deterministic then
-      Printf.eprintf "cluster: NON-DETERMINISTIC: same seed diverged\n";
-    if
-      problems <> []
-      || r.Cluster.c_lost_acked <> 0
-      || (kills <> [] && r.Cluster.c_quarantines = 0)
-      || not deterministic
-    then exit 1
+    (* the same seed must reproduce the same campaign, down to every
+       device generation and latency quantile *)
+    deterministic_run ~name:"cluster" ~diverged:"same seed diverged"
+      ~run:(Cluster.run ~chaos cfg)
+      ~canonical:Cluster.digest
+      ~print:(fun r ->
+        print_string (Cluster.render r);
+        Printf.printf "digest: %s\n" (Cluster.digest r))
+      ~problems:(fun r ->
+        List.map (fun p -> "accounting: " ^ p) (Cluster.violations r)
+        @ List.filter_map
+            (fun (bad, msg) -> if bad then Some msg else None)
+            [
+              ( r.Cluster.c_lost_acked <> 0,
+                Printf.sprintf "%d acknowledged commands lost"
+                  r.Cluster.c_lost_acked );
+              ( kills <> [] && r.Cluster.c_quarantines = 0,
+                "a kill was scheduled but nothing quarantined" );
+            ])
   end
 
 let cluster_devices_arg =
@@ -1001,21 +1010,17 @@ let scenario_run name seed list_only format =
         Printf.eprintf "unknown scenario %S (try --list)\n" name;
         exit 2
     | Some mk ->
-        (* determinism gate: the same scenario value must reproduce the
-           same transcript, entry times and bindings included *)
-        let r1 = Scenario.run (mk ~seed) in
-        let r2 = Scenario.run (mk ~seed) in
-        let t1 = Scenario.transcript_json r1
-        and t2 = Scenario.transcript_json r2 in
-        print_string (if format = "json" then t1 else Scenario.render r1);
-        let deterministic = String.equal t1 t2 in
-        if not deterministic then
-          Printf.eprintf
-            "scenario: NON-DETERMINISTIC: double-run transcripts differ\n";
-        List.iter
-          (fun f -> Printf.eprintf "scenario: %s\n" f)
-          r1.Scenario.res_failures;
-        if (not deterministic) || not r1.Scenario.res_ok then exit 1
+        (* the same scenario value must reproduce the same transcript,
+           entry times and bindings included *)
+        deterministic_run ~name:"scenario"
+          ~diverged:"double-run transcripts differ"
+          ~run:(fun () -> Scenario.run (mk ~seed))
+          ~canonical:Scenario.transcript_json
+          ~print:(fun r ->
+            print_string
+              (if format = "json" then Scenario.transcript_json r
+               else Scenario.render r))
+          ~problems:(fun r -> r.Scenario.res_failures)
 
 let scenario_name_arg =
   let doc = "Bundled scenario to run (see $(b,--list))." in
@@ -1081,24 +1086,20 @@ let tune_run seed budget knobs phase_us ab_rounds require_promotion format =
     exit 2
   end;
   let phase_ps = phase_us * 1_000_000 in
-  (* determinism gate: the same arguments must reproduce the same Pareto
-     front, byte for byte *)
-  let r1 = Tune.run ~seed ~budget ~axes ~phase_ps ~ab_rounds () in
-  let r2 = Tune.run ~seed ~budget ~axes ~phase_ps ~ab_rounds () in
-  let j1 = Tune.pareto_json r1 and j2 = Tune.pareto_json r2 in
-  print_string (if format = "json" then j1 else Tune.render r1);
-  let deterministic = String.equal j1 j2 in
-  if not deterministic then
-    Printf.eprintf "tune: NON-DETERMINISTIC: double-run Pareto JSON differs\n";
-  List.iter
-    (fun v -> Printf.eprintf "tune: violation: %s\n" v)
-    r1.Tune.r_violations;
-  let unpromoted = require_promotion && r1.Tune.r_promotions = 0 in
-  if unpromoted then
-    Printf.eprintf
-      "tune: no candidate was promoted over the seed configuration\n";
-  if (not deterministic) || r1.Tune.r_violations <> [] || unpromoted then
-    exit 1
+  (* the same arguments must reproduce the same Pareto front, byte for
+     byte *)
+  deterministic_run ~name:"tune" ~diverged:"double-run Pareto JSON differs"
+    ~run:(Tune.run ~seed ~budget ~axes ~phase_ps ~ab_rounds)
+    ~canonical:Tune.pareto_json
+    ~print:(fun r ->
+      print_string
+        (if format = "json" then Tune.pareto_json r else Tune.render r))
+    ~problems:(fun r ->
+      List.map (fun v -> "violation: " ^ v) r.Tune.r_violations
+      @
+      if require_promotion && r.Tune.r_promotions = 0 then
+        [ "no candidate was promoted over the seed configuration" ]
+      else [])
 
 let tune_budget_arg =
   let doc = "Number of one-knob proposals the search evaluates." in

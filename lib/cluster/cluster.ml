@@ -1,8 +1,8 @@
 module B = Beethoven
 module H = Runtime.Handle
-module S = Desim.Stats
 module Mix = Serve.Mix
 module Tenant = Serve.Tenant
+module D = Serve.Dispatch
 
 module Health = struct
   type state = Healthy | Suspect | Quarantined | Dead | Standby
@@ -88,63 +88,27 @@ type chaos =
 (* Cluster state                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type request = {
-  cr_txn : int;  (* cluster-wide ack id: the dedup key *)
-  cr_tenant : int;
-  cr_class : Mix.klass;
-  cr_arrival : int;
-  cr_deadline : int;
-  mutable cr_attempts : int;  (* replay attempts so far *)
-  cr_k : (unit -> unit) option;  (* closed-loop continuation *)
-}
-
 type inflight = {
-  il_req : request;
+  il_req : D.req;
   il_gen : int;  (* device generation the command was sent to *)
 }
 
 type devstate = {
-  dv_slot : int;
+  mutable dv_site : D.site;
+      (* slot, current handle, outstanding, per-device SFQ clock *)
   dv_platform : Platform.Device.t;
   mutable dv_gen : int;
-  mutable dv_handle : H.t;
   mutable dv_inj : Fault.Injector.t option;
   mutable dv_tracer : Trace.t option;
   mutable dv_state : Health.state;
   mutable dv_frozen : bool;  (* engine excluded from the lockstep *)
   mutable dv_misses : int;  (* consecutive missed heartbeats *)
   mutable dv_brownout : int;  (* probes still inside a brownout window *)
-  mutable dv_vt : float;  (* per-device SFQ virtual time *)
-  dv_out : int array array;  (* [system][core] outstanding *)
   dv_inflight : (int, inflight) Hashtbl.t;  (* txn -> record *)
   mutable dv_dispatched : int;
   mutable dv_completed : int;
   mutable dv_busy_prev : int;  (* server busy accumulated by dead gens *)
   mutable dv_transitions : (int * Health.state) list;  (* reverse *)
-}
-
-type ctstate = {
-  ct_t : Tenant.t;
-  ct_index : int;
-  mutable ct_home : int;  (* device slot *)
-  mutable ct_resident : H.remote_ptr option;
-  mutable ct_degraded : bool;
-  ct_queue : request Queue.t;
-  mutable ct_vft : float;
-  mutable ct_offered : int;
-  mutable ct_admitted : int;
-  mutable ct_shed_queue : int;
-  mutable ct_shed_deadline : int;
-  mutable ct_shed_degraded : int;
-  mutable ct_completed : int;
-  mutable ct_failed : int;
-  mutable ct_bad : int;
-  mutable ct_slo_viol : int;
-  mutable ct_bytes : int;
-  ct_q_wait : S.series;
-  ct_service : S.series;
-  ct_collect : S.series;
-  ct_total : S.series;
 }
 
 (* Coordinator agenda: host-level actions (heartbeats, chaos, drain
@@ -156,13 +120,14 @@ type agenda_item = { ag_time : int; ag_seq : int; ag_act : unit -> unit }
 type cstate = {
   st_cfg : config;
   st_host : Desim.Engine.t;  (* clients + host-side bookkeeping *)
-  st_kinds : Mix.kind list;
-  st_tenants : ctstate array;
+  st_d : D.t;
+      (* tenant ledgers; a ledger's site is its home slot, -1 = degraded.
+         A request's admission id is its txn: the ack/dedup key. *)
+  st_resident : H.remote_ptr option array;  (* per tenant, on its home *)
   st_devices : devstate array;
   st_plan : Fault.Plan.t;
   st_policy : Fault.Policy.t option;
   st_tracer : Trace.t option;
-  mutable st_next_txn : int;
   st_acked : (int, unit) Hashtbl.t;
   mutable st_duplicates : int;
   mutable st_replays : int;
@@ -182,6 +147,9 @@ type cstate = {
 }
 
 let now st = Desim.Engine.now st.st_host
+let tenants st = D.tenants st.st_d
+let slot dv = dv.dv_site.D.si_slot
+let handle dv = dv.dv_site.D.si_handle
 
 let schedule_action st ~at act =
   let it = { ag_time = at; ag_seq = st.st_agenda_seq; ag_act = act } in
@@ -208,7 +176,7 @@ let transition st dv state =
     | None -> ()
     | Some tr ->
         Trace.instant tr ~now:(now st) ~track:"cluster/health" ~cat:"health"
-          ~name:(Printf.sprintf "dev%d->%s" dv.dv_slot (Health.name state))
+          ~name:(Printf.sprintf "dev%d->%s" (slot dv) (Health.name state))
           ()
   end
 
@@ -216,20 +184,12 @@ let transition st dv state =
 (* Device boot                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let kinds_used = Serve.kinds_used
-
-let sys_index kinds (kind : Mix.kind) =
-  let rec go i = function
-    | [] -> invalid_arg "Cluster: request kind has no deployed system"
-    | k :: tl -> if k = kind then i else go (i + 1) tl
-  in
-  go 0 kinds
-
-(* Boot one SoC generation into a slot. Each generation gets its own
-   forked injector (scope = slot + devices * gen), so sibling devices
-   and successive reboots draw from independent seeded streams. *)
+(* Boot one SoC generation into a slot as a fresh dispatch site. Each
+   generation gets its own forked injector (scope = slot + devices *
+   gen), so sibling devices and successive reboots draw from independent
+   seeded streams. *)
 let boot_soc cfg ~plan ~policy ~traced ~slot ~gen ~platform =
-  let kinds = kinds_used cfg.cl_tenants in
+  let kinds = Serve.kinds_used cfg.cl_tenants in
   let systems =
     List.map (fun k -> Serve.system_of_kind k ~n_cores:cfg.cl_n_cores) kinds
   in
@@ -255,29 +215,28 @@ let boot_soc cfg ~plan ~policy ~traced ~slot ~gen ~platform =
     B.Soc.create ~memory_bytes:(128 * 1024 * 1024) ?tracer ~fault:inj ?policy
       design ~behaviors
   in
-  (B.Soc.engine soc, H.create soc, inj, tracer)
+  ( D.site ~slot ~handle:(H.create soc) ~n_sys:(List.length kinds)
+      ~n_cores:cfg.cl_n_cores ~cap:cfg.cl_core_cap,
+    inj,
+    tracer )
 
 let fresh_device cfg ~plan ~policy ~traced ~slot ~state =
   let platform =
     List.nth cfg.cl_platforms (slot mod List.length cfg.cl_platforms)
   in
-  let _, handle, inj, tracer =
+  let site, inj, tracer =
     boot_soc cfg ~plan ~policy ~traced ~slot ~gen:0 ~platform
   in
-  let n_sys = List.length (kinds_used cfg.cl_tenants) in
   {
-    dv_slot = slot;
+    dv_site = site;
     dv_platform = platform;
     dv_gen = 0;
-    dv_handle = handle;
     dv_inj = Some inj;
     dv_tracer = tracer;
     dv_state = state;
     dv_frozen = false;
     dv_misses = 0;
     dv_brownout = 0;
-    dv_vt = 0.;
-    dv_out = Array.init n_sys (fun _ -> Array.make cfg.cl_n_cores 0);
     dv_inflight = Hashtbl.create 64;
     dv_dispatched = 0;
     dv_completed = 0;
@@ -285,29 +244,27 @@ let fresh_device cfg ~plan ~policy ~traced ~slot ~state =
     dv_transitions = [ (0, state) ];
   }
 
-let dev_engine dv = H.engine dv.dv_handle
+let dev_engine dv = H.engine (handle dv)
 
 (* Reboot a killed slot: the old generation's server-busy total is
    banked, a fresh SoC (next generation, fresh forked injector) joins
    the standby pool with its engine clock synced to cluster time. *)
 let reboot st dv =
   let cfg = st.st_cfg in
-  dv.dv_busy_prev <- dv.dv_busy_prev + H.server_busy_ps dv.dv_handle;
+  dv.dv_busy_prev <- dv.dv_busy_prev + H.server_busy_ps (handle dv);
   dv.dv_gen <- dv.dv_gen + 1;
   let traced = dv.dv_tracer <> None || (st.st_tracer <> None) in
-  let engine, handle, inj, tracer =
+  let site, inj, tracer =
     boot_soc cfg ~plan:st.st_plan ~policy:st.st_policy ~traced
-      ~slot:dv.dv_slot ~gen:dv.dv_gen ~platform:dv.dv_platform
+      ~slot:(slot dv) ~gen:dv.dv_gen ~platform:dv.dv_platform
   in
-  Desim.Engine.run ~until:(now st) engine;
-  dv.dv_handle <- handle;
+  Desim.Engine.run ~until:(now st) (H.engine site.D.si_handle);
+  dv.dv_site <- site;
   dv.dv_inj <- Some inj;
   dv.dv_tracer <- tracer;
   dv.dv_frozen <- false;
   dv.dv_misses <- 0;
   dv.dv_brownout <- 0;
-  dv.dv_vt <- 0.;
-  Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) dv.dv_out;
   Hashtbl.reset dv.dv_inflight;
   transition st dv Health.Standby
 
@@ -324,295 +281,152 @@ let is_active dv =
 let pick_home st =
   let load = Array.make (Array.length st.st_devices) 0. in
   Array.iter
-    (fun ts ->
-      if ts.ct_home >= 0 && not ts.ct_degraded then
-        load.(ts.ct_home) <- load.(ts.ct_home) +. ts.ct_t.Tenant.t_weight)
-    st.st_tenants;
+    (fun l ->
+      if l.D.l_site >= 0 then
+        load.(l.l_site) <- load.(l.l_site) +. l.l_t.Tenant.t_weight)
+    (tenants st);
   let best = ref (-1) in
   Array.iter
     (fun dv ->
       if is_active dv then
-        if !best < 0 || load.(dv.dv_slot) < load.(!best) then
-          best := dv.dv_slot)
+        if !best < 0 || load.(slot dv) < load.(!best) then best := slot dv)
     st.st_devices;
   if !best >= 0 then Some !best else None
 
-(* Move a tenant's residence: free the working set on the old device
-   (pure allocator bookkeeping even on a frozen device) and allocate on
-   the new home — the data-locality cost a re-shard pays. *)
-let rehome st ts ~target =
-  let cfg = st.st_cfg in
-  (match (ts.ct_resident, ts.ct_home) with
-  | Some ptr, from when from >= 0 -> (
-      try H.mfree st.st_devices.(from).dv_handle ptr with _ -> ())
+(* Free a tenant's resident working set on its home (pure allocator
+   bookkeeping, even on a frozen device). *)
+let drop_resident st l =
+  (match st.st_resident.(l.D.l_index) with
+  | Some ptr when l.l_site >= 0 -> (
+      try H.mfree (handle st.st_devices.(l.l_site)) ptr with _ -> ())
   | _ -> ());
-  ts.ct_home <- target;
-  ts.ct_resident <-
-    (if target >= 0 then
-       Some (H.malloc st.st_devices.(target).dv_handle cfg.cl_resident_bytes)
-     else None);
-  if target >= 0 then st.st_dirty <- true
+  st.st_resident.(l.l_index) <- None
 
-let degrade st ts =
-  if not ts.ct_degraded then begin
-    ts.ct_degraded <- true;
-    bump st "cluster.degraded";
-    (match (ts.ct_resident, ts.ct_home) with
-    | Some ptr, from when from >= 0 -> (
-        try H.mfree st.st_devices.(from).dv_handle ptr with _ -> ())
-    | _ -> ());
-    ts.ct_resident <- None;
-    ts.ct_home <- -1
-  end
+(* Move a tenant's residence to a device and allocate its working set
+   there — the data-locality cost a re-shard pays. *)
+let rehome st l ~target =
+  drop_resident st l;
+  l.D.l_site <- target;
+  st.st_resident.(l.l_index) <-
+    Some (H.malloc (handle st.st_devices.(target)) st.st_cfg.cl_resident_bytes);
+  st.st_dirty <- true
+
+let degrade st l =
+  bump st "cluster.degraded";
+  drop_resident st l;
+  l.D.l_site <- -1
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Least-outstanding-work core within a device's system, respecting the
-   per-core cap and preferring non-quarantined cores (same rule as the
-   single-SoC dispatcher). *)
-let choose_core st dv ~si =
-  let cap = st.st_cfg.cl_core_cap in
-  let out = dv.dv_out.(si) in
-  let best = ref (-1) and best_q = ref (-1) in
-  Array.iteri
-    (fun c o ->
-      if o < cap then
-        if H.is_quarantined dv.dv_handle ~system_id:si ~core_id:c then (
-          if !best_q < 0 || o < out.(!best_q) then best_q := c)
-        else if !best < 0 || o < out.(!best) then best := c)
-    out;
-  if !best >= 0 then Some !best else if !best_q >= 0 then Some !best_q
-  else None
-
 (* Settle a request's outcome against the cluster ledgers. The txn id
    is the ack id: the first completion wins; any later completion of
    the same txn (a browned-out device finishing a command that was
    already replayed elsewhere) is dropped by the dedup check. *)
-let ack st ts (r : request) ~replayed ~submit_ps ~seen_ps ~done_ps v expect =
-  if Hashtbl.mem st.st_acked r.cr_txn then begin
+let ack st (r : D.req) rh ~replayed ~submitted ~finished ~ok =
+  if Hashtbl.mem st.st_acked r.rq_id then begin
     st.st_duplicates <- st.st_duplicates + 1;
-    bump st "cluster.duplicate_dropped"
+    bump st "cluster.duplicate_dropped";
+    D.resume r
   end
   else begin
-    Hashtbl.replace st.st_acked r.cr_txn ();
-    ts.ct_completed <- ts.ct_completed + 1;
-    if v <> expect then ts.ct_bad <- ts.ct_bad + 1;
-    ts.ct_bytes <- ts.ct_bytes + r.cr_class.Mix.k_bytes;
+    Hashtbl.replace st.st_acked r.rq_id ();
     if replayed then st.st_replayed_ok <- st.st_replayed_ok + 1;
-    let us ps = float_of_int ps /. 1e6 in
-    let total = done_ps - r.cr_arrival in
-    S.observe ts.ct_q_wait (us (submit_ps - r.cr_arrival));
-    S.observe ts.ct_service (us (seen_ps - submit_ps));
-    S.observe ts.ct_collect (us (done_ps - seen_ps));
-    S.observe ts.ct_total (us total);
     st.st_win_completed <- st.st_win_completed + 1;
-    if total > ts.ct_t.Tenant.t_slo_ps then begin
-      ts.ct_slo_viol <- ts.ct_slo_viol + 1;
+    if D.complete st.st_d r rh ~submitted ~finished ~ok then
       st.st_win_viol <- st.st_win_viol + 1
-    end;
-    bump st "cluster.completed"
-  end;
-  match r.cr_k with Some k -> k () | None -> ()
+  end
 
-let fail_request st ts (r : request) =
-  ts.ct_failed <- ts.ct_failed + 1;
-  bump st "cluster.failed";
-  match r.cr_k with Some k -> k () | None -> ()
-
-(* Submit one request on its tenant's home device. Runs only from the
-   coordinator (between lockstep rounds) or from a callback of the same
-   device's engine, so the target engine clock always equals cluster
-   time. *)
-let rec submit st ts (r : request) =
-  let dv = st.st_devices.(ts.ct_home) in
-  let h = dv.dv_handle in
-  let gen = dv.dv_gen in
-  let si = sys_index st.st_kinds r.cr_class.Mix.k_kind in
-  match choose_core st dv ~si with
-  | None -> assert false (* caller reserved capacity *)
-  | Some core ->
-      dv.dv_out.(si).(core) <- dv.dv_out.(si).(core) + 1;
-      dv.dv_dispatched <- dv.dv_dispatched + 1;
-      let bytes = r.cr_class.Mix.k_bytes in
-      let a = H.malloc h bytes and b = H.malloc h bytes in
-      let submit_ps = Desim.Engine.now (dev_engine dv) in
-      let args, cmd, expect =
-        match r.cr_class.Mix.k_kind with
-        | Mix.Memcpy ->
-            ( [
-                ("src", Int64.of_int a.H.rp_addr);
-                ("dst", Int64.of_int b.H.rp_addr);
-                ("bytes", Int64.of_int bytes);
-              ],
-              Kernels.Memcpy.command,
-              Int64.of_int bytes )
-        | Mix.Vecadd ->
-            let n_eles = bytes / 4 in
-            ( [
-                ("addend", 1L);
-                ("vec_addr", Int64.of_int a.H.rp_addr);
-                ("out_addr", Int64.of_int b.H.rp_addr);
-                ("n_eles", Int64.of_int n_eles);
-              ],
-              Kernels.Vecadd.command,
-              Int64.of_int n_eles )
-        | Mix.Sort ->
-            (* the sort kernel's in2 channel is unused (in2_bytes = 0);
-               fresh zeroed device buffers sort deterministically *)
-            ( [
-                ("in1", Int64.of_int a.H.rp_addr);
-                ("in2", Int64.of_int a.H.rp_addr);
-                ("out", Int64.of_int b.H.rp_addr);
-              ],
-              Kernels.Machsuite_extra.command,
-              1L )
-      in
-      let replayed = r.cr_attempts > 0 in
-      Hashtbl.replace dv.dv_inflight r.cr_txn { il_req = r; il_gen = gen };
-      let rh =
-        H.send ~queued_at:r.cr_arrival h
-          ~system:(Mix.kind_system r.cr_class.Mix.k_kind)
-          ~core ~cmd ~args
-      in
-      H.on_settled rh (fun res ->
-          (* Fires inside this device's engine (or synchronously from a
-             coordinator-driven send); if the generation moved on, the
-             registry entry belongs to a newer boot and stays. *)
-          let done_ps = Desim.Engine.now (dev_engine dv) in
-          (try
-             H.mfree h a;
-             H.mfree h b
-           with _ -> ());
-          dv.dv_out.(si).(core) <- dv.dv_out.(si).(core) - 1;
-          (match Hashtbl.find_opt dv.dv_inflight r.cr_txn with
-          | Some il when il.il_gen = gen ->
-              Hashtbl.remove dv.dv_inflight r.cr_txn
-          | _ -> ());
-          (match res with
-          | Ok v ->
-              dv.dv_completed <- dv.dv_completed + 1;
-              let seen_ps =
-                match H.response_seen_at rh with
-                | Some s -> s
-                | None -> done_ps
-              in
-              (match st.st_tracer with
-              | None -> ()
-              | Some tr ->
-                  ignore
-                    (Trace.complete_span tr ~start:r.cr_arrival ~stop:done_ps
-                       ~track:(Printf.sprintf "cluster/%s" ts.ct_t.Tenant.t_name)
-                       ~cat:"cluster" ~name:r.cr_class.Mix.k_label
-                       ~args:
-                         [
-                           ("device", Trace.Int dv.dv_slot);
-                           ("txn", Trace.Int r.cr_txn);
-                         ]
-                       ()));
-              ack st ts r ~replayed ~submit_ps ~seen_ps ~done_ps v expect
-          | Error _ ->
-              (* The device-local watchdog exhausted recovery (every
-                 core quarantined). Retry elsewhere with backoff while
-                 the budget lasts — the same path a post-drain replay
-                 takes. *)
-              retry_or_fail st ts r);
-          st.st_dirty <- true)
+(* Submit one request on its tenant's home device, on a core with room.
+   Runs only from the coordinator (between lockstep rounds) or from a
+   callback of the same device's engine, so the target engine clock
+   always equals cluster time. *)
+let rec submit st (r : D.req) ~core =
+  let dv = st.st_devices.((D.ledger st.st_d r).l_site) in
+  let h = handle dv and gen = dv.dv_gen in
+  D.reserve dv.dv_site r ~core;
+  dv.dv_dispatched <- dv.dv_dispatched + 1;
+  let submitted = Desim.Engine.now (dev_engine dv) in
+  let replayed = r.rq_attempts > 0 in
+  let a, b, rh, expect = D.send dv.dv_site r ~core in
+  Hashtbl.replace dv.dv_inflight r.rq_id { il_req = r; il_gen = gen };
+  H.on_settled rh (fun res ->
+      (* Fires inside this device's engine (or synchronously from a
+         coordinator-driven send); if the generation moved on, the
+         registry entry belongs to a newer boot and stays. *)
+      let finished = Desim.Engine.now (dev_engine dv) in
+      (try
+         H.mfree h a;
+         H.mfree h b
+       with _ -> ());
+      D.release dv.dv_site r ~core;
+      (match Hashtbl.find_opt dv.dv_inflight r.rq_id with
+      | Some il when il.il_gen = gen -> Hashtbl.remove dv.dv_inflight r.rq_id
+      | _ -> ());
+      (match res with
+      | Ok v ->
+          dv.dv_completed <- dv.dv_completed + 1;
+          (match st.st_tracer with
+          | None -> ()
+          | Some tr ->
+              ignore
+                (Trace.complete_span tr ~start:r.rq_arrival ~stop:finished
+                   ~track:
+                     (Printf.sprintf "cluster/%s"
+                        (D.ledger st.st_d r).l_t.Tenant.t_name)
+                   ~cat:"cluster" ~name:r.rq_class.Mix.k_label
+                   ~args:
+                     [
+                       ("device", Trace.Int (slot dv));
+                       ("txn", Trace.Int r.rq_id);
+                     ]
+                   ()));
+          ack st r rh ~replayed ~submitted ~finished ~ok:(Int64.equal v expect)
+      | Error _ ->
+          (* The device-local watchdog exhausted recovery (every
+             core quarantined). Retry elsewhere with backoff while
+             the budget lasts — the same path a post-drain replay
+             takes. *)
+          retry_or_fail st r);
+      st.st_dirty <- true)
 
 (* Bounded-exponential-backoff replay of a command that either lost its
    device (drain deadline passed) or failed device-local recovery. *)
-and retry_or_fail st ts (r : request) =
-  if Hashtbl.mem st.st_acked r.cr_txn then ()
-  else if r.cr_attempts >= st.st_cfg.cl_replay_max_retries then
-    fail_request st ts r
+and retry_or_fail st (r : D.req) =
+  if Hashtbl.mem st.st_acked r.rq_id then ()
+  else if r.rq_attempts >= st.st_cfg.cl_replay_max_retries then
+    D.fail st.st_d r
   else begin
-    let delay =
-      st.st_cfg.cl_replay_backoff_ps * (1 lsl r.cr_attempts)
-    in
-    r.cr_attempts <- r.cr_attempts + 1;
+    let delay = st.st_cfg.cl_replay_backoff_ps * (1 lsl r.rq_attempts) in
+    r.rq_attempts <- r.rq_attempts + 1;
     st.st_replays <- st.st_replays + 1;
     bump st "cluster.replay";
-    schedule_action st ~at:(now st + delay) (fun () -> replay st ts r)
+    schedule_action st ~at:(now st + delay) (fun () -> replay st r)
   end
 
-and replay st ts (r : request) =
-  if Hashtbl.mem st.st_acked r.cr_txn then ()
-  else if ts.ct_degraded || ts.ct_home < 0 then fail_request st ts r
+and replay st (r : D.req) =
+  let home = (D.ledger st.st_d r).l_site in
+  if Hashtbl.mem st.st_acked r.rq_id then ()
+  else if home < 0 then D.fail st.st_d r
   else begin
-    let dv = st.st_devices.(ts.ct_home) in
-    let si = sys_index st.st_kinds r.cr_class.Mix.k_kind in
-    if (not (is_active dv)) || choose_core st dv ~si = None then
-      (* home busy or gone: burn an attempt and back off again *)
-      retry_or_fail st ts r
-    else submit st ts r
+    let dv = st.st_devices.(home) in
+    let core =
+      if is_active dv then D.choose_core dv.dv_site r.rq_sys else -1
+    in
+    (* home busy or gone: burn an attempt and back off again *)
+    if core < 0 then retry_or_fail st r else submit st r ~core
   end
 
-(* Shed expired heads of a tenant queue (per-tenant FIFO: an unexpired
-   head proves nothing behind it expired). A degraded tenant sheds its
-   whole queue — graceful degradation accounts those separately. *)
-let shed_queue_head st ts =
-  let t = now st in
-  let rec go () =
-    if ts.ct_degraded then
-      match Queue.take_opt ts.ct_queue with
-      | Some r ->
-          ts.ct_shed_degraded <- ts.ct_shed_degraded + 1;
-          bump st "cluster.shed_degraded";
-          (match r.cr_k with Some k -> k () | None -> ());
-          go ()
-      | None -> ()
-    else
-      match Queue.peek_opt ts.ct_queue with
-      | Some r when t > r.cr_deadline ->
-          ignore (Queue.pop ts.ct_queue);
-          ts.ct_shed_deadline <- ts.ct_shed_deadline + 1;
-          bump st "cluster.shed_deadline";
-          (match r.cr_k with Some k -> k () | None -> ());
-          go ()
-      | _ -> ()
-  in
-  go ()
-
-(* Start-time fair queueing across the tenants homed on one device —
-   the same SFQ rule as the single-SoC dispatcher, with a per-device
-   virtual clock. *)
-let pick_next st dv =
-  let cand = ref None in
-  Array.iter
-    (fun ts ->
-      shed_queue_head st ts;
-      if ts.ct_home = dv.dv_slot && not ts.ct_degraded then
-        match Queue.peek_opt ts.ct_queue with
-        | None -> ()
-        | Some r -> (
-            let si = sys_index st.st_kinds r.cr_class.Mix.k_kind in
-            match choose_core st dv ~si with
-            | None -> ()  (* system saturated on this device *)
-            | Some _ ->
-                let key = Float.max ts.ct_vft dv.dv_vt in
-                let better =
-                  match !cand with None -> true | Some (k, _, _) -> key < k
-                in
-                if better then cand := Some (key, ts, r)))
-    st.st_tenants;
-  match !cand with
-  | None -> None
-  | Some (_, ts, r) ->
-      ignore (Queue.pop ts.ct_queue);
-      let start = Float.max ts.ct_vft dv.dv_vt in
-      ts.ct_vft <-
-        start +. (float_of_int r.cr_class.Mix.k_bytes /. ts.ct_t.Tenant.t_weight);
-      dv.dv_vt <- start;
-      Some (ts, r)
-
+(* Start-time fair queueing across the tenants homed on one device,
+   with the device's own virtual clock. *)
 let pump_device st dv =
   if is_active dv then begin
     let continue_ = ref true in
     while !continue_ do
-      match pick_next st dv with
+      match D.pick st.st_d dv.dv_site ~fifo:false ~same:(-1) with
       | None -> continue_ := false
-      | Some (ts, r) -> submit st ts r
+      | Some (r, core) -> submit st r ~core
     done
   end
 
@@ -622,55 +436,20 @@ let pump_all st =
     Array.iter (fun dv -> pump_device st dv) st.st_devices;
     (* a degraded tenant's queue still needs shedding even though no
        device pumps it *)
-    Array.iter
-      (fun ts -> if ts.ct_degraded then shed_queue_head st ts)
-      st.st_tenants
+    Array.iter (fun l -> if l.D.l_site < 0 then D.shed st.st_d l) (tenants st)
   done
 
-(* ------------------------------------------------------------------ *)
-(* Admission + clients                                                *)
-(* ------------------------------------------------------------------ *)
-
-let offer st ts ~klass ~k =
-  ts.ct_offered <- ts.ct_offered + 1;
+let offer st l ~klass ~k =
   bump st "cluster.offered";
-  if Queue.length ts.ct_queue >= ts.ct_t.Tenant.t_queue_cap then begin
-    ts.ct_shed_queue <- ts.ct_shed_queue + 1;
-    bump st "cluster.shed_queue";
-    false
-  end
-  else begin
-    let t = now st in
-    let txn = st.st_next_txn in
-    st.st_next_txn <- txn + 1;
-    Queue.push
-      {
-        cr_txn = txn;
-        cr_tenant = ts.ct_index;
-        cr_class = klass;
-        cr_arrival = t;
-        cr_deadline = t + ts.ct_t.Tenant.t_deadline_ps;
-        cr_attempts = 0;
-        cr_k = k;
-      }
-      ts.ct_queue;
-    ts.ct_admitted <- ts.ct_admitted + 1;
-    bump st "cluster.admitted";
-    st.st_dirty <- true;
-    true
-  end
+  let admitted = D.offer st.st_d l ~klass ~k in
+  if admitted then st.st_dirty <- true;
+  admitted
 
-(* The same seeded client machinery as the single-SoC campaign
-   (Serve.spawn_clients), generating arrivals on the host engine:
-   per-client streams derive from (seed, salt, tenant, client) only, so
-   the offered load is identical for any placement, device count, or
-   chaos schedule. *)
+(* The single-SoC client streams, on the host engine: the offered load
+   is identical for any placement, device count, or chaos schedule. *)
 let start_clients ?(salt = 0) ?(t0 = 0) ~horizon st =
-  Serve.spawn_clients ~engine:st.st_host ~seed:st.st_cfg.cl_seed ~salt
-    ~horizon ~t0
-    ~tenants:(Array.to_list (Array.map (fun ts -> ts.ct_t) st.st_tenants))
-    ~offer:(fun ~tenant ~klass ~k -> offer st st.st_tenants.(tenant) ~klass ~k)
-    ()
+  D.start_clients st.st_d ~seed:st.st_cfg.cl_seed ~salt ~t0 ~horizon
+    (offer st)
 
 (* ------------------------------------------------------------------ *)
 (* Health: quarantine, drain, re-shard, promotion                     *)
@@ -682,22 +461,16 @@ let start_clients ?(salt = 0) ?(t0 = 0) ~horizon st =
    device is frozen — a browned-out (alive) device gets no further
    engine time, so a late completion there can only arrive before this
    point and is deduped by the ack table. *)
+let replay_unacked st dv =
+  Hashtbl.fold (fun txn il acc -> (txn, il) :: acc) dv.dv_inflight []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter (fun (txn, il) ->
+         Hashtbl.remove dv.dv_inflight txn;
+         if not (Hashtbl.mem st.st_acked txn) then retry_or_fail st il.il_req)
+
 let finish_drain st dv ~gen =
   if dv.dv_gen = gen then begin
-    let stuck =
-      Hashtbl.fold
-        (fun txn il acc -> if il.il_gen = gen then (txn, il) :: acc else acc)
-        dv.dv_inflight []
-    in
-    let stuck = List.sort (fun (a, _) (b, _) -> compare a b) stuck in
-    List.iter
-      (fun (txn, il) ->
-        Hashtbl.remove dv.dv_inflight txn;
-        if not (Hashtbl.mem st.st_acked txn) then begin
-          let ts = st.st_tenants.(il.il_req.cr_tenant) in
-          retry_or_fail st ts il.il_req
-        end)
-      stuck;
+    replay_unacked st dv;
     dv.dv_frozen <- true;
     if dv.dv_state <> Health.Dead then transition st dv Health.Dead
   end
@@ -713,31 +486,31 @@ let quarantine_device st dv ~reason =
     | Some inj ->
         Fault.Injector.log inj ~now:(now st) ~cls:Fault.Class.Device_offline
           ~kind:Fault.Log.Quarantined
-          ~site:(Printf.sprintf "dev%d: %s" dv.dv_slot reason)
+          ~site:(Printf.sprintf "dev%d: %s" (slot dv) reason)
     | None -> ());
     transition st dv Health.Quarantined;
     let victims =
-      Array.to_list st.st_tenants
-      |> List.filter (fun ts -> ts.ct_home = dv.dv_slot)
+      Array.to_list (tenants st)
+      |> List.filter (fun ts -> ts.D.l_site = slot dv)
     in
     List.iter
       (fun ts ->
         match pick_home st with
         | Some target ->
             st.st_resharded <-
-              (ts.ct_t.Tenant.t_name, dv.dv_slot, target) :: st.st_resharded;
+              (ts.D.l_t.Tenant.t_name, slot dv, target) :: st.st_resharded;
             bump st "cluster.reshard";
             rehome st ts ~target
         | None -> ())
       victims;
     (* No survivor: shed load, lowest weight first, until the ones we
        cannot place are marked degraded. *)
-    Array.to_list st.st_tenants
-    |> List.filter (fun ts -> ts.ct_home = dv.dv_slot)
+    Array.to_list (tenants st)
+    |> List.filter (fun ts -> ts.D.l_site = slot dv)
     |> List.sort (fun a b ->
            compare
-             (a.ct_t.Tenant.t_weight, a.ct_index)
-             (b.ct_t.Tenant.t_weight, b.ct_index))
+             (a.D.l_t.Tenant.t_weight, a.D.l_index)
+             (b.D.l_t.Tenant.t_weight, b.D.l_index))
     |> List.iter (fun ts -> degrade st ts);
     let gen = dv.dv_gen in
     schedule_action st
@@ -754,45 +527,48 @@ let promote st dv =
     bump st "cluster.promote";
     transition st dv Health.Healthy;
     let degraded =
-      Array.to_list st.st_tenants
-      |> List.filter (fun ts -> ts.ct_degraded)
+      Array.to_list (tenants st)
+      |> List.filter (fun ts -> ts.D.l_site < 0)
       |> List.sort (fun a b ->
              compare
-               (b.ct_t.Tenant.t_weight, a.ct_index)
-               (a.ct_t.Tenant.t_weight, b.ct_index))
+               (b.D.l_t.Tenant.t_weight, a.D.l_index)
+               (a.D.l_t.Tenant.t_weight, b.D.l_index))
     in
     match degraded with
     | _ :: _ ->
         List.iter
           (fun ts ->
-            ts.ct_degraded <- false;
             st.st_resharded <-
-              (ts.ct_t.Tenant.t_name, -1, dv.dv_slot) :: st.st_resharded;
-            rehome st ts ~target:dv.dv_slot)
+              (ts.D.l_t.Tenant.t_name, -1, slot dv) :: st.st_resharded;
+            rehome st ts ~target:(slot dv))
           degraded
     | [] -> (
         let cand = ref None in
         Array.iter
           (fun ts ->
-            let backlog = Queue.length ts.ct_queue in
-            if backlog > 0 && ts.ct_home >= 0 && ts.ct_home <> dv.dv_slot
+            let backlog = Queue.length ts.D.l_queue in
+            if backlog > 0 && ts.D.l_site >= 0 && ts.D.l_site <> slot dv
             then
               match !cand with
               | Some (b, _) when b >= backlog -> ()
               | _ -> cand := Some (backlog, ts))
-          st.st_tenants;
+          (tenants st);
         match !cand with
         | Some (_, ts) ->
             st.st_resharded <-
-              (ts.ct_t.Tenant.t_name, ts.ct_home, dv.dv_slot)
+              (ts.D.l_t.Tenant.t_name, ts.D.l_site, slot dv)
               :: st.st_resharded;
             bump st "cluster.reshard";
-            rehome st ts ~target:dv.dv_slot
+            rehome st ts ~target:(slot dv)
         | None -> ())
   end
 
+let first_standby st =
+  Array.to_list st.st_devices
+  |> List.find_opt (fun dv -> dv.dv_state = Health.Standby && not dv.dv_frozen)
+
 let cluster_busy st =
-  Array.exists (fun ts -> Queue.length ts.ct_queue > 0) st.st_tenants
+  D.queued st.st_d > 0
   || Array.exists (fun dv -> Hashtbl.length dv.dv_inflight > 0) st.st_devices
 
 (* One heartbeat round: probe every serving device, advance the health
@@ -819,7 +595,7 @@ let rec heartbeat st =
                     Fault.Injector.log inj ~now:(now st)
                       ~cls:Fault.Class.Device_brownout ~kind:Fault.Log.Injected
                       ~site:
-                        (Printf.sprintf "dev%d brownout %d probes" dv.dv_slot
+                        (Printf.sprintf "dev%d brownout %d probes" (slot dv)
                            dv.dv_brownout)
                   end
               | None -> ());
@@ -835,7 +611,7 @@ let rec heartbeat st =
                       Fault.Injector.log inj ~now:(now st)
                         ~cls:Fault.Class.Heartbeat_loss
                         ~kind:Fault.Log.Injected
-                        ~site:(Printf.sprintf "dev%d probe lost" dv.dv_slot);
+                        ~site:(Printf.sprintf "dev%d probe lost" (slot dv));
                       true
                     end
                     else false
@@ -865,7 +641,7 @@ let rec heartbeat st =
                     Fault.Injector.log inj ~now:(now st)
                       ~cls:Fault.Class.Heartbeat_loss
                       ~kind:Fault.Log.Recovered
-                      ~site:(Printf.sprintf "dev%d probes resumed" dv.dv_slot)
+                      ~site:(Printf.sprintf "dev%d probes resumed" (slot dv))
                 | None -> ())
               end
             end
@@ -882,14 +658,9 @@ let rec heartbeat st =
   st.st_win_completed <- 0;
   st.st_win_viol <- 0;
   if hot then st.st_strikes <- st.st_strikes + 1 else st.st_strikes <- 0;
-  let stranded = Array.exists (fun ts -> ts.ct_degraded) st.st_tenants in
+  let stranded = Array.exists (fun ts -> ts.D.l_site < 0) (tenants st) in
   if st.st_strikes >= cfg.cl_promote_strikes || stranded then begin
-    let standby =
-      Array.to_list st.st_devices
-      |> List.find_opt (fun dv ->
-             dv.dv_state = Health.Standby && not dv.dv_frozen)
-    in
-    match standby with
+    match first_standby st with
     | Some dv ->
         promote st dv;
         st.st_strikes <- 0
@@ -909,7 +680,7 @@ let kill_device st dv =
     | Some inj ->
         Fault.Injector.log inj ~now:(now st) ~cls:Fault.Class.Device_offline
           ~kind:Fault.Log.Injected
-          ~site:(Printf.sprintf "dev%d offline" dv.dv_slot)
+          ~site:(Printf.sprintf "dev%d offline" (slot dv))
     | None -> ());
     bump st "cluster.kill";
     (* the engine freezes: nothing in flight there ever settles; the
@@ -924,17 +695,7 @@ let restore_device st dv =
     (* a restore can land before the drain deadline fires; the reboot
        bumps the generation (making the pending drain a no-op), so
        replay whatever the dead generation still held first *)
-    let stuck =
-      Hashtbl.fold (fun txn il acc -> (txn, il) :: acc) dv.dv_inflight []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    List.iter
-      (fun (txn, il) ->
-        if not (Hashtbl.mem st.st_acked txn) then begin
-          let ts = st.st_tenants.(il.il_req.cr_tenant) in
-          retry_or_fail st ts il.il_req
-        end)
-      stuck;
+    replay_unacked st dv;
     reboot st dv
   end
 
@@ -1065,39 +826,16 @@ let mk_state ?tracer ?plan ?fault_policy cfg =
     | Some p -> p
     | None -> { Fault.Plan.none with Fault.Plan.seed = cfg.cl_seed }
   in
+  let host = Desim.Engine.create () in
   let st =
     {
       st_cfg = cfg;
-      st_host = Desim.Engine.create ();
-      st_kinds = kinds_used cfg.cl_tenants;
-      st_tenants =
-        Array.of_list
-          (List.mapi
-             (fun i t ->
-               {
-                 ct_t = t;
-                 ct_index = i;
-                 ct_home = -1;
-                 ct_resident = None;
-                 ct_degraded = false;
-                 ct_queue = Queue.create ();
-                 ct_vft = 0.;
-                 ct_offered = 0;
-                 ct_admitted = 0;
-                 ct_shed_queue = 0;
-                 ct_shed_deadline = 0;
-                 ct_shed_degraded = 0;
-                 ct_completed = 0;
-                 ct_failed = 0;
-                 ct_bad = 0;
-                 ct_slo_viol = 0;
-                 ct_bytes = 0;
-                 ct_q_wait = S.series ();
-                 ct_service = S.series ();
-                 ct_collect = S.series ();
-                 ct_total = S.series ();
-               })
-             cfg.cl_tenants);
+      st_host = host;
+      st_d =
+        D.create ~engine:host ?tracer ~layer:"cluster" ~tenant_series:false
+          ~kinds:(Serve.kinds_used cfg.cl_tenants)
+          ~site:(-1) cfg.cl_tenants;
+      st_resident = Array.make (List.length cfg.cl_tenants) None;
       st_devices =
         Array.init cfg.cl_devices (fun slot ->
             fresh_device cfg ~plan ~policy:fault_policy
@@ -1107,7 +845,6 @@ let mk_state ?tracer ?plan ?fault_policy cfg =
       st_plan = plan;
       st_policy = fault_policy;
       st_tracer = tracer;
-      st_next_txn = 0;
       st_acked = Hashtbl.create 1024;
       st_duplicates = 0;
       st_replays = 0;
@@ -1134,7 +871,7 @@ let mk_state ?tracer ?plan ?fault_policy cfg =
       match pick_home st with
       | Some slot -> rehome st ts ~target:slot
       | None -> degrade st ts)
-    st.st_tenants;
+    (tenants st);
   st
 
 (* Assemble the cumulative cluster report from live state. Pure
@@ -1143,45 +880,13 @@ let mk_state ?tracer ?plan ?fault_policy cfg =
 let mk_report st ~duration_ps =
   let cfg = st.st_cfg in
   let wall_ps = now st in
-  let tenants =
-    Array.to_list
-      (Array.map
-         (fun ts ->
-           {
-             Serve.tr_name = ts.ct_t.Tenant.t_name;
-             tr_weight = ts.ct_t.Tenant.t_weight;
-             tr_offered = ts.ct_offered;
-             tr_admitted = ts.ct_admitted;
-             tr_shed_queue = ts.ct_shed_queue;
-             tr_shed_deadline = ts.ct_shed_deadline;
-             tr_shed_degraded = ts.ct_shed_degraded;
-             tr_completed = ts.ct_completed;
-             tr_failed = ts.ct_failed;
-             tr_bad_responses = ts.ct_bad;
-             tr_slo_violations = ts.ct_slo_viol;
-             tr_bytes_served = ts.ct_bytes;
-             tr_offered_rps =
-               float_of_int ts.ct_offered
-               /. (float_of_int duration_ps /. 1e12);
-             tr_achieved_rps =
-               (if wall_ps = 0 then 0.
-                else
-                  float_of_int ts.ct_completed
-                  /. (float_of_int wall_ps /. 1e12));
-             tr_queue = Serve.phase_of ts.ct_q_wait;
-             tr_service = Serve.phase_of ts.ct_service;
-             tr_collect = Serve.phase_of ts.ct_collect;
-             tr_total = Serve.phase_of ts.ct_total;
-           })
-         st.st_tenants)
-  in
   let devices =
     Array.to_list
       (Array.map
          (fun dv ->
-           let busy = dv.dv_busy_prev + H.server_busy_ps dv.dv_handle in
+           let busy = dv.dv_busy_prev + H.server_busy_ps (handle dv) in
            {
-             dr_name = Printf.sprintf "dev%d" dv.dv_slot;
+             dr_name = Printf.sprintf "dev%d" (slot dv);
              dr_platform = dv.dv_platform.Platform.Device.name;
              dr_state = dv.dv_state;
              dr_generations = dv.dv_gen + 1;
@@ -1197,19 +902,21 @@ let mk_report st ~duration_ps =
          st.st_devices)
   in
   let completed_total =
-    Array.fold_left (fun a ts -> a + ts.ct_completed) 0 st.st_tenants
+    Array.fold_left (fun a l -> a + l.D.l_completed) 0 (tenants st)
   in
   {
     c_seed = cfg.cl_seed;
     c_duration_ps = duration_ps;
     c_wall_ps = wall_ps;
-    c_tenants = tenants;
+    c_tenants =
+      Array.to_list
+        (Array.map (D.tenant_report ~duration_ps ~wall_ps) (tenants st));
     c_devices = devices;
     c_placements =
       Array.to_list
         (Array.map
-           (fun ts -> (ts.ct_t.Tenant.t_name, ts.ct_home))
-           st.st_tenants);
+           (fun ts -> (ts.D.l_t.Tenant.t_name, ts.D.l_site))
+           (tenants st));
     c_resharded = List.rev st.st_resharded;
     c_quarantines = st.st_quarantines;
     c_promotions = st.st_promotions;
@@ -1218,12 +925,12 @@ let mk_report st ~duration_ps =
     c_duplicates = st.st_duplicates;
     c_lost_acked = Hashtbl.length st.st_acked - completed_total;
     c_degraded_sheds =
-      Array.fold_left (fun a ts -> a + ts.ct_shed_degraded) 0 st.st_tenants;
+      Array.fold_left (fun a l -> a + l.D.l_shed_degraded) 0 (tenants st);
     c_device_tracers =
       Array.to_list st.st_devices
       |> List.filter_map (fun dv ->
              match dv.dv_tracer with
-             | Some tr -> Some (Printf.sprintf "dev%d" dv.dv_slot, tr)
+             | Some tr -> Some (Printf.sprintf "dev%d" (slot dv), tr)
              | None -> None);
   }
 
@@ -1231,17 +938,15 @@ let run ?tracer ?plan ?fault_policy ?(chaos = []) cfg () =
   let st = mk_state ?tracer ?plan ?fault_policy cfg in
   (* Chaos schedule and the first heartbeat go on the agenda. *)
   List.iter
-    (function
-      | Kill { at; dev } ->
-          if dev < 0 || dev >= cfg.cl_devices then
-            invalid_arg "Cluster.run: chaos device out of range";
-          schedule_action st ~at (fun () ->
-              kill_device st st.st_devices.(dev))
-      | Restore { at; dev } ->
-          if dev < 0 || dev >= cfg.cl_devices then
-            invalid_arg "Cluster.run: chaos device out of range";
-          schedule_action st ~at (fun () ->
-              restore_device st st.st_devices.(dev)))
+    (fun c ->
+      let at, dev, act =
+        match c with
+        | Kill { at; dev } -> (at, dev, kill_device)
+        | Restore { at; dev } -> (at, dev, restore_device)
+      in
+      if dev < 0 || dev >= cfg.cl_devices then
+        invalid_arg "Cluster.run: chaos device out of range";
+      schedule_action st ~at (fun () -> act st st.st_devices.(dev)))
     chaos;
   st.st_horizon <- cfg.cl_duration_ps;
   st.st_served_ps <- cfg.cl_duration_ps;
@@ -1262,10 +967,6 @@ module Session = struct
     mk_state ?tracer ?plan ?fault_policy cfg
 
   let now = now
-  let health st ~dev =
-    if dev < 0 || dev >= Array.length st.st_devices then
-      invalid_arg "Cluster.Session.health: device out of range";
-    st.st_devices.(dev).dv_state
 
   let check_dev st name dev =
     if dev < 0 || dev >= Array.length st.st_devices then
@@ -1283,12 +984,7 @@ module Session = struct
     restore_device st st.st_devices.(dev)
 
   let promote_standby st =
-    let standby =
-      Array.to_list st.st_devices
-      |> List.find_opt (fun dv ->
-             dv.dv_state = Health.Standby && not dv.dv_frozen)
-    in
-    match standby with
+    match first_standby st with
     | Some dv ->
         promote st dv;
         true
@@ -1323,38 +1019,31 @@ module Session = struct
     if delta_ps < 0 then
       invalid_arg "Cluster.Session.sleep: negative delta";
     let target = now st + delta_ps in
+    let run_live ~until =
+      Desim.Engine.run ~until ~max_events:st.st_cfg.cl_max_events st.st_host;
+      Array.iter
+        (fun dv ->
+          if not dv.dv_frozen then
+            Desim.Engine.run ~until ~max_events:st.st_cfg.cl_max_events
+              (dev_engine dv))
+        st.st_devices
+    in
     let rec go () =
-      (match st.st_agenda with
+      match st.st_agenda with
       | it :: tl when it.ag_time <= target ->
-          Desim.Engine.run ~until:it.ag_time
-            ~max_events:st.st_cfg.cl_max_events st.st_host;
-          Array.iter
-            (fun dv ->
-              if not dv.dv_frozen then
-                Desim.Engine.run ~until:it.ag_time
-                  ~max_events:st.st_cfg.cl_max_events (dev_engine dv))
-            st.st_devices;
+          run_live ~until:it.ag_time;
           st.st_agenda <- tl;
           it.ag_act ();
           (* dispatch any work the action freed; completions landing
              after [target] stay pending and settle in the next phase *)
           pump_all st;
           go ()
-      | _ -> ())
+      | _ -> ()
     in
     go ();
-    Desim.Engine.run ~until:target ~max_events:st.st_cfg.cl_max_events
-      st.st_host;
-    Array.iter
-      (fun dv ->
-        if not dv.dv_frozen then
-          Desim.Engine.run ~until:target ~max_events:st.st_cfg.cl_max_events
-            (dev_engine dv))
-      st.st_devices
+    run_live ~until:target
 
   let snapshot st = mk_report st ~duration_ps:(max 1 st.st_served_ps)
-  let phases st = st.st_phases
-  let quarantines st = st.st_quarantines
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1364,30 +1053,11 @@ end
 let violations r =
   let out = ref [] in
   let add fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
-  List.iter
-    (fun t ->
-      let open Serve in
-      if t.tr_offered <> t.tr_admitted + t.tr_shed_queue then
-        add "%s: offered %d <> admitted %d + shed-at-admission %d" t.tr_name
-          t.tr_offered t.tr_admitted t.tr_shed_queue;
-      if
-        t.tr_admitted
-        <> t.tr_completed + t.tr_shed_deadline + t.tr_shed_degraded
-           + t.tr_failed
-      then
-        add
-          "%s: admitted %d <> completed %d + shed-deadline %d + \
-           shed-degraded %d + failed %d"
-          t.tr_name t.tr_admitted t.tr_completed t.tr_shed_deadline
-          t.tr_shed_degraded t.tr_failed;
-      if t.tr_bad_responses > 0 then
-        add "%s: %d bad responses" t.tr_name t.tr_bad_responses)
-    r.c_tenants;
   if r.c_lost_acked <> 0 then
     add "cluster: %d acked commands missing from tenant ledgers"
       r.c_lost_acked;
   if r.c_duplicates < 0 then add "cluster: negative duplicate count";
-  List.rev !out
+  List.concat_map D.tenant_violations r.c_tenants @ List.rev !out
 
 let conserved r = violations r = []
 
@@ -1405,17 +1075,7 @@ let digest r =
         (Health.name d.dr_state) d.dr_generations d.dr_dispatched
         d.dr_completed d.dr_busy_ps)
     r.c_devices;
-  List.iter
-    (fun t ->
-      let open Serve in
-      pf " | %s off=%d adm=%d shq=%d shd=%d shg=%d ok=%d fail=%d slo=%d by=%d"
-        t.tr_name t.tr_offered t.tr_admitted t.tr_shed_queue
-        t.tr_shed_deadline t.tr_shed_degraded t.tr_completed t.tr_failed
-        t.tr_slo_violations t.tr_bytes_served;
-      match t.tr_total with
-      | Some p -> pf " p99=%.2f" p.ph_p99_us
-      | None -> pf " p99=-")
-    r.c_tenants;
+  List.iter (D.digest_tenant b ~bad:false) r.c_tenants;
   Buffer.contents b
 
 let render r =
@@ -1461,44 +1121,7 @@ let render r =
       if slot < 0 then pf " %s=degraded" name else pf " %s=dev%d" name slot)
     r.c_placements;
   pf "\n";
-  pf "\n%-10s %4s %8s %8s %6s %6s %6s %8s %6s %6s %10s %10s\n" "tenant" "wt"
-    "offered" "admitted" "shedQ" "shedD" "shedG" "complete" "fail" "slo!"
-    "offered/s" "achieved/s";
-  List.iter
-    (fun t ->
-      let open Serve in
-      pf "%-10s %4.1f %8d %8d %6d %6d %6d %8d %6d %6d %10.0f %10.0f\n"
-        t.tr_name t.tr_weight t.tr_offered t.tr_admitted t.tr_shed_queue
-        t.tr_shed_deadline t.tr_shed_degraded t.tr_completed t.tr_failed
-        t.tr_slo_violations t.tr_offered_rps t.tr_achieved_rps)
-    r.c_tenants;
-  let sq, sd, sg =
-    List.fold_left
-      (fun (q, d, g) t ->
-        let open Serve in
-        (q + t.tr_shed_queue, d + t.tr_shed_deadline, g + t.tr_shed_degraded))
-      (0, 0, 0) r.c_tenants
-  in
-  pf "shed breakdown: queue-full=%d deadline=%d degradation=%d\n" sq sd sg;
-  pf "\nlatency (us)%-16s %8s %8s %8s %8s %8s\n" "" "mean" "p50" "p95" "p99"
-    "p99.9";
-  List.iter
-    (fun t ->
-      let open Serve in
-      let row label = function
-        | None ->
-            pf "  %-10s %-15s %8s %8s %8s %8s %8s\n" t.tr_name label "-" "-"
-              "-" "-" "-"
-        | Some p ->
-            pf "  %-10s %-15s %8.1f %8.1f %8.1f %8.1f %8.1f\n" t.tr_name
-              label p.ph_mean_us p.ph_p50_us p.ph_p95_us p.ph_p99_us
-              p.ph_p999_us
-      in
-      row "queue-wait" t.tr_queue;
-      row "service" t.tr_service;
-      row "collect" t.tr_collect;
-      row "total" t.tr_total)
-    r.c_tenants;
+  D.render_tenants b ~degraded:true r.c_tenants;
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)

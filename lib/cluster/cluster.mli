@@ -1,37 +1,30 @@
 (** Fault-tolerant multi-device cluster serving.
 
-    A host-level placement layer over {!Serve}'s multi-tenant workload:
-    N simulated devices (a mix of {!Platform.Device} flavors), each a
-    full SoC + {!Runtime.Handle} behind a {!Device} wrapper, driven in
-    lockstep by a conservative coordinator — every device owns its own
-    {!Desim.Engine}; the coordinator repeatedly advances all live
-    engines to the earliest pending event time (host engine first, then
-    devices in slot order), so cross-device cascades are byte-
-    deterministic.
+    A host-level placement layer over {!Serve}'s multi-tenant workload
+    and its {!Serve.Dispatch} core: N simulated devices (cycled
+    {!Platform.Device} flavors), each a full SoC behind a
+    {!Runtime.Handle} and one dispatch site with its own SFQ virtual
+    clock. A conservative coordinator drives every device's
+    {!Desim.Engine} in lockstep (host engine first, then devices in slot
+    order), so cross-device cascades are byte-deterministic.
 
-    Tenants are placed data-locality-aware: each tenant's resident
-    working set is allocated on exactly one home device and every
-    request of that tenant is dispatched there. A seeded heartbeat
-    monitor drives the per-device health state machine
-    (healthy → suspect → quarantined on consecutive missed probes, back
-    to healthy on a response while merely suspect); heartbeat loss and
-    partial brownouts are drawn from each device's forked fault-
-    injection stream ({!Fault.Injector.fork}), so the false-positive
-    pressure is reproducible. On quarantine the device is {e drained}
-    (no new admissions; in-flight commands get a deadline to settle)
-    and its tenants {e re-sharded} onto the least-loaded survivor;
-    after the drain deadline every unacknowledged command is replayed
-    on the tenant's new home with bounded exponential backoff —
-    at-least-once delivery with acknowledgment-id dedup, so an ack is
-    never lost and a side effect never counted twice. Devices killed
-    mid-run freeze their engine; restored devices come back as a fresh
-    SoC in the warm standby pool, promoted on sustained cluster SLO
-    violation. When capacity cannot cover the offered load, graceful
-    degradation sheds the lowest-weight tenants first (accounted as
-    {!Serve.Shed_degradation}).
+    Each tenant's resident working set lives on one home device, where
+    all its requests dispatch. A seeded heartbeat monitor drives the
+    per-device health state machine (healthy → suspect → quarantined on
+    consecutive missed probes, back to healthy on a response while
+    suspect); heartbeat loss and brownouts draw from each device's
+    forked injector ({!Fault.Injector.fork}). A quarantined device is
+    {e drained} and its tenants {e re-sharded} onto the least-loaded
+    survivor; after the drain deadline every unacknowledged command is
+    replayed there with bounded exponential backoff — at-least-once
+    delivery with txn-id dedup, so no ack is lost and none counts twice.
+    Killed devices freeze; restored ones boot fresh into the standby
+    pool, promoted on sustained SLO violation. When capacity cannot
+    cover the load, the lowest-weight tenants shed first
+    ({!Serve.Shed_degradation}).
 
-    Everything is seeded: the same seed over the same config and chaos
-    schedule yields a byte-identical cluster SLO report. *)
+    The same seed, config and chaos schedule yield a byte-identical
+    report. *)
 
 module Health : sig
   type state =
@@ -216,21 +209,15 @@ module Session : sig
   (** Promote the first available standby device into service
       immediately; [false] when none is available. *)
 
-  val health : t -> dev:int -> Health.state
   val snapshot : t -> report
   (** Cumulative session report without driving anything. *)
 
   val now : t -> int
-  val phases : t -> int
-  val quarantines : t -> int
 end
 
 val violations : report -> string list
-(** Conservation and exactly-once accounting, [[]] when clean: per
-    tenant offered = admitted + shed-at-admission and admitted =
-    completed + shed-deadline + shed-degraded + failed; no bad
-    responses; zero lost acked commands and zero unexplained
-    duplicates. *)
+(** Per-tenant conservation ({!Serve.Dispatch.tenant_violations}) plus
+    exactly-once accounting: zero lost acked commands. *)
 
 val conserved : report -> bool
 

@@ -92,35 +92,3 @@ let buckets h =
         ( float_of_int b *. h.bucket_width,
           Option.value ~default:0 (Hashtbl.find_opt h.table b) ))
   end
-
-(* Disjoint half-open intervals, sorted by start. Overlapping (or
-   adjacent) [mark_busy] calls merge instead of double-counting, so
-   [busy_time] never exceeds the span of wall time actually covered. *)
-type busy_tracker = { mutable intervals : (int * int) list }
-
-let busy_tracker () = { intervals = [] }
-
-let mark_busy t ~from_ ~until =
-  if until < from_ then invalid_arg "Stats.mark_busy: negative interval";
-  if until > from_ then begin
-    let lo = ref from_ and hi = ref until in
-    let disjoint =
-      List.filter
-        (fun (a, b) ->
-          if b < !lo || a > !hi then true
-          else begin
-            lo := min !lo a;
-            hi := max !hi b;
-            false
-          end)
-        t.intervals
-    in
-    t.intervals <- List.sort compare ((!lo, !hi) :: disjoint)
-  end
-
-let busy_time t =
-  List.fold_left (fun acc (a, b) -> acc + (b - a)) 0 t.intervals
-
-let utilization t ~total =
-  if total <= 0 then 0.
-  else Float.min 1.0 (float_of_int (busy_time t) /. float_of_int total)

@@ -1,5 +1,5 @@
-(** Simulation statistics: counters, running means, histograms, and busy-time
-    tracking used to derive bandwidth and utilization numbers. *)
+(** Simulation statistics: counters, running means, quantiles and
+    histograms. *)
 
 type counter
 
@@ -41,17 +41,3 @@ val buckets : histogram -> (float * int) list
 (** Sorted [(bucket_lower_bound, count)] pairs covering the full observed
     range — interior buckets with zero hits are included so exported
     histograms are plot-ready. *)
-
-type busy_tracker
-
-val busy_tracker : unit -> busy_tracker
-
-val mark_busy : busy_tracker -> from_:int -> until:int -> unit
-(** Accumulate a busy interval [from_, until). Overlapping or duplicate
-    intervals merge rather than double-count. *)
-
-val busy_time : busy_tracker -> int
-(** Total covered time: the measure of the union of all marked intervals. *)
-
-val utilization : busy_tracker -> total:int -> float
-(** [busy_time / total], clamped to [0, 1]. *)

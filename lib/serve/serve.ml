@@ -231,314 +231,6 @@ let config ?(seed = 42) ?(duration_ps = 2_000_000_000) ?(policy = Wfq)
   }
 
 (* ------------------------------------------------------------------ *)
-(* Campaign state                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type req = {
-  rq_class : Mix.klass;
-  rq_arrival : int;
-  rq_deadline : int;
-  rq_k : (unit -> unit) option;  (* closed-loop continuation *)
-}
-
-type tstate = {
-  ts_t : Tenant.t;
-  ts_queue : req Queue.t;
-  mutable ts_vft : float;  (* WFQ virtual finish time of the last dispatch *)
-  mutable ts_offered : int;
-  mutable ts_admitted : int;
-  mutable ts_shed_queue : int;
-  mutable ts_shed_deadline : int;
-  ts_shed_degraded : int;
-      (* always 0 in a single-SoC campaign; the cluster layer accounts
-         degradation sheds in its own aggregated reports *)
-  mutable ts_completed : int;
-  mutable ts_failed : int;
-  mutable ts_bad : int;
-  mutable ts_slo_viol : int;
-  mutable ts_bytes : int;
-  ts_q_wait : S.series;  (* all four in microseconds *)
-  ts_service : S.series;
-  ts_collect : S.series;
-  ts_total : S.series;
-}
-
-(* One deployed system (a kernel kind at [c_n_cores] cores): per-core
-   outstanding counts drive the least-outstanding-work shard choice, the
-   dispatched counts are the evidence kept for the report. *)
-type sysstate = {
-  sy_kind : Mix.kind;
-  sy_name : string;
-  sy_id : int;  (* index in the elaborated design, for quarantine checks *)
-  sy_out : int array;
-  sy_disp : int array;
-}
-
-type sstate = {
-  st_cfg : config;
-  st_engine : Desim.Engine.t;
-  st_handle : H.t;
-  st_tracer : Trace.t option;
-  st_tenants : tstate array;
-  st_systems : sysstate array;
-  mutable st_global_v : float;  (* WFQ system virtual time *)
-  mutable st_armed : bool;
-  mutable st_batches : int;
-  mutable st_batched : int;
-}
-
-let sys_index st (kind : Mix.kind) =
-  let rec go i =
-    if i >= Array.length st.st_systems then
-      invalid_arg "Serve: request kind has no deployed system"
-    else if st.st_systems.(i).sy_kind = kind then i
-    else go (i + 1)
-  in
-  go 0
-
-let sample_depth st ts =
-  match st.st_tracer with
-  | None -> ()
-  | Some tr ->
-      Trace.sample tr
-        ~now:(Desim.Engine.now st.st_engine)
-        (Printf.sprintf "serve.q.%s.depth" ts.ts_t.Tenant.t_name)
-        (Queue.length ts.ts_queue)
-
-let bump st name =
-  match st.st_tracer with None -> () | Some tr -> Trace.add tr name 1
-
-(* ------------------------------------------------------------------ *)
-(* Dispatcher                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Deadline shedding happens when a request reaches the head of its
-   tenant queue: requests behind it are younger (per-tenant FIFO), so an
-   un-expired head proves nothing behind it expired. *)
-let shed_expired st ts =
-  let now = Desim.Engine.now st.st_engine in
-  let rec go () =
-    match Queue.peek_opt ts.ts_queue with
-    | Some r when now > r.rq_deadline ->
-        ignore (Queue.pop ts.ts_queue);
-        ts.ts_shed_deadline <- ts.ts_shed_deadline + 1;
-        bump st "serve.shed_deadline";
-        sample_depth st ts;
-        (match r.rq_k with Some k -> k () | None -> ());
-        go ()
-    | _ -> ()
-  in
-  go ()
-
-(* Least-outstanding-work core within a system, respecting the per-core
-   occupancy cap and avoiding quarantined cores when a healthy one has
-   room. If only quarantined cores have room we still dispatch — the
-   handle fails fast and the request settles as failed instead of
-   wedging its queue. *)
-let choose_core st sy =
-  let cap = st.st_cfg.c_core_cap in
-  let best = ref (-1) and best_q = ref (-1) in
-  Array.iteri
-    (fun c out ->
-      if out < cap then
-        if H.is_quarantined st.st_handle ~system_id:sy.sy_id ~core_id:c then (
-          if !best_q < 0 || out < sy.sy_out.(!best_q) then best_q := c)
-        else if !best < 0 || out < sy.sy_out.(!best) then best := c)
-    sy.sy_out;
-  if !best >= 0 then Some !best else if !best_q >= 0 then Some !best_q
-  else None
-
-(* Start-time fair queueing: the key of a tenant's head request is its
-   virtual START tag — the finish tag of the tenant's previous dispatch,
-   or the system virtual time if the tenant went idle. Dispatching
-   advances the tenant's finish tag by bytes/weight (heavier tenants
-   accumulate virtual time more slowly, so they win more often) and
-   ratchets the system time to the dispatched start tag. Comparing start
-   tags rather than finish tags matters: a finish-tag rule under this
-   virtual clock permanently starves any flow whose normalized cost
-   (bytes/weight) exceeds a backlogged competitor's. *)
-let wfq_key st ts = Float.max ts.ts_vft st.st_global_v
-
-(* Pick (and reserve a core for) the next dispatchable request.
-   [same] constrains the choice to one deployed system — the batching
-   compatibility rule: one server occupancy carries commands for one
-   system only. *)
-let pick_next st ~same =
-  let cand = ref None in
-  Array.iteri
-    (fun ti ts ->
-      shed_expired st ts;
-      match Queue.peek_opt ts.ts_queue with
-      | None -> ()
-      | Some r -> (
-          let si = sys_index st r.rq_class.Mix.k_kind in
-          if (match same with Some s -> s = si | None -> true) then
-            match choose_core st st.st_systems.(si) with
-            | None -> ()  (* system saturated: head-of-line blocked *)
-            | Some core ->
-                let key =
-                  match st.st_cfg.c_policy with
-                  | Wfq -> wfq_key st ts
-                  | Fifo -> float_of_int r.rq_arrival
-                in
-                let better =
-                  match !cand with
-                  | None -> true
-                  | Some (k, _, _, _, _) -> key < k
-                in
-                if better then cand := Some (key, ti, r, si, core)))
-    st.st_tenants;
-  match !cand with
-  | None -> None
-  | Some (_, ti, r, si, core) ->
-      let ts = st.st_tenants.(ti) in
-      ignore (Queue.pop ts.ts_queue);
-      sample_depth st ts;
-      (match st.st_cfg.c_policy with
-      | Wfq ->
-          let start = Float.max ts.ts_vft st.st_global_v in
-          ts.ts_vft <-
-            start
-            +. (float_of_int r.rq_class.Mix.k_bytes /. ts.ts_t.Tenant.t_weight);
-          st.st_global_v <- start
-      | Fifo -> ());
-      (* reserve the slot so the rest of the batch sees the occupancy *)
-      st.st_systems.(si).sy_out.(core) <-
-        st.st_systems.(si).sy_out.(core) + 1;
-      Some (ts, r, si, core)
-
-let rec arm_dispatch st =
-  if not st.st_armed then begin
-    st.st_armed <- true;
-    Desim.Engine.schedule st.st_engine ~delay:0 (fun () ->
-        st.st_armed <- false;
-        dispatch_all st)
-  end
-
-and dispatch_all st =
-  match pick_next st ~same:None with
-  | None -> ()
-  | Some first ->
-      let _, _, si, _ = first in
-      let picks = ref [ first ] and n = ref 1 in
-      let continue_ = ref true in
-      while !continue_ && !n < st.st_cfg.c_batch_max do
-        match pick_next st ~same:(Some si) with
-        | Some p ->
-            picks := p :: !picks;
-            incr n
-        | None -> continue_ := false
-      done;
-      let picks = List.rev !picks in
-      st.st_batches <- st.st_batches + 1;
-      st.st_batched <- st.st_batched + !n;
-      let batch = H.begin_batch st.st_handle ~n:!n in
-      List.iter (submit st ~batch) picks;
-      dispatch_all st
-
-and submit st ~batch (ts, r, si, core) =
-  let sy = st.st_systems.(si) in
-  let h = st.st_handle in
-  let now = Desim.Engine.now st.st_engine in
-  sy.sy_disp.(core) <- sy.sy_disp.(core) + 1;
-  let bytes = r.rq_class.Mix.k_bytes in
-  let a = H.malloc h bytes and b = H.malloc h bytes in
-  let args, cmd, expect =
-    match r.rq_class.Mix.k_kind with
-    | Mix.Memcpy ->
-        ( [
-            ("src", Int64.of_int a.H.rp_addr);
-            ("dst", Int64.of_int b.H.rp_addr);
-            ("bytes", Int64.of_int bytes);
-          ],
-          Kernels.Memcpy.command,
-          Int64.of_int bytes )
-    | Mix.Vecadd ->
-        let n_eles = bytes / 4 in
-        ( [
-            ("addend", 1L);
-            ("vec_addr", Int64.of_int a.H.rp_addr);
-            ("out_addr", Int64.of_int b.H.rp_addr);
-            ("n_eles", Int64.of_int n_eles);
-          ],
-          Kernels.Vecadd.command,
-          Int64.of_int n_eles )
-    | Mix.Sort ->
-        (* the sort kernel's in2 channel is unused (in2_bytes = 0); the
-           freshly allocated input buffer is zeroed device memory, which
-           sorts deterministically *)
-        ( [
-            ("in1", Int64.of_int a.H.rp_addr);
-            ("in2", Int64.of_int a.H.rp_addr);
-            ("out", Int64.of_int b.H.rp_addr);
-          ],
-          Kernels.Machsuite_extra.command,
-          1L )
-  in
-  let rh = H.send ~batch ~queued_at:r.rq_arrival h ~system:sy.sy_name ~core ~cmd ~args in
-  H.on_settled rh (fun res ->
-      let tnow = Desim.Engine.now st.st_engine in
-      H.mfree h a;
-      H.mfree h b;
-      sy.sy_out.(core) <- sy.sy_out.(core) - 1;
-      (match res with
-      | Ok v ->
-          ts.ts_completed <- ts.ts_completed + 1;
-          if v <> expect then ts.ts_bad <- ts.ts_bad + 1;
-          ts.ts_bytes <- ts.ts_bytes + bytes;
-          let us ps = float_of_int ps /. 1e6 in
-          let total = tnow - r.rq_arrival in
-          let seen =
-            match H.response_seen_at rh with Some s -> s | None -> tnow
-          in
-          S.observe ts.ts_q_wait (us (now - r.rq_arrival));
-          S.observe ts.ts_service (us (seen - now));
-          S.observe ts.ts_collect (us (tnow - seen));
-          S.observe ts.ts_total (us total);
-          if total > ts.ts_t.Tenant.t_slo_ps then
-            ts.ts_slo_viol <- ts.ts_slo_viol + 1;
-          bump st "serve.completed";
-          (match st.st_tracer with
-          | Some tr ->
-              Trace.observe tr
-                (Printf.sprintf "serve.%s.total_us" ts.ts_t.Tenant.t_name)
-                (us total)
-          | None -> ())
-      | Error _ ->
-          ts.ts_failed <- ts.ts_failed + 1;
-          bump st "serve.failed");
-      (match r.rq_k with Some k -> k () | None -> ());
-      arm_dispatch st)
-
-(* ------------------------------------------------------------------ *)
-(* Admission control                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let offer st ts ~klass ~k =
-  ts.ts_offered <- ts.ts_offered + 1;
-  if Queue.length ts.ts_queue >= ts.ts_t.Tenant.t_queue_cap then begin
-    ts.ts_shed_queue <- ts.ts_shed_queue + 1;
-    bump st "serve.shed_queue";
-    false
-  end
-  else begin
-    let now = Desim.Engine.now st.st_engine in
-    Queue.push
-      {
-        rq_class = klass;
-        rq_arrival = now;
-        rq_deadline = now + ts.ts_t.Tenant.t_deadline_ps;
-        rq_k = k;
-      }
-      ts.ts_queue;
-    ts.ts_admitted <- ts.ts_admitted + 1;
-    bump st "serve.admitted";
-    sample_depth st ts;
-    arm_dispatch st;
-    true
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Clients                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -659,14 +351,6 @@ let spawn_clients ~engine ~seed ?(salt = 0) ~horizon ?(t0 = 0) ~tenants
       done)
     tenants
 
-let start_clients ?(salt = 0) ?(t0 = 0) ~horizon st =
-  spawn_clients ~engine:st.st_engine ~seed:st.st_cfg.c_seed ~salt ~horizon
-    ~t0
-    ~tenants:(Array.to_list (Array.map (fun ts -> ts.ts_t) st.st_tenants))
-    ~offer:(fun ~tenant ~klass ~k ->
-      offer st st.st_tenants.(tenant) ~klass ~k)
-    ()
-
 (* ------------------------------------------------------------------ *)
 (* Results                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -735,6 +419,509 @@ let phase_of series =
           ph_p999_us = q 0.999;
         }
 
+(* ------------------------------------------------------------------ *)
+(* Dispatch core, shared with the cluster layer                       *)
+(* ------------------------------------------------------------------ *)
+
+module Dispatch = struct
+  type req = {
+    rq_id : int;
+    rq_tenant : int;
+    rq_sys : int;
+    rq_class : Mix.klass;
+    rq_arrival : int;
+    rq_deadline : int;
+    mutable rq_attempts : int;
+    rq_k : (unit -> unit) option;  (* closed-loop continuation *)
+  }
+
+  type ledger = {
+    l_t : Tenant.t;
+    l_index : int;
+    mutable l_site : int;
+    l_queue : req Queue.t;
+    mutable l_vft : float;  (* SFQ finish tag of the last dispatch *)
+    mutable l_offered : int;
+    mutable l_admitted : int;
+    mutable l_shed_queue : int;
+    mutable l_shed_deadline : int;
+    mutable l_shed_degraded : int;
+    mutable l_completed : int;
+    mutable l_failed : int;
+    mutable l_bad : int;
+    mutable l_slo_viol : int;
+    mutable l_bytes : int;
+    l_q_wait : S.series;  (* all four in microseconds *)
+    l_service : S.series;
+    l_collect : S.series;
+    l_total : S.series;
+  }
+
+  type site = {
+    si_slot : int;
+    si_handle : H.t;
+    si_out : int array array;
+    si_cap : int;
+    mutable si_v : float;
+  }
+
+  type t = {
+    d_engine : Desim.Engine.t;
+    d_tracer : Trace.t option;
+    d_layer : string;
+    d_tenant_series : bool;
+    d_sys : int array;  (* kind tag -> deployed system index, -1 if none *)
+    d_tenants : ledger array;
+    mutable d_next_id : int;
+  }
+
+  let kind_tag = function Mix.Memcpy -> 0 | Mix.Vecadd -> 1 | Mix.Sort -> 2
+
+  let create ~engine ?tracer ~layer ~tenant_series ~kinds ~site tenants =
+    let d_sys = Array.make 3 (-1) in
+    List.iteri (fun i k -> d_sys.(kind_tag k) <- i) kinds;
+    let ledger i t =
+      {
+        l_t = t;
+        l_index = i;
+        l_site = site;
+        l_queue = Queue.create ();
+        l_vft = 0.;
+        l_offered = 0;
+        l_admitted = 0;
+        l_shed_queue = 0;
+        l_shed_deadline = 0;
+        l_shed_degraded = 0;
+        l_completed = 0;
+        l_failed = 0;
+        l_bad = 0;
+        l_slo_viol = 0;
+        l_bytes = 0;
+        l_q_wait = S.series ();
+        l_service = S.series ();
+        l_collect = S.series ();
+        l_total = S.series ();
+      }
+    in
+    {
+      d_engine = engine;
+      d_tracer = tracer;
+      d_layer = layer;
+      d_tenant_series = tenant_series;
+      d_sys;
+      d_tenants = Array.of_list (List.mapi ledger tenants);
+      d_next_id = 0;
+    }
+
+  let site ~slot ~handle ~n_sys ~n_cores ~cap =
+    {
+      si_slot = slot;
+      si_handle = handle;
+      si_out = Array.init n_sys (fun _ -> Array.make n_cores 0);
+      si_cap = cap;
+      si_v = 0.;
+    }
+
+  let tenants d = d.d_tenants
+  let ledger d r = d.d_tenants.(r.rq_tenant)
+  let queued d =
+    Array.fold_left (fun a l -> a + Queue.length l.l_queue) 0 d.d_tenants
+
+  let bump d suffix =
+    match d.d_tracer with
+    | None -> ()
+    | Some tr -> Trace.add tr (d.d_layer ^ suffix) 1
+
+  let sample_depth d l =
+    match d.d_tracer with
+    | Some tr when d.d_tenant_series ->
+        Trace.sample tr
+          ~now:(Desim.Engine.now d.d_engine)
+          (Printf.sprintf "%s.q.%s.depth" d.d_layer l.l_t.Tenant.t_name)
+          (Queue.length l.l_queue)
+    | _ -> ()
+
+  let resume r = match r.rq_k with Some k -> k () | None -> ()
+
+  let sys_index d (kind : Mix.kind) =
+    let i = d.d_sys.(kind_tag kind) in
+    if i < 0 then invalid_arg "Serve.Dispatch: kind has no deployed system";
+    i
+
+  (* Bounded-queue admission. *)
+  let offer d l ~klass ~k =
+    l.l_offered <- l.l_offered + 1;
+    if Queue.length l.l_queue >= l.l_t.Tenant.t_queue_cap then begin
+      l.l_shed_queue <- l.l_shed_queue + 1;
+      bump d ".shed_queue";
+      false
+    end
+    else begin
+      let now = Desim.Engine.now d.d_engine in
+      Queue.push
+        {
+          rq_id = d.d_next_id;
+          rq_tenant = l.l_index;
+          rq_sys = sys_index d klass.Mix.k_kind;
+          rq_class = klass;
+          rq_arrival = now;
+          rq_deadline = now + l.l_t.Tenant.t_deadline_ps;
+          rq_attempts = 0;
+          rq_k = k;
+        }
+        l.l_queue;
+      d.d_next_id <- d.d_next_id + 1;
+      l.l_admitted <- l.l_admitted + 1;
+      bump d ".admitted";
+      sample_depth d l;
+      true
+    end
+
+  (* Deadline shedding happens when a request reaches the head of its
+     tenant queue: requests behind it are younger (per-tenant FIFO), so an
+     un-expired head proves nothing behind it expired. A tenant without a
+     site (cluster graceful degradation) sheds its whole queue. *)
+  let rec shed d l =
+    if not (Queue.is_empty l.l_queue) then begin
+      let r = Queue.peek l.l_queue in
+      let degraded = l.l_site < 0 in
+      if degraded || Desim.Engine.now d.d_engine > r.rq_deadline then begin
+        ignore (Queue.pop l.l_queue);
+        if degraded then l.l_shed_degraded <- l.l_shed_degraded + 1
+        else l.l_shed_deadline <- l.l_shed_deadline + 1;
+        bump d (if degraded then ".shed_degraded" else ".shed_deadline");
+        sample_depth d l;
+        resume r;
+        shed d l
+      end
+    end
+
+  (* Least-outstanding-work core within a system, respecting the per-core
+     occupancy cap and avoiding quarantined cores when a healthy one has
+     room. If only quarantined cores have room we still dispatch — the
+     handle fails fast and the request settles as failed instead of
+     wedging its queue. *)
+  let choose_core s si =
+    let out = s.si_out.(si) in
+    let best = ref (-1) and best_q = ref (-1) in
+    for c = 0 to Array.length out - 1 do
+      let o = out.(c) in
+      if o < s.si_cap then
+        if H.is_quarantined s.si_handle ~system_id:si ~core_id:c then (
+          if !best_q < 0 || o < out.(!best_q) then best_q := c)
+        else if !best < 0 || o < out.(!best) then best := c
+    done;
+    if !best >= 0 then !best else !best_q
+
+  let occupy s r ~core by =
+    let out = s.si_out.(r.rq_sys) in
+    out.(core) <- out.(core) + by
+
+  let reserve s r ~core = occupy s r ~core 1
+  let release s r ~core = occupy s r ~core (-1)
+
+  (* Start-time fair queueing (Goyal et al., SIGCOMM '96): the key of a
+     tenant's head request is its virtual START tag — the finish tag of
+     the tenant's previous dispatch, or the site's virtual time if the
+     tenant went idle. Dispatching advances the tenant's finish tag by
+     bytes/weight (heavier tenants accumulate virtual time more slowly,
+     so they win more often) and ratchets the site's virtual time to the
+     dispatched start tag. Comparing start tags rather than finish tags
+     matters: a finish-tag rule under this virtual clock permanently
+     starves any flow whose normalized cost (bytes/weight) exceeds a
+     backlogged competitor's. *)
+  let pick d s ~fifo ~same =
+    let best = ref (-1) and best_core = ref (-1) and best_key = ref 0. in
+    for i = 0 to Array.length d.d_tenants - 1 do
+      let l = d.d_tenants.(i) in
+      shed d l;
+      if l.l_site = s.si_slot && not (Queue.is_empty l.l_queue) then begin
+        let r = Queue.peek l.l_queue in
+        if same < 0 || r.rq_sys = same then begin
+          let core = choose_core s r.rq_sys in
+          (* core < 0: system saturated, head-of-line blocked *)
+          if core >= 0 then begin
+            let key =
+              if fifo then float_of_int r.rq_arrival
+              else Float.max l.l_vft s.si_v
+            in
+            if !best < 0 || key < !best_key then begin
+              best := i;
+              best_core := core;
+              best_key := key
+            end
+          end
+        end
+      end
+    done;
+    if !best < 0 then None
+    else begin
+      let l = d.d_tenants.(!best) in
+      let r = Queue.pop l.l_queue in
+      sample_depth d l;
+      if not fifo then begin
+        let start = Float.max l.l_vft s.si_v in
+        let bytes = float_of_int r.rq_class.Mix.k_bytes in
+        l.l_vft <- start +. (bytes /. l.l_t.Tenant.t_weight);
+        s.si_v <- start
+      end;
+      Some (r, !best_core)
+    end
+
+  let send ?batch s r ~core =
+    let h = s.si_handle and bytes = r.rq_class.Mix.k_bytes in
+    let a = H.malloc h bytes and b = H.malloc h bytes in
+    let src = Int64.of_int a.H.rp_addr and dst = Int64.of_int b.H.rp_addr in
+    let args, cmd, expect =
+      match r.rq_class.Mix.k_kind with
+      | Mix.Memcpy ->
+          let n = Int64.of_int bytes in
+          ( [ ("src", src); ("dst", dst); ("bytes", n) ],
+            Kernels.Memcpy.command,
+            n )
+      | Mix.Vecadd ->
+          let n = Int64.of_int (bytes / 4) in
+          ( [
+              ("addend", 1L); ("vec_addr", src); ("out_addr", dst); ("n_eles", n);
+            ],
+            Kernels.Vecadd.command,
+            n )
+      | Mix.Sort ->
+          (* the sort kernel's in2 channel is unused (in2_bytes = 0); the
+             freshly allocated input buffer is zeroed device memory, which
+             sorts deterministically *)
+          ( [ ("in1", src); ("in2", src); ("out", dst) ],
+            Kernels.Machsuite_extra.command,
+            1L )
+    in
+    let rh =
+      H.send ?batch ~queued_at:r.rq_arrival h
+        ~system:(Mix.kind_system r.rq_class.Mix.k_kind)
+        ~core ~cmd ~args
+    in
+    (a, b, rh, expect)
+
+  let us ps = float_of_int ps /. 1e6
+
+  let complete d r rh ~submitted ~finished ~ok =
+    let l = ledger d r in
+    l.l_completed <- l.l_completed + 1;
+    if not ok then l.l_bad <- l.l_bad + 1;
+    l.l_bytes <- l.l_bytes + r.rq_class.Mix.k_bytes;
+    let seen =
+      match H.response_seen_at rh with Some s -> s | None -> finished
+    in
+    let total = finished - r.rq_arrival in
+    S.observe l.l_q_wait (us (submitted - r.rq_arrival));
+    S.observe l.l_service (us (seen - submitted));
+    S.observe l.l_collect (us (finished - seen));
+    S.observe l.l_total (us total);
+    let late = total > l.l_t.Tenant.t_slo_ps in
+    if late then l.l_slo_viol <- l.l_slo_viol + 1;
+    bump d ".completed";
+    (match d.d_tracer with
+    | Some tr when d.d_tenant_series ->
+        Trace.observe tr
+          (Printf.sprintf "%s.%s.total_us" d.d_layer l.l_t.Tenant.t_name)
+          (us total)
+    | _ -> ());
+    resume r;
+    late
+
+  let fail d r =
+    let l = ledger d r in
+    l.l_failed <- l.l_failed + 1;
+    bump d ".failed";
+    resume r
+
+  let start_clients d ~seed ~salt ~t0 ~horizon admit =
+    spawn_clients ~engine:d.d_engine ~seed ~salt ~horizon ~t0
+      ~tenants:(Array.to_list (Array.map (fun l -> l.l_t) d.d_tenants))
+      ~offer:(fun ~tenant ~klass ~k -> admit d.d_tenants.(tenant) ~klass ~k)
+      ()
+
+  let tenant_report ~duration_ps ~wall_ps l =
+    {
+      tr_name = l.l_t.Tenant.t_name;
+      tr_weight = l.l_t.Tenant.t_weight;
+      tr_offered = l.l_offered;
+      tr_admitted = l.l_admitted;
+      tr_shed_queue = l.l_shed_queue;
+      tr_shed_deadline = l.l_shed_deadline;
+      tr_shed_degraded = l.l_shed_degraded;
+      tr_completed = l.l_completed;
+      tr_failed = l.l_failed;
+      tr_bad_responses = l.l_bad;
+      tr_slo_violations = l.l_slo_viol;
+      tr_bytes_served = l.l_bytes;
+      tr_offered_rps =
+        float_of_int l.l_offered /. (float_of_int duration_ps /. 1e12);
+      tr_achieved_rps =
+        (if wall_ps = 0 then 0.
+         else float_of_int l.l_completed /. (float_of_int wall_ps /. 1e12));
+      tr_queue = phase_of l.l_q_wait;
+      tr_service = phase_of l.l_service;
+      tr_collect = phase_of l.l_collect;
+      tr_total = phase_of l.l_total;
+    }
+
+  let tenant_violations t =
+    let out = ref [] in
+    let add fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
+    if t.tr_offered <> t.tr_admitted + t.tr_shed_queue then
+      add "%s: offered %d <> admitted %d + shed-at-admission %d" t.tr_name
+        t.tr_offered t.tr_admitted t.tr_shed_queue;
+    if
+      t.tr_admitted
+      <> t.tr_completed + t.tr_shed_deadline + t.tr_shed_degraded + t.tr_failed
+    then
+      add
+        "%s: admitted %d <> completed %d + shed-deadline %d + shed-degraded \
+         %d + failed %d"
+        t.tr_name t.tr_admitted t.tr_completed t.tr_shed_deadline
+        t.tr_shed_degraded t.tr_failed;
+    if t.tr_bad_responses > 0 then
+      add "%s: %d response payloads mismatched their requests" t.tr_name
+        t.tr_bad_responses;
+    List.rev !out
+
+  let digest_tenant b ~bad t =
+    let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+    pf " | %s off=%d adm=%d shq=%d shd=%d shg=%d ok=%d fail=%d" t.tr_name
+      t.tr_offered t.tr_admitted t.tr_shed_queue t.tr_shed_deadline
+      t.tr_shed_degraded t.tr_completed t.tr_failed;
+    if bad then pf " bad=%d" t.tr_bad_responses;
+    pf " slo=%d by=%d" t.tr_slo_violations t.tr_bytes_served;
+    match t.tr_total with
+    | Some p -> pf " p99=%.2f" p.ph_p99_us
+    | None -> pf " p99=-"
+
+  let render_tenants b ~degraded tenants =
+    let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+    pf "\n%-10s %4s %8s %8s %6s %6s" "tenant" "wt" "offered" "admitted" "shedQ"
+      "shedD";
+    if degraded then pf " %6s" "shedG";
+    pf " %8s %6s %6s %10s %10s\n" "complete" "fail" "slo!" "offered/s"
+      "achieved/s";
+    List.iter
+      (fun t ->
+        pf "%-10s %4.1f %8d %8d %6d %6d" t.tr_name t.tr_weight t.tr_offered
+          t.tr_admitted t.tr_shed_queue t.tr_shed_deadline;
+        if degraded then pf " %6d" t.tr_shed_degraded;
+        pf " %8d %6d %6d %10.0f %10.0f\n" t.tr_completed t.tr_failed
+          t.tr_slo_violations t.tr_offered_rps t.tr_achieved_rps)
+      tenants;
+    let sq, sd, sg =
+      List.fold_left
+        (fun (q, d, g) t ->
+          (q + t.tr_shed_queue, d + t.tr_shed_deadline, g + t.tr_shed_degraded))
+        (0, 0, 0) tenants
+    in
+    let name = shed_reason_name in
+    pf "shed breakdown: %s=%d %s=%d %s=%d\n" (name Shed_queue_full) sq
+      (name Shed_deadline) sd (name Shed_degradation) sg;
+    pf "\nlatency (us)%-16s %8s %8s %8s %8s %8s\n" "" "mean" "p50" "p95" "p99"
+      "p99.9";
+    List.iter
+      (fun t ->
+        let row label = function
+          | None ->
+              pf "  %-10s %-15s %8s %8s %8s %8s %8s\n" t.tr_name label "-" "-"
+                "-" "-" "-"
+          | Some p ->
+              pf "  %-10s %-15s %8.1f %8.1f %8.1f %8.1f %8.1f\n" t.tr_name
+                label p.ph_mean_us p.ph_p50_us p.ph_p95_us p.ph_p99_us
+                p.ph_p999_us
+        in
+        row "queue-wait" t.tr_queue;
+        row "service" t.tr_service;
+        row "collect" t.tr_collect;
+        row "total" t.tr_total)
+      tenants
+end
+
+module D = Dispatch
+
+(* ------------------------------------------------------------------ *)
+(* Single-SoC dispatcher                                              *)
+(* ------------------------------------------------------------------ *)
+
+type sstate = {
+  st_cfg : config;
+  st_engine : Desim.Engine.t;
+  st_d : D.t;
+  st_site : D.site;  (* the one SoC: site 0 *)
+  st_kinds : Mix.kind list;  (* deployed systems, in system-index order *)
+  st_disp : int array array;  (* [system][core] commands dispatched *)
+  mutable st_armed : bool;
+  mutable st_batches : int;
+  mutable st_batched : int;
+}
+
+(* Pick (and reserve a core for) the next dispatchable request.
+   [same] (a system index, or -1) constrains the choice to one deployed
+   system — the batching compatibility rule: one server occupancy
+   carries commands for one system only. *)
+let pick_next st ~same =
+  match D.pick st.st_d st.st_site ~fifo:(st.st_cfg.c_policy = Fifo) ~same with
+  | None -> None
+  | Some (r, core) as p ->
+      (* reserve the slot so the rest of the batch sees the occupancy *)
+      D.reserve st.st_site r ~core;
+      p
+
+let rec arm_dispatch st =
+  if not st.st_armed then begin
+    st.st_armed <- true;
+    Desim.Engine.schedule st.st_engine ~delay:0 (fun () ->
+        st.st_armed <- false;
+        dispatch_all st)
+  end
+
+and dispatch_all st =
+  match pick_next st ~same:(-1) with
+  | None -> ()
+  | Some ((first, _) as p) ->
+      let picks = ref [ p ] and n = ref 1 in
+      let continue_ = ref true in
+      while !continue_ && !n < st.st_cfg.c_batch_max do
+        match pick_next st ~same:first.D.rq_sys with
+        | Some p ->
+            picks := p :: !picks;
+            incr n
+        | None -> continue_ := false
+      done;
+      let picks = List.rev !picks in
+      st.st_batches <- st.st_batches + 1;
+      st.st_batched <- st.st_batched + !n;
+      let batch = H.begin_batch st.st_site.D.si_handle ~n:!n in
+      List.iter (submit st ~batch) picks;
+      dispatch_all st
+
+and submit st ~batch (r, core) =
+  let h = st.st_site.D.si_handle in
+  let now = Desim.Engine.now st.st_engine in
+  let disp = st.st_disp.(r.D.rq_sys) in
+  disp.(core) <- disp.(core) + 1;
+  let a, b, rh, expect = D.send ~batch st.st_site r ~core in
+  H.on_settled rh (fun res ->
+      H.mfree h a;
+      H.mfree h b;
+      D.release st.st_site r ~core;
+      (match res with
+      | Ok v ->
+          ignore
+            (D.complete st.st_d r rh ~submitted:now
+               ~finished:(Desim.Engine.now st.st_engine)
+               ~ok:(Int64.equal v expect))
+      | Error _ -> D.fail st.st_d r);
+      arm_dispatch st)
+
+let offer st l ~klass ~k =
+  let admitted = D.offer st.st_d l ~klass ~k in
+  if admitted then arm_dispatch st;
+  admitted
+
 let kinds_used tenants =
   let used k =
     List.exists
@@ -756,27 +943,6 @@ let behavior_of_system name =
   else if name = "VecAdd" then Kernels.Vecadd.behavior
   else Kernels.Machsuite_extra.behavior Kernels.Machsuite_extra.Merge_sort
 
-let mk_tstate t =
-  {
-    ts_t = t;
-    ts_queue = Queue.create ();
-    ts_vft = 0.;
-    ts_offered = 0;
-    ts_admitted = 0;
-    ts_shed_queue = 0;
-    ts_shed_deadline = 0;
-    ts_shed_degraded = 0;
-    ts_completed = 0;
-    ts_failed = 0;
-    ts_bad = 0;
-    ts_slo_viol = 0;
-    ts_bytes = 0;
-    ts_q_wait = S.series ();
-    ts_service = S.series ();
-    ts_collect = S.series ();
-    ts_total = S.series ();
-  }
-
 (* Assemble a report from the live campaign state. Pure observation: it
    reads counters, summarizes the latency series and checks allocator
    invariants, but never touches a queue, an engine, or an RNG stream —
@@ -784,55 +950,24 @@ let mk_tstate t =
 let mk_report st ~inj ~baseline_free ~duration_ps ~t0 =
   let cfg = st.st_cfg in
   let wall_ps = Desim.Engine.now st.st_engine - t0 in
-  let stuck =
-    Array.fold_left (fun a ts -> a + Queue.length ts.ts_queue) 0 st.st_tenants
-  in
-  let alloc = H.allocator st.st_handle in
-  let tenants =
-    Array.to_list
-      (Array.map
-         (fun ts ->
-           {
-             tr_name = ts.ts_t.Tenant.t_name;
-             tr_weight = ts.ts_t.Tenant.t_weight;
-             tr_offered = ts.ts_offered;
-             tr_admitted = ts.ts_admitted;
-             tr_shed_queue = ts.ts_shed_queue;
-             tr_shed_deadline = ts.ts_shed_deadline;
-             tr_shed_degraded = ts.ts_shed_degraded;
-             tr_completed = ts.ts_completed;
-             tr_failed = ts.ts_failed;
-             tr_bad_responses = ts.ts_bad;
-             tr_slo_violations = ts.ts_slo_viol;
-             tr_bytes_served = ts.ts_bytes;
-             tr_offered_rps =
-               float_of_int ts.ts_offered
-               /. (float_of_int duration_ps /. 1e12);
-             tr_achieved_rps =
-               (if wall_ps = 0 then 0.
-                else
-                  float_of_int ts.ts_completed
-                  /. (float_of_int wall_ps /. 1e12));
-             tr_queue = phase_of ts.ts_q_wait;
-             tr_service = phase_of ts.ts_service;
-             tr_collect = phase_of ts.ts_collect;
-             tr_total = phase_of ts.ts_total;
-           })
-         st.st_tenants)
-  in
+  let handle = st.st_site.D.si_handle in
+  let alloc = H.allocator handle in
   {
     r_seed = cfg.c_seed;
     r_policy = cfg.c_policy;
     r_duration_ps = duration_ps;
     r_wall_ps = wall_ps;
-    r_tenants = tenants;
+    r_tenants =
+      Array.to_list
+        (Array.map (D.tenant_report ~duration_ps ~wall_ps) (D.tenants st.st_d));
     r_batches = st.st_batches;
     r_batched_commands = st.st_batched;
-    r_server_busy_ps = H.server_busy_ps st.st_handle;
+    r_server_busy_ps = H.server_busy_ps handle;
     r_dispatched_per_core =
-      Array.to_list
-        (Array.map (fun sy -> (sy.sy_name, Array.copy sy.sy_disp)) st.st_systems);
-    r_stuck = stuck;
+      List.mapi
+        (fun si k -> (Mix.kind_system k, Array.copy st.st_disp.(si)))
+        st.st_kinds;
+    r_stuck = D.queued st.st_d;
     r_alloc_ok = Runtime.Alloc.check_invariants alloc;
     r_leaked_blocks = Runtime.Alloc.n_blocks alloc;
     r_free_delta = Runtime.Alloc.free_bytes alloc - baseline_free;
@@ -893,11 +1028,9 @@ module Session = struct
       se_last = None;
     }
 
-  let engine s = s.se_engine
   let handle s = s.se_handle
   let now s = Desim.Engine.now s.se_engine
   let injector s = s.se_inj
-  let phases s = s.se_phases
 
   let start_phase ?tenants s ~duration_ps =
     (match s.se_cur with
@@ -924,26 +1057,20 @@ module Session = struct
             l;
           l
     in
+    let cfg = s.se_cfg in
+    let n_sys = List.length s.se_kinds in
     let st =
       {
-        st_cfg = s.se_cfg;
+        st_cfg = cfg;
         st_engine = s.se_engine;
-        st_handle = s.se_handle;
-        st_tracer = s.se_tracer;
-        st_tenants = Array.of_list (List.map mk_tstate tenants);
-        st_systems =
-          Array.of_list
-            (List.mapi
-               (fun i k ->
-                 {
-                   sy_kind = k;
-                   sy_name = Mix.kind_system k;
-                   sy_id = i;
-                   sy_out = Array.make s.se_cfg.c_n_cores 0;
-                   sy_disp = Array.make s.se_cfg.c_n_cores 0;
-                 })
-               s.se_kinds);
-        st_global_v = 0.;
+        st_d =
+          D.create ~engine:s.se_engine ?tracer:s.se_tracer ~layer:"serve"
+            ~tenant_series:true ~kinds:s.se_kinds ~site:0 tenants;
+        st_site =
+          D.site ~slot:0 ~handle:s.se_handle ~n_sys ~n_cores:cfg.c_n_cores
+            ~cap:cfg.c_core_cap;
+        st_kinds = s.se_kinds;
+        st_disp = Array.init n_sys (fun _ -> Array.make cfg.c_n_cores 0);
         st_armed = false;
         st_batches = 0;
         st_batched = 0;
@@ -951,7 +1078,8 @@ module Session = struct
     in
     let t0 = Desim.Engine.now s.se_engine in
     s.se_cur <- Some (st, t0, duration_ps);
-    start_clients ~salt:s.se_phases ~t0 ~horizon:(t0 + duration_ps) st;
+    D.start_clients st.st_d ~seed:cfg.c_seed ~salt:s.se_phases ~t0
+      ~horizon:(t0 + duration_ps) (offer st);
     s.se_phases <- s.se_phases + 1
 
   let advance s ~until =
@@ -1002,25 +1130,6 @@ let run ?tracer ?plan ?fault_policy ?platform cfg () =
 let violations r =
   let out = ref [] in
   let add fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
-  List.iter
-    (fun t ->
-      if t.tr_offered <> t.tr_admitted + t.tr_shed_queue then
-        add "%s: offered %d <> admitted %d + shed-at-admission %d" t.tr_name
-          t.tr_offered t.tr_admitted t.tr_shed_queue;
-      if
-        t.tr_admitted
-        <> t.tr_completed + t.tr_shed_deadline + t.tr_shed_degraded
-           + t.tr_failed
-      then
-        add
-          "%s: admitted %d <> completed %d + shed-at-dispatch %d + \
-           shed-degraded %d + failed %d"
-          t.tr_name t.tr_admitted t.tr_completed t.tr_shed_deadline
-          t.tr_shed_degraded t.tr_failed;
-      if t.tr_bad_responses > 0 then
-        add "%s: %d response payloads mismatched their requests" t.tr_name
-          t.tr_bad_responses)
-    r.r_tenants;
   if r.r_stuck > 0 then add "%d requests still queued after drain" r.r_stuck;
   if not r.r_alloc_ok then add "allocator invariants violated";
   if r.r_leaked_blocks > 0 then
@@ -1032,7 +1141,7 @@ let violations r =
       add "%d lost-message faults never resolved"
         (Fault.Injector.pending_lost inj)
   | _ -> ());
-  List.rev !out
+  List.concat_map D.tenant_violations r.r_tenants @ List.rev !out
 
 let conserved r = violations r = []
 
@@ -1042,18 +1151,7 @@ let digest r =
   pf "serve seed=%d policy=%s wall=%d batches=%d cmds=%d busy=%d" r.r_seed
     (policy_name r.r_policy) r.r_wall_ps r.r_batches r.r_batched_commands
     r.r_server_busy_ps;
-  List.iter
-    (fun t ->
-      pf
-        " | %s off=%d adm=%d shq=%d shd=%d shg=%d ok=%d fail=%d bad=%d \
-         slo=%d by=%d"
-        t.tr_name t.tr_offered t.tr_admitted t.tr_shed_queue t.tr_shed_deadline
-        t.tr_shed_degraded t.tr_completed t.tr_failed t.tr_bad_responses
-        t.tr_slo_violations t.tr_bytes_served;
-      match t.tr_total with
-      | Some p -> pf " p99=%.2f" p.ph_p99_us
-      | None -> pf " p99=-")
-    r.r_tenants;
+  List.iter (D.digest_tenant b ~bad:true) r.r_tenants;
   pf " | stuck=%d alloc=%s leak=%d drift=%d" r.r_stuck
     (if r.r_alloc_ok then "ok" else "BAD")
     r.r_leaked_blocks r.r_free_delta;
@@ -1080,44 +1178,7 @@ let render r =
       Array.iter (fun d -> pf " %d" d) disp;
       pf "\n")
     r.r_dispatched_per_core;
-  pf "\n%-10s %4s %8s %8s %6s %6s %8s %6s %6s %10s %10s\n" "tenant" "wt"
-    "offered" "admitted" "shedQ" "shedD" "complete" "fail" "slo!"
-    "offered/s" "achieved/s";
-  List.iter
-    (fun t ->
-      pf "%-10s %4.1f %8d %8d %6d %6d %8d %6d %6d %10.0f %10.0f\n" t.tr_name
-        t.tr_weight t.tr_offered t.tr_admitted t.tr_shed_queue
-        t.tr_shed_deadline t.tr_completed t.tr_failed t.tr_slo_violations
-        t.tr_offered_rps t.tr_achieved_rps)
-    r.r_tenants;
-  let sq, sd, sg =
-    List.fold_left
-      (fun (q, d, g) t ->
-        (q + t.tr_shed_queue, d + t.tr_shed_deadline, g + t.tr_shed_degraded))
-      (0, 0, 0) r.r_tenants
-  in
-  pf "shed breakdown: %s=%d %s=%d %s=%d\n"
-    (shed_reason_name Shed_queue_full)
-    sq
-    (shed_reason_name Shed_deadline)
-    sd
-    (shed_reason_name Shed_degradation)
-    sg;
-  pf "\nlatency (us)%-16s %8s %8s %8s %8s %8s\n" "" "mean" "p50" "p95" "p99"
-    "p99.9";
-  List.iter
-    (fun t ->
-      let row label = function
-        | None -> pf "  %-10s %-15s %8s %8s %8s %8s %8s\n" t.tr_name label "-" "-" "-" "-" "-"
-        | Some p ->
-            pf "  %-10s %-15s %8.1f %8.1f %8.1f %8.1f %8.1f\n" t.tr_name label
-              p.ph_mean_us p.ph_p50_us p.ph_p95_us p.ph_p99_us p.ph_p999_us
-      in
-      row "queue-wait" t.tr_queue;
-      row "service" t.tr_service;
-      row "collect" t.tr_collect;
-      row "total" t.tr_total)
-    r.r_tenants;
+  D.render_tenants b ~degraded:false r.r_tenants;
   (match r.r_injector with
   | Some inj -> pf "\nfaults: %s\n" (Fault.Injector.counters_line inj)
   | None -> ());

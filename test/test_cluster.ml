@@ -119,6 +119,47 @@ let test_warm_pool_promotion () =
   Alcotest.(check bool) "no tenant left degraded at end" true
     (List.for_all (fun (_, s) -> s >= 0) r.Cluster.c_placements)
 
+(* ---------------- differential oracle: one device vs serve --------- *)
+
+(* A chaos-free one-device cluster and the single-SoC campaign share the
+   dispatch core, the seeded client streams and the F1 platform, so with
+   one unsaturated open-loop tenant every ledger count must agree.
+   Latencies are excluded on purpose: the cluster sends each command
+   without a batch, so every command beat pays its own runtime-server
+   operation (3 server ops per command instead of 2), which puts its
+   service p50 about 1.5 us above serve's batch of one. *)
+let test_one_device_matches_serve () =
+  let seed = 5 and duration_ps = 300_000_000 in
+  let tenant =
+    Serve.Tenant.make ~name:"solo" ~clients:2
+      ~mix:[ Serve.Mix.memcpy ~bytes:4096 () ]
+      ~load:(Serve.Tenant.open_loop ~rate_rps:20_000. ())
+      ()
+  in
+  let served =
+    Serve.run
+      (Serve.config ~seed ~duration_ps ~batch_max:1 ~n_cores:2
+         ~tenants:[ tenant ] ())
+      ()
+  in
+  let clustered =
+    Cluster.run
+      (Cluster.config ~seed ~duration_ps ~devices:1 ~tenants:[ tenant ] ())
+      ()
+  in
+  let counts (t : Serve.tenant_report) =
+    [
+      t.tr_offered; t.tr_admitted; t.tr_shed_queue; t.tr_shed_deadline;
+      t.tr_shed_degraded; t.tr_completed; t.tr_failed; t.tr_bytes_served;
+    ]
+  in
+  let serve_counts = List.map counts served.Serve.r_tenants in
+  Alcotest.(check (list (list int)))
+    "offered/admitted/shed/completed/failed/bytes agree" serve_counts
+    (List.map counts clustered.Cluster.c_tenants);
+  Alcotest.(check bool) "requests completed" true
+    (List.for_all (fun t -> t.Serve.tr_completed > 0) served.Serve.r_tenants)
+
 (* ---------------- qcheck properties -------------------------------- *)
 
 let prop_no_lost_acked =
@@ -195,6 +236,8 @@ let () =
           Alcotest.test_case "two-device fleet serves and conserves" `Quick
             test_basic;
           Alcotest.test_case "device reports" `Quick test_device_report;
+          Alcotest.test_case "one device agrees with serve" `Quick
+            test_one_device_matches_serve;
         ] );
       ( "determinism",
         [

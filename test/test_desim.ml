@@ -187,33 +187,7 @@ let test_stats () =
   Alcotest.(check (list (pair (float 1e-9) int)))
     "buckets"
     [ (0., 2); (10., 1); (20., 1) ]
-    (S.buckets h);
-  let b = S.busy_tracker () in
-  S.mark_busy b ~from_:0 ~until:10;
-  S.mark_busy b ~from_:20 ~until:25;
-  check_int "busy time" 15 (S.busy_time b);
-  Alcotest.(check (float 1e-9)) "utilization" 0.15 (S.utilization b ~total:100)
-
-(* Regression: overlapping busy intervals must merge, not double-count —
-   the old accumulator summed raw durations and could report > 100%
-   utilization for a port marked busy by two overlapping transactions. *)
-let test_busy_overlap () =
-  let b = S.busy_tracker () in
-  S.mark_busy b ~from_:0 ~until:10;
-  S.mark_busy b ~from_:5 ~until:15;
-  check_int "overlap merged" 15 (S.busy_time b);
-  S.mark_busy b ~from_:0 ~until:15;
-  check_int "duplicate absorbed" 15 (S.busy_time b);
-  S.mark_busy b ~from_:15 ~until:20;
-  check_int "adjacent coalesced" 20 (S.busy_time b);
-  S.mark_busy b ~from_:100 ~until:110;
-  S.mark_busy b ~from_:30 ~until:40;
-  check_int "disjoint summed" 40 (S.busy_time b);
-  S.mark_busy b ~from_:0 ~until:110;
-  check_int "superset absorbs all" 110 (S.busy_time b);
-  Alcotest.(check (float 1e-9))
-    "utilization clamped" 1.0
-    (S.utilization b ~total:50)
+    (S.buckets h)
 
 let test_summarize_opt () =
   let s = S.series () in
@@ -307,7 +281,6 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "stats" `Quick test_stats;
-          Alcotest.test_case "busy overlap" `Quick test_busy_overlap;
           Alcotest.test_case "summarize_opt" `Quick test_summarize_opt;
           Alcotest.test_case "bucket gaps" `Quick test_bucket_gaps;
           Alcotest.test_case "quantiles" `Quick test_quantiles;
