@@ -143,6 +143,90 @@ let test_axi_retry_exhaustion_terminates () =
     (r.Kernels.Campaign.recovered + r.Kernels.Campaign.unrecovered);
   check_int "nothing left pending" 0 r.Kernels.Campaign.pending
 
+(* A serving campaign over memcpy (Reader.stream + Writer transaction
+   bursts) and merge sort (Reader.bulk + Writer.bulk), so AXI errors
+   reach all four burst paths. *)
+let serve_axi_campaign ~plan =
+  let tenant =
+    Serve.Tenant.make ~name:"t" ~clients:2
+      ~mix:[ Serve.Mix.memcpy ~bytes:(16 * 1024) (); Serve.Mix.sort () ]
+      ~load:(Serve.Tenant.Closed_loop { think_ps = 5_000_000 })
+      ()
+  in
+  let cfg =
+    Serve.config ~seed:5 ~duration_ps:150_000_000 ~n_cores:2
+      ~tenants:[ tenant ] ()
+  in
+  let r = Serve.run ~plan cfg () in
+  match r.Serve.r_injector with
+  | Some inj -> (r, inj)
+  | None -> Alcotest.fail "injector missing from the report"
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_axi_errors_every_burst_path () =
+  List.iter
+    (fun (cls, sites) ->
+      List.iter
+        (fun rate ->
+          let what = Printf.sprintf "%s @%.2f" (F.Class.name cls) rate in
+          let r, inj = serve_axi_campaign ~plan:(only cls rate 3) in
+          check_bool (what ^ ": every admitted request settles") true
+            (Serve.conserved r);
+          check_bool (what ^ ": faults fired") true
+            (F.Injector.injected inj cls > 0);
+          check_int (what ^ ": injected = recovered + unrecovered")
+            (F.Injector.injected inj cls)
+            (F.Injector.recovered inj cls + F.Injector.unrecovered inj cls);
+          check_int (what ^ ": nothing pending") 0 (F.Injector.pending_lost inj);
+          if rate = 1.0 then begin
+            (* every burst errors on every attempt: each path shows up in
+               the log as an exhausted retry budget *)
+            let log = F.Log.render (F.Injector.entries inj) in
+            List.iter
+              (fun site ->
+                check_bool (what ^ ": reaches " ^ site) true
+                  (contains log site))
+              sites;
+            check_int (what ^ ": nothing recovers") 0
+              (F.Injector.recovered inj cls)
+          end
+          else
+            check_bool (what ^ ": retries recover") true
+              (F.Injector.recovered inj cls > 0))
+        [ 1.0; 0.2 ])
+    [
+      (F.Class.Axi_read_error, [ " rd seg@"; " rd-bulk seg@" ]);
+      (F.Class.Axi_write_error, [ " wr burst@"; " wr-bulk seg@" ]);
+    ]
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let test_axi_fault_log_golden () =
+  (* the retry paths' timing and log text are pinned to a checked-in
+     copy: read and write errors together, at a rate where most bursts
+     recover and a few exhaust the budget *)
+  let plan =
+    {
+      F.Plan.none with
+      F.Plan.seed = 7;
+      rates = [ (F.Class.Axi_read_error, 0.5); (F.Class.Axi_write_error, 0.5) ];
+    }
+  in
+  let _, inj = serve_axi_campaign ~plan in
+  check_string "fault log matches golden/serve-axi-faults.txt"
+    (read_file "golden/serve-axi-faults.txt")
+    (F.Log.render (F.Injector.entries inj))
+
 let test_dma_failure_surfaces_as_corruption () =
   let r = small_campaign ~plan:(only F.Class.Dma_fail 1.0 4) in
   check_bool "dma gave up" true (r.Kernels.Campaign.unrecovered > 0);
@@ -342,6 +426,10 @@ let () =
         [
           Alcotest.test_case "axi retry exhaustion terminates" `Quick
             test_axi_retry_exhaustion_terminates;
+          Alcotest.test_case "axi errors on every burst path" `Quick
+            test_axi_errors_every_burst_path;
+          Alcotest.test_case "axi fault log matches golden" `Quick
+            test_axi_fault_log_golden;
           Alcotest.test_case "dma failure surfaces as corruption" `Quick
             test_dma_failure_surfaces_as_corruption;
           Alcotest.test_case "double flips unrecovered" `Quick
