@@ -62,13 +62,13 @@ let fig5 () =
      (overlapped, writes finish early); Pure-HDL is a single 64-beat\n\
      transaction per direction.";
   let show impl =
-    let trace = Axi.Trace.create () in
+    let tracer = Trace.create () in
     let r =
-      Kernels.Memcpy.run ~trace ~impl ~bytes:4096 ~platform:f1_one_channel ()
+      Kernels.Memcpy.run ~tracer ~impl ~bytes:4096 ~platform:f1_one_channel ()
     in
     Printf.printf "\n(%s) — %.2f GB/s\n%s" (Kernels.Memcpy.impl_name impl)
       r.Kernels.Memcpy.bandwidth_gbs
-      (Axi.Trace.render trace ~time_scale:40_000)
+      (Trace.axi_timeline tracer ~time_scale:40_000)
   in
   List.iter show
     [ Kernels.Memcpy.Hls; Kernels.Memcpy.Beethoven_16beat;
@@ -767,10 +767,11 @@ let bechamel () =
               (Kernels.Memcpy.run ~impl:Kernels.Memcpy.Beethoven
                  ~bytes:(64 * 1024) ~platform:f1_one_channel ()));
         test_of "fig5:trace-4KB" (fun () ->
-            let trace = Axi.Trace.create () in
+            let tracer = Trace.create () in
             ignore
-              (Kernels.Memcpy.run ~trace ~impl:Kernels.Memcpy.Hls ~bytes:4096
-                 ~platform:f1_one_channel ()));
+              (Kernels.Memcpy.run ~tracer ~impl:Kernels.Memcpy.Hls ~bytes:4096
+                 ~platform:f1_one_channel ());
+            ignore (Trace.axi_timeline tracer ~time_scale:40_000));
         test_of "fig6:nw-1core" (fun () ->
             ignore (MS.run MS.Nw ~rounds:1 ~n_cores:1 ~platform:f1_125mhz ()));
         test_of "fig7:a3-fixed-head" (fun () ->

@@ -24,12 +24,12 @@ let () =
         (if r.Kernels.Memcpy.verified then "contents verified"
          else "VERIFICATION FAILED"))
     Kernels.Memcpy.all_impls;
-  print_endline "\n4 KB transaction timelines ('>' issue, '#' data, '|' done):";
+  print_endline "\n4 KB transaction timelines:";
   List.iter
     (fun impl ->
-      let trace = Axi.Trace.create () in
-      ignore (Kernels.Memcpy.run ~trace ~impl ~bytes:4096 ~platform ());
+      let tracer = Trace.create () in
+      ignore (Kernels.Memcpy.run ~tracer ~impl ~bytes:4096 ~platform ());
       Printf.printf "\n%s\n%s" (Kernels.Memcpy.impl_name impl)
-        (Axi.Trace.render trace ~time_scale:40_000))
+        (Trace.axi_timeline tracer ~time_scale:40_000))
     [ Kernels.Memcpy.Hls; Kernels.Memcpy.Beethoven_16beat;
       Kernels.Memcpy.Pure_hdl ]

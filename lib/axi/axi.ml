@@ -1,7 +1,3 @@
-(* The structured tracer from lib/trace; aliased before the local ASCII
-   [Trace] module below shadows the library name. *)
-module Tracer = Trace
-
 module Resp = struct
   type t = Okay | Slverr | Decerr
 
@@ -48,72 +44,6 @@ module Burst = struct
     go addr bytes []
 end
 
-module Trace = struct
-  type channel = AR | R of int | R_last | AW | W of int | B
-  type event = { time : int; id : int; channel : channel; addr : int }
-  type t = { mutable events : event list }
-
-  let create () = { events = [] }
-  let record t ev = t.events <- ev :: t.events
-
-  let events t =
-    List.stable_sort (fun a b -> Int.compare a.time b.time) (List.rev t.events)
-
-  (* One lane per (direction, id); '>' = address issue, '#' = data beat,
-     '|' = completion. *)
-  let render t ~time_scale =
-    let evs = events t in
-    if evs = [] then "(empty trace)"
-    else begin
-      let t0 = (List.hd evs).time in
-      let t1 = List.fold_left (fun acc e -> max acc e.time) t0 evs in
-      let columns = ((t1 - t0) / time_scale) + 1 in
-      let lanes = Hashtbl.create 8 in
-      let lane_key e =
-        match e.channel with
-        | AR | R _ | R_last -> Printf.sprintf "RD id%-2d" e.id
-        | AW | W _ | B -> Printf.sprintf "WR id%-2d" e.id
-      in
-      List.iter
-        (fun e ->
-          let key = lane_key e in
-          let lane =
-            match Hashtbl.find_opt lanes key with
-            | Some l -> l
-            | None ->
-                let l = Bytes.make columns ' ' in
-                Hashtbl.add lanes key l;
-                l
-          in
-          let col = (e.time - t0) / time_scale in
-          let glyph =
-            match e.channel with
-            | AR | AW -> '>'
-            | R _ | W _ -> '#'
-            | R_last | B -> '|'
-          in
-          (* completion marks win over data beats, data over issues *)
-          let cur = Bytes.get lane col in
-          let rank c = match c with '|' -> 3 | '#' -> 2 | '>' -> 1 | _ -> 0 in
-          if rank glyph >= rank cur then Bytes.set lane col glyph)
-        evs;
-      let keys =
-        Hashtbl.fold (fun k _ acc -> k :: acc) lanes []
-        |> List.sort String.compare
-      in
-      let buf = Buffer.create 256 in
-      Buffer.add_string buf
-        (Printf.sprintf "t0=%d ps, 1 column = %d ps  ('>' issue, '#' data, '|' done)\n"
-           t0 time_scale);
-      List.iter
-        (fun k ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s %s\n" k (Bytes.to_string (Hashtbl.find lanes k))))
-        keys;
-      Buffer.contents buf
-    end
-end
-
 type txn = {
   txn_id : int;
   txn_addr : int;
@@ -123,7 +53,7 @@ type txn = {
   txn_on_done : Resp.t -> unit;
   txn_issued_at : int;
   txn_span : int option; (* structured-trace span for this burst *)
-  txn_track : string;
+  txn_track : string; (* its trace lane; "" when untraced *)
 }
 
 type id_queue = { q : txn Queue.t; mutable in_flight : bool }
@@ -132,8 +62,7 @@ type t = {
   engine : Desim.Engine.t;
   dram : Dram.t;
   prm : Params.t;
-  trace : Trace.t option;
-  tracer : Tracer.t option;
+  tracer : Trace.t option;
   port_name : string;
   mutable outstanding : int; (* accepted but not yet responded *)
   fault : Fault.Injector.t option;
@@ -148,12 +77,11 @@ type t = {
   mutable error_responses : int;
 }
 
-let create ?trace ?tracer ?(name = "axi") ?fault engine dram prm =
+let create ?tracer ?(name = "axi") ?fault engine dram prm =
   {
     engine;
     dram;
     prm;
-    trace;
     tracer;
     port_name = name;
     outstanding = 0;
@@ -173,13 +101,11 @@ let create ?trace ?tracer ?(name = "axi") ?fault engine dram prm =
 
 let params t = t.prm
 
-let record t ev = match t.trace with Some tr -> Trace.record tr ev | None -> ()
-
 let sample_outstanding t =
   match t.tracer with
   | None -> ()
   | Some tr ->
-      Tracer.sample tr
+      Trace.sample tr
         ~now:(Desim.Engine.now t.engine)
         (t.port_name ^ ".outstanding")
         t.outstanding
@@ -194,20 +120,20 @@ let finish_txn t txn resp =
       (match txn.txn_span with
       | None -> ()
       | Some span ->
-          Tracer.add_arg tr span "resp" (Tracer.Str (Resp.name resp));
-          Tracer.end_span tr ~now span);
+          Trace.add_arg tr span "resp" (Trace.Str (Resp.name resp));
+          Trace.end_span tr ~now span);
       let bytes = txn.txn_beats * t.prm.Params.data_bytes in
       let lat = float_of_int (now - txn.txn_issued_at) in
       (match txn.txn_dir with
       | Dram.Read ->
           if resp = Resp.Okay then
-            Tracer.add tr (t.port_name ^ ".read_bytes") bytes;
-          Tracer.observe tr (t.port_name ^ ".rd_latency_ps") lat
+            Trace.add tr (t.port_name ^ ".read_bytes") bytes;
+          Trace.observe tr (t.port_name ^ ".rd_latency_ps") lat
       | Dram.Write ->
           if resp = Resp.Okay then
-            Tracer.add tr (t.port_name ^ ".write_bytes") bytes;
-          Tracer.observe tr (t.port_name ^ ".wr_latency_ps") lat);
-      if Resp.is_error resp then Tracer.add tr (t.port_name ^ ".errors") 1;
+            Trace.add tr (t.port_name ^ ".write_bytes") bytes;
+          Trace.observe tr (t.port_name ^ ".wr_latency_ps") lat);
+      if Resp.is_error resp then Trace.add tr (t.port_name ^ ".errors") 1;
       sample_outstanding t
 
 let check_burst t ~id ~addr ~beats =
@@ -267,7 +193,7 @@ let rec launch t queue =
               (match (t.tracer, txn.txn_span) with
               | Some tr, Some span ->
                   (* cross-reference the fault-ledger entry that errored us *)
-                  Tracer.add_arg tr span "fault_id" (Tracer.Int fault_id)
+                  Trace.add_arg tr span "fault_id" (Trace.Int fault_id)
               | _ -> ());
               finish_txn t txn resp;
               txn.txn_on_done resp;
@@ -283,26 +209,12 @@ let rec launch t queue =
       in
       let fire_beat beat =
         let beat = min beat (txn.txn_beats - 1) in
-        let now = Desim.Engine.now t.engine in
-        (match txn.txn_dir with
-        | Dram.Read ->
-            record t
-              {
-                Trace.time = now;
-                id = txn.txn_id;
-                channel =
-                  (if beat = txn.txn_beats - 1 then Trace.R_last
-                   else Trace.R beat);
-                addr = txn.txn_addr;
-              }
-        | Dram.Write ->
-            record t
-              { Trace.time = now; id = txn.txn_id; channel = Trace.W beat;
-                addr = txn.txn_addr });
         (match t.tracer with
         | None -> ()
         | Some tr ->
-            Tracer.instant tr ~now ?parent:txn.txn_span ~track:txn.txn_track
+            Trace.instant tr
+              ~now:(Desim.Engine.now t.engine)
+              ?parent:txn.txn_span ~track:txn.txn_track
               ~cat:"axi.beat"
               ~name:(Printf.sprintf "beat %d" beat)
               ());
@@ -328,14 +240,11 @@ let rec launch t queue =
         ~on_complete:(fun () ->
           let now = Desim.Engine.now t.engine in
           let lat = float_of_int (now - txn.txn_issued_at) in
-          (match txn.txn_dir with
-          | Dram.Read -> Desim.Stats.observe t.read_latency lat
-          | Dram.Write ->
-              Desim.Stats.observe t.write_latency lat;
-              record t
-                { Trace.time = now; id = txn.txn_id; channel = Trace.B;
-                  addr = txn.txn_addr })
-          ;
+          Desim.Stats.observe
+            (match txn.txn_dir with
+            | Dram.Read -> t.read_latency
+            | Dram.Write -> t.write_latency)
+            lat;
           queue.in_flight <- false;
           ignore (Queue.pop queue.q);
           finish_txn t txn Resp.Okay;
@@ -347,35 +256,39 @@ let enqueue t queue txn =
   Queue.push txn queue.q;
   launch t queue
 
-(* Open the burst span at issue time (the AR/AW handshake). *)
-let open_span t ~dir ~parent ~id ~addr ~beats ~now =
-  let dir_s = match dir with Dram.Read -> "rd" | Dram.Write -> "wr" in
-  let track = Printf.sprintf "%s %s id%02d" t.port_name dir_s id in
-  let span =
+(* Accept one burst: check it, open its span at issue time (the AR/AW
+   handshake) and queue it behind earlier bursts on the same ID. *)
+let issue t ~dir ~parent ~id ~addr ~beats ~on_beat ~on_done =
+  check_burst t ~id ~addr ~beats;
+  let now = Desim.Engine.now t.engine in
+  let dir_s, queues =
+    match dir with
+    | Dram.Read ->
+        t.reads_issued <- t.reads_issued + 1;
+        ("rd", t.read_queues)
+    | Dram.Write ->
+        t.writes_issued <- t.writes_issued + 1;
+        ("wr", t.write_queues)
+  in
+  let span, track =
     match t.tracer with
-    | None -> None
+    | None -> (None, "")
     | Some tr ->
-        Some
-          (Tracer.begin_span tr ~now ?parent ~track ~cat:"axi"
-             ~name:(Printf.sprintf "%s 0x%x x%d" dir_s addr beats)
-             ())
+        let track = Printf.sprintf "%s %s id%02d" t.port_name dir_s id in
+        ( Some
+            (Trace.begin_span tr ~now ?parent ~track ~cat:"axi"
+               ~name:(Printf.sprintf "%s 0x%x x%d" dir_s addr beats)
+               ()),
+          track )
   in
   t.outstanding <- t.outstanding + 1;
   sample_outstanding t;
-  (span, track)
-
-let read ?span:parent t ~id ~addr ~beats ~on_beat ~on_done =
-  check_burst t ~id ~addr ~beats;
-  let now = Desim.Engine.now t.engine in
-  t.reads_issued <- t.reads_issued + 1;
-  record t { Trace.time = now; id; channel = Trace.AR; addr };
-  let span, track = open_span t ~dir:Dram.Read ~parent ~id ~addr ~beats ~now in
-  enqueue t t.read_queues.(id)
+  enqueue t queues.(id)
     {
       txn_id = id;
       txn_addr = addr;
       txn_beats = beats;
-      txn_dir = Dram.Read;
+      txn_dir = dir;
       txn_on_beat = on_beat;
       txn_on_done = on_done;
       txn_issued_at = now;
@@ -383,26 +296,13 @@ let read ?span:parent t ~id ~addr ~beats ~on_beat ~on_done =
       txn_track = track;
     }
 
+let read ?span:parent t ~id ~addr ~beats ~on_beat ~on_done =
+  issue t ~dir:Dram.Read ~parent ~id ~addr ~beats ~on_beat ~on_done
+
 let write ?span:parent t ~id ~addr ~beats ~on_done =
-  check_burst t ~id ~addr ~beats;
-  let now = Desim.Engine.now t.engine in
-  t.writes_issued <- t.writes_issued + 1;
-  record t { Trace.time = now; id; channel = Trace.AW; addr };
-  let span, track =
-    open_span t ~dir:Dram.Write ~parent ~id ~addr ~beats ~now
-  in
-  enqueue t t.write_queues.(id)
-    {
-      txn_id = id;
-      txn_addr = addr;
-      txn_beats = beats;
-      txn_dir = Dram.Write;
-      txn_on_beat = (fun ~beat:_ -> ());
-      txn_on_done = on_done;
-      txn_issued_at = now;
-      txn_span = span;
-      txn_track = track;
-    }
+  issue t ~dir:Dram.Write ~parent ~id ~addr ~beats
+    ~on_beat:(fun ~beat:_ -> ())
+    ~on_done
 
 let error_responses t = t.error_responses
 let read_latency t = t.read_latency

@@ -5,12 +5,9 @@
     that share an AXI ID are serviced strictly in order (no overlap — the
     conservative behaviour of the Xilinx DDR controller front-end the paper
     measured), while transactions on distinct IDs proceed concurrently and
-    may complete out of order. A {!Trace} records the channel events used
-    to regenerate Fig. 5. *)
-
-module Tracer = Trace
-(** Alias for the structured tracer from [lib/trace], visible despite the
-    local {!Trace} (ASCII channel-event log) below shadowing the name. *)
+    may complete out of order. With a tracer, every burst records a span
+    and its data beats; {!Trace.axi_timeline} renders them as the Fig. 5
+    timeline. *)
 
 module Resp : sig
   type t =
@@ -48,32 +45,10 @@ module Burst : sig
       be a multiple of [data_bytes] and [addr] beat-aligned. *)
 end
 
-module Trace : sig
-  type channel =
-    | AR  (** read address issue *)
-    | R of int  (** read data beat (index within burst) *)
-    | R_last
-    | AW  (** write address issue *)
-    | W of int  (** write data beat *)
-    | B  (** write response *)
-
-  type event = { time : int; id : int; channel : channel; addr : int }
-
-  type t
-
-  val create : unit -> t
-  val events : t -> event list (** in time order *)
-
-  val render : t -> time_scale:int -> string
-  (** ASCII timeline, one row per (direction, id), one column per
-      [time_scale] picoseconds — the Fig. 5 rendering. *)
-end
-
 type t
 
 val create :
-  ?trace:Trace.t ->
-  ?tracer:Tracer.t ->
+  ?tracer:Trace.t ->
   ?name:string ->
   ?fault:Fault.Injector.t ->
   Desim.Engine.t ->

@@ -273,9 +273,8 @@ let behavior ?backend ~build () : Soc.behavior =
           mem_of_bits soc (wb.wb_base + wb.wb_offset) data;
           wb.wb_offset <- wb.wb_offset + (Bits.width data / 8);
           wb.wb_unacked <- wb.wb_unacked + 1;
-          Soc.Writer.push wb.wb_writer
-            ~on_accept:(fun () -> wb.wb_unacked <- wb.wb_unacked - 1)
-            ()
+          Soc.Writer.push wb.wb_writer ~on_accept:(fun () ->
+              wb.wb_unacked <- wb.wb_unacked - 1)
         end)
       st.writes;
     if high sim "resp_valid" && not !responded then begin

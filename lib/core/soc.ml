@@ -12,7 +12,6 @@ type t = {
   design : Elaborate.t;
   platform : Platform.Device.t;
   dram : Dram.t;
-  axi : Axi.t; (* port 0; kept for stats/back-compat *)
   axi_ports : Axi.t array; (* one per DDR controller *)
   memory : Bytes.t;
   ace_snoop_ps : int;
@@ -132,28 +131,131 @@ let coherence_ps t =
   else 0
 
 (* ------------------------------------------------------------------ *)
-(* Fault-recovery accounting                                           *)
+(* The AXI burst issuer behind every Reader and Writer path            *)
 (* ------------------------------------------------------------------ *)
 
-(* Every injected AXI error is resolved exactly once: [Recovered] when a
-   retry eventually succeeds, [Unrecovered] when the retry budget runs
-   out. [n] failed attempts resolve together. *)
-let fault_resolve t ~cls ~n ~recovered ~site =
-  match t.fault with
-  | None -> ()
-  | Some inj ->
-      let kind =
-        if recovered then Fault.Log.Recovered else Fault.Log.Unrecovered
-      in
-      let now = Desim.Engine.now t.engine in
-      for _ = 1 to n do
-        Fault.Injector.log inj ~now ~cls ~kind ~site
-      done
+let beat_bytes axi = (Axi.params axi).Axi.Params.data_bytes
+
+(* [addr, addr + bytes) rounded out to whole AXI beats: the first beat's
+   address and the padded length. *)
+let pad_to_beats axi ~addr ~bytes =
+  let bb = beat_bytes axi in
+  let addr0 = addr - (addr mod bb) in
+  (addr0, ((addr + bytes + bb - 1) / bb * bb) - addr0)
+
+(* The padded region as legal AXI bursts of at most [burst_beats]. *)
+let segments axi ~burst_beats ~addr ~bytes =
+  let prm = Axi.params axi in
+  let addr0, padded = pad_to_beats axi ~addr ~bytes in
+  let max_burst_beats = min prm.Axi.Params.max_burst_beats burst_beats in
+  Array.of_list
+    (Axi.Burst.split
+       ~params:{ prm with Axi.Params.max_burst_beats }
+       ~addr:addr0 ~bytes:padded)
+
+(* A channel's [k]th burst goes out on its own AXI ID, or with
+   transaction-level parallelism on the IDs after it, round-robin. *)
+let pick_id axi ~base_id ~tlp k =
+  if tlp then (base_id + k) mod (Axi.params axi).Axi.Params.n_ids else base_id
+
+(* The request of a stream or bulk burst, and of each of its retries,
+   travels through the memory NoC (plus the coherence snoop on embedded
+   platforms) before reaching the port. *)
+let via_mem_noc t ~noc_ps k =
+  Desim.Engine.schedule t.engine ~delay:(noc_ps + coherence_ps t) k
 
 let axi_retry_budget t = t.policy.Fault.Policy.axi_max_retries
 
 let axi_backoff t ~attempt =
   t.policy.Fault.Policy.axi_backoff_ps * (1 lsl min attempt 10)
+
+(* Log the [n] failed attempts of one burst, all [Recovered] or all
+   [Unrecovered]; the site label is formatted only when there is one. *)
+let log_resolution t ~cls ~chan ~path ~addr ~n ~recovered =
+  match t.fault with
+  | Some inj when n > 0 ->
+      let kind =
+        if recovered then Fault.Log.Recovered else Fault.Log.Unrecovered
+      in
+      let site = Printf.sprintf "%s %s@0x%x" chan path addr in
+      let now = Desim.Engine.now t.engine in
+      for _ = 1 to n do
+        Fault.Injector.log inj ~now ~cls ~kind ~site
+      done
+  | _ -> ()
+
+(* Settle one AXI burst. [send k] puts one attempt on the port and calls
+   [k] with its response, so the caller decides where an attempt starts.
+   An SLVERR/DECERR is retried after an exponential backoff, up to the
+   policy's retry budget, and every injected error is resolved exactly
+   once: [Recovered] when a retry succeeds, [Unrecovered] when the budget
+   runs out. [on_settled ok] then fires once; [ok] is false when the
+   burst was given up. *)
+let settle_burst t ~cls ~chan ~path ~addr ~send ~on_settled =
+  let rec attempt n =
+    send (fun resp ->
+        if not (Axi.Resp.is_error resp) then begin
+          log_resolution t ~cls ~chan ~path ~addr ~n ~recovered:true;
+          on_settled true
+        end
+        else if n < axi_retry_budget t then
+          Desim.Engine.schedule t.engine ~delay:(axi_backoff t ~attempt:n)
+            (fun () -> attempt (n + 1))
+        else begin
+          log_resolution t ~cls ~chan ~path ~addr ~n:(n + 1) ~recovered:false;
+          on_settled false
+        end)
+  in
+  attempt 0
+
+(* The windowed bulk loop behind Reader.bulk and Writer.bulk: the bursts
+   of [segs] go out in order through the memory NoC, at most
+   [max_in_flight] outstanding; [send si seg k] issues one attempt of
+   burst [si] at the port, and [on_all] fires once the last has settled,
+   recovered or not. *)
+let bulk_loop t ~cls ~chan ~path ~noc_ps ~segs ~max_in_flight ~send ~on_all =
+  let n_segs = Array.length segs in
+  let in_flight = ref 0 in
+  let next_seg = ref 0 in
+  let completed = ref 0 in
+  let rec try_issue () =
+    if !next_seg < n_segs && !in_flight < max_in_flight then begin
+      let si = !next_seg in
+      let seg = segs.(si) in
+      incr next_seg;
+      incr in_flight;
+      settle_burst t ~cls ~chan ~path ~addr:seg.Axi.Burst.addr
+        ~send:(fun k -> via_mem_noc t ~noc_ps (fun () -> send si seg k))
+        ~on_settled:(fun _ ->
+          decr in_flight;
+          incr completed;
+          if !completed = n_segs then on_all () else try_issue ());
+      try_issue ()
+    end
+  in
+  try_issue ()
+
+(* Open a span covering one reader/writer stream, parented under the
+   owning core's in-flight execution span; returns an [on_done] wrapper
+   that closes it. *)
+let stream_span soc ~track ~parent ~hop_ps ~name ~on_done =
+  match soc.tracer with
+  | None -> (None, on_done)
+  | Some tr ->
+      let clock_ps = soc.platform.Platform.Device.fabric_clock_ps in
+      Trace.observe tr "noc.mem.hop_ps" (float_of_int hop_ps);
+      Trace.observe_hist tr "noc.mem.hop_ps"
+        ~bucket_width:(float_of_int clock_ps)
+        (float_of_int hop_ps);
+      let sp =
+        Trace.begin_span tr
+          ~now:(Desim.Engine.now soc.engine)
+          ?parent:(parent ()) ~track ~cat:"mem" ~name ()
+      in
+      ( Some sp,
+        fun () ->
+          Trace.end_span tr ~now:(Desim.Engine.now soc.engine) sp;
+          on_done () )
 
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)
@@ -162,48 +264,17 @@ let axi_backoff t ~attempt =
 module Reader = struct
   type r = reader
 
-  let beat_bytes (r : r) = (Axi.params r.r_axi).Axi.Params.data_bytes
+  let beat_bytes (r : r) = beat_bytes r.r_axi
 
-  let segments_for (r : r) ~addr ~bytes =
-    let prm = Axi.params r.r_axi in
-    let bb = prm.Axi.Params.data_bytes in
-    let addr0 = addr - (addr mod bb) in
-    let padded = ((addr + bytes + bb - 1) / bb * bb) - addr0 in
-    let prm =
-      {
-        prm with
-        Axi.Params.max_burst_beats =
-          min prm.Axi.Params.max_burst_beats r.r_cfg.Config.rc_burst_beats;
-      }
-    in
-    Axi.Burst.split ~params:prm ~addr:addr0 ~bytes:padded
+  let segments (r : r) ~addr ~bytes =
+    segments r.r_axi ~burst_beats:r.r_cfg.Config.rc_burst_beats ~addr ~bytes
 
   let pick_id (r : r) k =
-    let n = (Axi.params r.r_axi).Axi.Params.n_ids in
-    if r.r_cfg.Config.rc_use_tlp then (r.r_base_id + k) mod n
-    else r.r_base_id
+    pick_id r.r_axi ~base_id:r.r_base_id ~tlp:r.r_cfg.Config.rc_use_tlp k
 
-  (* Open a span covering one reader/writer stream, parented under the
-     owning core's in-flight execution span; returns an [on_done] wrapper
-     that closes it. *)
-  let stream_span soc ~track ~parent ~hop_ps ~cat ~name ~on_done =
-    match soc.tracer with
-    | None -> (None, on_done)
-    | Some tr ->
-        let clock_ps = soc.platform.Platform.Device.fabric_clock_ps in
-        Trace.observe tr "noc.mem.hop_ps" (float_of_int hop_ps);
-        Trace.observe_hist tr "noc.mem.hop_ps"
-          ~bucket_width:(float_of_int clock_ps)
-          (float_of_int hop_ps);
-        let sp =
-          Trace.begin_span tr
-            ~now:(Desim.Engine.now soc.engine)
-            ?parent:(parent ()) ~track ~cat ~name ()
-        in
-        ( Some sp,
-          fun () ->
-            Trace.end_span tr ~now:(Desim.Engine.now soc.engine) sp;
-            on_done () )
+  let open_span (r : r) ~name ~on_done =
+    stream_span r.r_soc ~track:r.r_track ~parent:r.r_parent ~hop_ps:r.r_noc_ps
+      ~name ~on_done
 
   let stream (r : r) ~addr ~bytes ?item_bytes ~on_item ~on_done () =
     if r.r_busy then failwith "Reader busy: one stream at a time";
@@ -218,28 +289,23 @@ module Reader = struct
     if item_bytes > bb || bb mod item_bytes <> 0 then
       invalid_arg "Reader.stream: item width must divide the AXI beat";
     let span, on_done =
-      stream_span r.r_soc ~track:r.r_track ~parent:r.r_parent
-        ~hop_ps:r.r_noc_ps ~cat:"mem"
-        ~name:(Printf.sprintf "rd.stream 0x%x %dB" addr bytes)
+      open_span r ~name:(Printf.sprintf "rd.stream 0x%x %dB" addr bytes)
         ~on_done
     in
     let items_per_beat = bb / item_bytes in
     let lead_items = addr mod bb / item_bytes in
     let n_items = ((bytes - 1) / item_bytes) + 1 in
-    let segs = Array.of_list (segments_for r ~addr ~bytes) in
+    let segs = segments r ~addr ~bytes in
     let n_segs = Array.length segs in
-    let arrived = Array.make n_segs 0 in
-    (* beat arrival times, flattened *)
-    let total_beats = Array.fold_left (fun a s -> a + s.Axi.Burst.beats) 0 segs in
-    let beat_time = Array.make total_beats max_int in
+    (* beat arrival times, flattened; segment [si]'s beats start at
+       [seg_base.(si)] *)
     let seg_base = Array.make n_segs 0 in
-    let _ =
-      Array.fold_left
-        (fun (i, base) s ->
-          seg_base.(i) <- base;
-          (i + 1, base + s.Axi.Burst.beats))
-        (0, 0) segs
-      |> fun (i, _) -> ignore i
+    for si = 1 to n_segs - 1 do
+      seg_base.(si) <- seg_base.(si - 1) + segs.(si - 1).Axi.Burst.beats
+    done;
+    let beat_time =
+      Array.make (seg_base.(n_segs - 1) + segs.(n_segs - 1).Axi.Burst.beats)
+        max_int
     in
     let free_beats = ref r.r_cfg.Config.rc_buffer_beats in
     let in_flight = ref 0 in
@@ -258,59 +324,36 @@ module Reader = struct
         incr next_seg;
         free_beats := !free_beats - segs.(si).Axi.Burst.beats;
         incr in_flight;
-        issue_seg si 0;
+        issue_seg si;
         try_issue ()
       end
-    and issue_seg si attempt =
+    and issue_seg si =
       let seg = segs.(si) in
-      let id = pick_id r si in
-      let site =
-        Printf.sprintf "%s rd seg@0x%x" r.r_cfg.Config.rc_name
-          seg.Axi.Burst.addr
-      in
-      (* request travels through the memory NoC (+ coherence snoop on
-         embedded platforms) *)
-      Desim.Engine.schedule engine
-        ~delay:(r.r_noc_ps + coherence_ps r.r_soc)
-        (fun () ->
-          Axi.read ?span r.r_axi ~id ~addr:seg.Axi.Burst.addr
-            ~beats:seg.Axi.Burst.beats
-            ~on_beat:(fun ~beat ->
-              (* data beat returns through the NoC *)
-              Desim.Engine.schedule engine ~delay:r.r_noc_ps (fun () ->
-                  beat_time.(seg_base.(si) + beat) <-
-                    Desim.Engine.now engine;
-                  arrived.(si) <- arrived.(si) + 1;
-                  pump ()))
-            ~on_done:(fun resp ->
-              match resp with
-              | Axi.Resp.Okay ->
-                  fault_resolve r.r_soc ~cls:Fault.Class.Axi_read_error
-                    ~n:attempt ~recovered:true ~site;
-                  decr in_flight;
-                  try_issue ()
-              | Axi.Resp.Slverr | Axi.Resp.Decerr ->
-                  if attempt < axi_retry_budget r.r_soc then
-                    Desim.Engine.schedule engine
-                      ~delay:(axi_backoff r.r_soc ~attempt)
-                      (fun () -> issue_seg si (attempt + 1))
-                  else begin
-                    (* retry budget exhausted: declare the burst lost but
-                       keep the stream alive — its beats complete so the
-                       pipeline never wedges *)
-                    fault_resolve r.r_soc ~cls:Fault.Class.Axi_read_error
-                      ~n:(attempt + 1) ~recovered:false ~site;
-                    let now = Desim.Engine.now engine in
-                    for b = 0 to seg.Axi.Burst.beats - 1 do
-                      if beat_time.(seg_base.(si) + b) = max_int then begin
-                        beat_time.(seg_base.(si) + b) <- now;
-                        arrived.(si) <- arrived.(si) + 1
-                      end
-                    done;
-                    decr in_flight;
-                    pump ();
-                    try_issue ()
-                  end))
+      let base = seg_base.(si) in
+      settle_burst r.r_soc ~cls:Fault.Class.Axi_read_error
+        ~chan:r.r_cfg.Config.rc_name ~path:"rd seg" ~addr:seg.Axi.Burst.addr
+        ~send:(fun k ->
+          via_mem_noc r.r_soc ~noc_ps:r.r_noc_ps (fun () ->
+              Axi.read ?span r.r_axi ~id:(pick_id r si)
+                ~addr:seg.Axi.Burst.addr ~beats:seg.Axi.Burst.beats
+                ~on_beat:(fun ~beat ->
+                  (* data beat returns through the NoC *)
+                  Desim.Engine.schedule engine ~delay:r.r_noc_ps (fun () ->
+                      beat_time.(base + beat) <- Desim.Engine.now engine;
+                      pump ()))
+                ~on_done:k))
+        ~on_settled:(fun ok ->
+          decr in_flight;
+          if not ok then begin
+            (* retry budget exhausted: the burst is lost, but its beats
+               complete so the pipeline never wedges *)
+            let now = Desim.Engine.now engine in
+            for b = base to base + seg.Axi.Burst.beats - 1 do
+              if beat_time.(b) = max_int then beat_time.(b) <- now
+            done;
+            pump ()
+          end;
+          try_issue ())
     and pump () =
       if not !pumping then begin
         pumping := true;
@@ -367,67 +410,22 @@ module Reader = struct
   let bulk (r : r) ~addr ~bytes ~on_done =
     if r.r_busy then failwith "Reader busy: one stream at a time";
     r.r_busy <- true;
-    let engine = r.r_soc.engine in
     let span, on_done =
-      stream_span r.r_soc ~track:r.r_track ~parent:r.r_parent
-        ~hop_ps:r.r_noc_ps ~cat:"mem"
-        ~name:(Printf.sprintf "rd.bulk 0x%x %dB" addr bytes)
-        ~on_done
+      open_span r ~name:(Printf.sprintf "rd.bulk 0x%x %dB" addr bytes) ~on_done
     in
-    let segs = Array.of_list (segments_for r ~addr ~bytes) in
-    let n_segs = Array.length segs in
-    let in_flight = ref 0 in
-    let next_seg = ref 0 in
-    let completed = ref 0 in
-    let rec try_issue () =
-      if !next_seg < n_segs && !in_flight < r.r_cfg.Config.rc_max_in_flight
-      then begin
-        let si = !next_seg in
-        incr next_seg;
-        incr in_flight;
-        issue_seg si 0;
-        try_issue ()
-      end
-    and issue_seg si attempt =
-      let seg = segs.(si) in
-      let id = pick_id r si in
-      let site =
-        Printf.sprintf "%s rd-bulk seg@0x%x" r.r_cfg.Config.rc_name
-          seg.Axi.Burst.addr
-      in
-      let finish () =
-        decr in_flight;
-        incr completed;
-        if !completed = n_segs then
-          Desim.Engine.schedule engine ~delay:r.r_noc_ps (fun () ->
-              r.r_busy <- false;
-              on_done ())
-        else try_issue ()
-      in
-      Desim.Engine.schedule engine
-        ~delay:(r.r_noc_ps + coherence_ps r.r_soc)
-        (fun () ->
-          Axi.read ?span r.r_axi ~id ~addr:seg.Axi.Burst.addr
-            ~beats:seg.Axi.Burst.beats
-            ~on_beat:(fun ~beat:_ -> ())
-            ~on_done:(fun resp ->
-              match resp with
-              | Axi.Resp.Okay ->
-                  fault_resolve r.r_soc ~cls:Fault.Class.Axi_read_error
-                    ~n:attempt ~recovered:true ~site;
-                  finish ()
-              | Axi.Resp.Slverr | Axi.Resp.Decerr ->
-                  if attempt < axi_retry_budget r.r_soc then
-                    Desim.Engine.schedule engine
-                      ~delay:(axi_backoff r.r_soc ~attempt)
-                      (fun () -> issue_seg si (attempt + 1))
-                  else begin
-                    fault_resolve r.r_soc ~cls:Fault.Class.Axi_read_error
-                      ~n:(attempt + 1) ~recovered:false ~site;
-                    finish ()
-                  end))
-    in
-    try_issue ()
+    bulk_loop r.r_soc ~cls:Fault.Class.Axi_read_error
+      ~chan:r.r_cfg.Config.rc_name ~path:"rd-bulk seg" ~noc_ps:r.r_noc_ps
+      ~segs:(segments r ~addr ~bytes)
+      ~max_in_flight:r.r_cfg.Config.rc_max_in_flight
+      ~send:(fun si seg k ->
+        Axi.read ?span r.r_axi ~id:(pick_id r si) ~addr:seg.Axi.Burst.addr
+          ~beats:seg.Axi.Burst.beats
+          ~on_beat:(fun ~beat:_ -> ())
+          ~on_done:k)
+      ~on_all:(fun () ->
+        Desim.Engine.schedule r.r_soc.engine ~delay:r.r_noc_ps (fun () ->
+            r.r_busy <- false;
+            on_done ()))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -437,16 +435,16 @@ end
 module Writer = struct
   type w = writer
 
-  let beat_bytes (w : w) = (Axi.params w.w_axi).Axi.Params.data_bytes
-
   let pick_id (w : w) k =
-    let n = (Axi.params w.w_axi).Axi.Params.n_ids in
-    if w.w_cfg.Config.wc_use_tlp then (w.w_base_id + k) mod n
-    else w.w_base_id
+    pick_id w.w_axi ~base_id:w.w_base_id ~tlp:w.w_cfg.Config.wc_use_tlp k
+
+  let open_span (w : w) ~name ~on_done =
+    stream_span w.w_soc ~track:w.w_track ~parent:w.w_parent ~hop_ps:w.w_noc_ps
+      ~name ~on_done
 
   (* Issue the next write burst if enough data is buffered. *)
   let rec try_ship (w : w) txn =
-    let bb = beat_bytes w in
+    let bb = beat_bytes w.w_axi in
     let prm = Axi.params w.w_axi in
     let burst_beats =
       min w.w_cfg.Config.wc_burst_beats prm.Axi.Params.max_burst_beats
@@ -484,8 +482,7 @@ module Writer = struct
         txn.wt_bursts_outstanding <- txn.wt_bursts_outstanding + 1;
         if txn.wt_remaining_bytes = 0 then txn.wt_all_issued <- true;
         let id = pick_id w (addr / max 1 (beats * bb)) in
-        let site = Printf.sprintf "%s wr burst@0x%x" w.w_cfg.Config.wc_name addr in
-        let complete () =
+        let complete _ =
           txn.wt_in_flight <- txn.wt_in_flight - 1;
           txn.wt_bursts_outstanding <- txn.wt_bursts_outstanding - 1;
           (* the B response frees the buffer space this burst held *)
@@ -504,28 +501,15 @@ module Writer = struct
           end
           else try_ship w txn
         in
-        let rec attempt_write attempt =
-          Axi.write ?span:txn.wt_span w.w_axi ~id ~addr ~beats
-            ~on_done:(fun resp ->
-              match resp with
-              | Axi.Resp.Okay ->
-                  fault_resolve w.w_soc ~cls:Fault.Class.Axi_write_error
-                    ~n:attempt ~recovered:true ~site;
-                  complete ()
-              | Axi.Resp.Slverr | Axi.Resp.Decerr ->
-                  if attempt < axi_retry_budget w.w_soc then
-                    Desim.Engine.schedule w.w_soc.engine
-                      ~delay:(axi_backoff w.w_soc ~attempt)
-                      (fun () -> attempt_write (attempt + 1))
-                  else begin
-                    fault_resolve w.w_soc ~cls:Fault.Class.Axi_write_error
-                      ~n:(attempt + 1) ~recovered:false ~site;
-                    complete ()
-                  end)
-        in
-        Desim.Engine.schedule w.w_soc.engine
-          ~delay:(w.w_noc_ps + coherence_ps w.w_soc)
-          (fun () -> attempt_write 0);
+        (* the burst crosses the memory NoC once; retries re-issue at the
+           port *)
+        via_mem_noc w.w_soc ~noc_ps:w.w_noc_ps (fun () ->
+            settle_burst w.w_soc ~cls:Fault.Class.Axi_write_error
+              ~chan:w.w_cfg.Config.wc_name ~path:"wr burst" ~addr
+              ~send:(fun k ->
+                Axi.write ?span:txn.wt_span w.w_axi ~id ~addr ~beats
+                  ~on_done:k)
+              ~on_settled:complete);
         try_ship w txn
       end
     end
@@ -535,14 +519,9 @@ module Writer = struct
     if bytes <= 0 then invalid_arg "Writer.begin_txn: bytes";
     w.w_busy <- true;
     let item_bytes = w.w_cfg.Config.wc_data_bytes in
-    let bb = beat_bytes w in
-    let addr0 = addr - (addr mod bb) in
-    let padded = ((addr + bytes + bb - 1) / bb * bb) - addr0 in
+    let addr0, padded = pad_to_beats w.w_axi ~addr ~bytes in
     let span, on_done =
-      Reader.stream_span w.w_soc ~track:w.w_track ~parent:w.w_parent
-        ~hop_ps:w.w_noc_ps ~cat:"mem"
-        ~name:(Printf.sprintf "wr.txn 0x%x %dB" addr bytes)
-        ~on_done
+      open_span w ~name:(Printf.sprintf "wr.txn 0x%x %dB" addr bytes) ~on_done
     in
     w.w_txn <-
       Some
@@ -563,13 +542,11 @@ module Writer = struct
           wt_all_issued = false;
         }
 
-  let push (w : w) ?item_bytes ~on_accept () =
+  let push (w : w) ~on_accept =
     match w.w_txn with
     | None -> failwith "Writer.push: no open transaction"
     | Some txn ->
-        ignore item_bytes;
-        let bb = beat_bytes w in
-        let items_per_beat = max 1 (bb / txn.wt_item_bytes) in
+        let items_per_beat = max 1 (beat_bytes w.w_axi / txn.wt_item_bytes) in
         let capacity = w.w_cfg.Config.wc_buffer_beats * items_per_beat in
         let engine = w.w_soc.engine in
         let clock_ps = w.w_soc.platform.Platform.Device.fabric_clock_ps in
@@ -592,78 +569,21 @@ module Writer = struct
   let bulk (w : w) ~addr ~bytes ~on_done =
     if w.w_busy then failwith "Writer busy: one transaction at a time";
     w.w_busy <- true;
-    let engine = w.w_soc.engine in
     let span, on_done =
-      Reader.stream_span w.w_soc ~track:w.w_track ~parent:w.w_parent
-        ~hop_ps:w.w_noc_ps ~cat:"mem"
-        ~name:(Printf.sprintf "wr.bulk 0x%x %dB" addr bytes)
-        ~on_done
+      open_span w ~name:(Printf.sprintf "wr.bulk 0x%x %dB" addr bytes) ~on_done
     in
-    let prm = Axi.params w.w_axi in
-    let bb = prm.Axi.Params.data_bytes in
-    let addr0 = addr - (addr mod bb) in
-    let padded = ((addr + bytes + bb - 1) / bb * bb) - addr0 in
-    let prm' =
-      {
-        prm with
-        Axi.Params.max_burst_beats =
-          min prm.Axi.Params.max_burst_beats w.w_cfg.Config.wc_burst_beats;
-      }
-    in
-    let segs =
-      Array.of_list (Axi.Burst.split ~params:prm' ~addr:addr0 ~bytes:padded)
-    in
-    let n_segs = Array.length segs in
-    let in_flight = ref 0 in
-    let next_seg = ref 0 in
-    let completed = ref 0 in
-    let rec try_issue () =
-      if !next_seg < n_segs && !in_flight < w.w_cfg.Config.wc_max_in_flight
-      then begin
-        let si = !next_seg in
-        incr next_seg;
-        incr in_flight;
-        issue_seg si 0;
-        try_issue ()
-      end
-    and issue_seg si attempt =
-      let seg = segs.(si) in
-      let id = pick_id w si in
-      let site =
-        Printf.sprintf "%s wr-bulk seg@0x%x" w.w_cfg.Config.wc_name
-          seg.Axi.Burst.addr
-      in
-      let finish () =
-        decr in_flight;
-        incr completed;
-        if !completed = n_segs then begin
-          w.w_busy <- false;
-          Desim.Engine.schedule engine ~delay:w.w_noc_ps (fun () -> on_done ())
-        end
-        else try_issue ()
-      in
-      Desim.Engine.schedule engine
-        ~delay:(w.w_noc_ps + coherence_ps w.w_soc)
-        (fun () ->
-          Axi.write ?span w.w_axi ~id ~addr:seg.Axi.Burst.addr
-            ~beats:seg.Axi.Burst.beats ~on_done:(fun resp ->
-              match resp with
-              | Axi.Resp.Okay ->
-                  fault_resolve w.w_soc ~cls:Fault.Class.Axi_write_error
-                    ~n:attempt ~recovered:true ~site;
-                  finish ()
-              | Axi.Resp.Slverr | Axi.Resp.Decerr ->
-                  if attempt < axi_retry_budget w.w_soc then
-                    Desim.Engine.schedule engine
-                      ~delay:(axi_backoff w.w_soc ~attempt)
-                      (fun () -> issue_seg si (attempt + 1))
-                  else begin
-                    fault_resolve w.w_soc ~cls:Fault.Class.Axi_write_error
-                      ~n:(attempt + 1) ~recovered:false ~site;
-                    finish ()
-                  end))
-    in
-    try_issue ()
+    bulk_loop w.w_soc ~cls:Fault.Class.Axi_write_error
+      ~chan:w.w_cfg.Config.wc_name ~path:"wr-bulk seg" ~noc_ps:w.w_noc_ps
+      ~segs:
+        (segments w.w_axi ~burst_beats:w.w_cfg.Config.wc_burst_beats ~addr
+           ~bytes)
+      ~max_in_flight:w.w_cfg.Config.wc_max_in_flight
+      ~send:(fun si seg k ->
+        Axi.write ?span w.w_axi ~id:(pick_id w si) ~addr:seg.Axi.Burst.addr
+          ~beats:seg.Axi.Burst.beats ~on_done:k)
+      ~on_all:(fun () ->
+        w.w_busy <- false;
+        Desim.Engine.schedule w.w_soc.engine ~delay:w.w_noc_ps on_done)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -725,7 +645,7 @@ end
 (* ------------------------------------------------------------------ *)
 
 let fresh_axi_id t =
-  let n = (Axi.params t.axi).Axi.Params.n_ids in
+  let n = t.platform.Platform.Device.axi.Axi.Params.n_ids in
   let id = t.next_axi_id mod n in
   t.next_axi_id <- t.next_axi_id + 1;
   id
@@ -745,7 +665,7 @@ let spad_fill_channel (sp : Config.scratchpad) =
 
 let next_soc_uid = ref 0
 
-let create ?(memory_bytes = 64 * 1024 * 1024) ?trace ?tracer ?fault
+let create ?(memory_bytes = 64 * 1024 * 1024) ?tracer ?fault
     ?(policy = Fault.Policy.default) (design : Elaborate.t) ~behaviors =
   incr next_soc_uid;
   let engine = Desim.Engine.create () in
@@ -757,15 +677,9 @@ let create ?(memory_bytes = 64 * 1024 * 1024) ?trace ?tracer ?fault
   let n_ports = max 1 platform.Platform.Device.dram.Dram.Config.n_channels in
   let axi_ports =
     Array.init n_ports (fun i ->
-        let name = Printf.sprintf "ddr%d" i in
-        if i = 0 then
-          Axi.create ?trace ?tracer ~name ?fault engine dram
-            platform.Platform.Device.axi
-        else
-          Axi.create ?tracer ~name ?fault engine dram
-            platform.Platform.Device.axi)
+        Axi.create ?tracer ~name:(Printf.sprintf "ddr%d" i) ?fault engine dram
+          platform.Platform.Device.axi)
   in
-  let axi = axi_ports.(0) in
   let n_cores = Config.total_cores design.Elaborate.config in
   let t =
     {
@@ -774,7 +688,6 @@ let create ?(memory_bytes = 64 * 1024 * 1024) ?trace ?tracer ?fault
       design;
       platform;
       dram;
-      axi;
       memory = Bytes.make memory_bytes '\000';
       ace_snoop_ps =
         (if platform.Platform.Device.host.Platform.Device.shared_address_space
@@ -955,7 +868,6 @@ let axi_ports t = t.axi_ports
 let design t = t.design
 let platform t = t.platform
 let dram t = t.dram
-let axi t = t.axi
 
 (* ------------------------------------------------------------------ *)
 (* Command dispatch                                                    *)
@@ -1266,11 +1178,21 @@ let stats_report t =
   in
   pr "  AXI: %d read txns, %d write txns over %d port(s)" reads writes
     (Array.length t.axi_ports);
-  (match Desim.Stats.summarize_opt (Axi.read_latency t.axi) with
-  | Some s ->
-      pr ", read latency mean %.0f ns (max %.0f)" (s.Desim.Stats.mean /. 1000.)
-        (s.Desim.Stats.max /. 1000.)
-  | None -> ());
+  let n, total, max_ps =
+    Array.fold_left
+      (fun (n, total, max_ps) p ->
+        match Desim.Stats.summarize_opt (Axi.read_latency p) with
+        | Some s ->
+            ( n + s.Desim.Stats.n,
+              total +. s.Desim.Stats.total,
+              Float.max max_ps s.Desim.Stats.max )
+        | None -> (n, total, max_ps))
+      (0, 0., 0.) t.axi_ports
+  in
+  if n > 0 then
+    pr ", read latency mean %.0f ns (max %.0f)"
+      (total /. float_of_int n /. 1000.)
+      (max_ps /. 1000.);
   pr "\n";
   pr "  NoC: %d command messages, %d memory-fabric buffers\n"
     (Noc.messages_sent t.design.Elaborate.cmd_noc)

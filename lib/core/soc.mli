@@ -65,7 +65,7 @@ module Writer : sig
       [bytes / item_bytes] items. [on_done] fires when the final write
       response returns. *)
 
-  val push : w -> ?item_bytes:int -> on_accept:(unit -> unit) -> unit -> unit
+  val push : w -> on_accept:(unit -> unit) -> unit
   (** Offer one item; [on_accept] fires when buffer space admits it (at
       most one per fabric cycle). *)
 
@@ -135,7 +135,6 @@ type behavior = ctx -> Rocc.t list -> respond:(int64 -> unit) -> unit
 
 val create :
   ?memory_bytes:int ->
-  ?trace:Axi.Trace.t ->
   ?tracer:Trace.t ->
   ?fault:Fault.Injector.t ->
   ?policy:Fault.Policy.t ->
@@ -177,9 +176,6 @@ val core_hung : t -> system_id:int -> core_id:int -> bool
 val design : t -> Elaborate.t
 val platform : t -> Platform.Device.t
 val dram : t -> Dram.t
-
-val axi : t -> Axi.t
-(** DDR controller port 0 (carries the optional trace). *)
 
 val axi_ports : t -> Axi.t array
 (** One port per DDR controller; memory channels are assigned round-robin

@@ -94,7 +94,7 @@ let behavior : Soc.behavior =
          completed word, however many AXI beats the platform needed to
          carry it in *)
       if (offset + n) mod 64 = 0 || offset + n >= bytes then
-        Soc.Writer.push writer ~on_accept:(fun () -> ()) ())
+        Soc.Writer.push writer ~on_accept:(fun () -> ()))
     ~on_done:(fun () -> ())
     ()
 
@@ -105,9 +105,9 @@ type result = {
   verified : bool;
 }
 
-let run ?trace ?tracer ?seed ~impl ~bytes ~platform () =
+let run ?tracer ?seed ~impl ~bytes ~platform () =
   let design = B.Elaborate.elaborate (config impl) platform in
-  let soc = Soc.create ?trace ?tracer design ~behaviors:(fun _ -> behavior) in
+  let soc = Soc.create ?tracer design ~behaviors:(fun _ -> behavior) in
   let handle = Runtime.Handle.create soc in
   let src = 1 lsl 20 and dst = 1 lsl 22 in
   (match seed with

@@ -36,7 +36,6 @@ type result = {
 }
 
 val run :
-  ?trace:Axi.Trace.t ->
   ?tracer:Trace.t ->
   ?seed:int ->
   impl:impl ->

@@ -47,7 +47,7 @@ let behavior : Soc.behavior =
       let v = Soc.read_u32 ctx.Soc.soc (vec_addr + offset) in
       Soc.write_u32 ctx.Soc.soc (out_addr + offset) (Int32.add v addend);
       incr processed;
-      Soc.Writer.push writer ~on_accept:(fun () -> ()) ())
+      Soc.Writer.push writer ~on_accept:(fun () -> ()))
     ~on_done:(fun () -> ())
     ()
 

@@ -1,15 +1,15 @@
-(* AXI port model: burst splitting rules, per-ID ordering, out-of-order
-   completion across IDs, and trace recording. *)
+(* AXI port model: burst splitting rules, per-ID ordering and
+   out-of-order completion across IDs. *)
 
 module E = Desim.Engine
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let mk ?trace () =
+let mk () =
   let e = E.create () in
   let d = Dram.create e Dram.Config.ddr4_2400 in
-  (e, Axi.create ?trace e d Axi.Params.aws_f1)
+  (e, Axi.create e d Axi.Params.aws_f1)
 
 (* ---- Burst.split ---- *)
 
@@ -120,29 +120,6 @@ let test_write_response () =
   check_bool "B response delivered" true !done_;
   check_int "one write issued" 1 (Axi.writes_issued port)
 
-let test_trace_events () =
-  let trace = Axi.Trace.create () in
-  let e, port = mk ~trace () in
-  Axi.read port ~id:0 ~addr:0 ~beats:4
-    ~on_beat:(fun ~beat:_ -> ())
-    ~on_done:ignore;
-  Axi.write port ~id:1 ~addr:4096 ~beats:2 ~on_done:ignore;
-  E.run e;
-  let evs = Axi.Trace.events trace in
-  let count p = List.length (List.filter p evs) in
-  check_int "one AR" 1 (count (fun ev -> ev.Axi.Trace.channel = Axi.Trace.AR));
-  check_int "one AW" 1 (count (fun ev -> ev.Axi.Trace.channel = Axi.Trace.AW));
-  check_int "one R_last" 1
-    (count (fun ev -> ev.Axi.Trace.channel = Axi.Trace.R_last));
-  check_int "one B" 1 (count (fun ev -> ev.Axi.Trace.channel = Axi.Trace.B));
-  check_bool "time-sorted" true
-    (fst
-       (List.fold_left
-          (fun (ok, prev) ev -> (ok && ev.Axi.Trace.time >= prev, ev.Axi.Trace.time))
-          (true, 0) evs));
-  let rendered = Axi.Trace.render trace ~time_scale:10_000 in
-  check_bool "render mentions lanes" true (String.length rendered > 20)
-
 (* ---- properties ---- *)
 
 let prop name arb f =
@@ -220,6 +197,5 @@ let () =
           Alcotest.test_case "multi-id faster" `Quick test_multi_id_is_faster;
           Alcotest.test_case "write response" `Quick test_write_response;
         ] );
-      ("trace", [ Alcotest.test_case "events" `Quick test_trace_events ]);
       ("properties", props);
     ]

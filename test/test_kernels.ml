@@ -42,20 +42,20 @@ let test_memcpy_paper_shape () =
   check_bool "16-beat TLP above HLS" true (b16 > hls)
 
 let test_memcpy_trace_ids () =
-  (* HLS keeps one read ID; Beethoven TLP uses several *)
-  let read_ids impl =
-    let trace = Axi.Trace.create () in
-    ignore (Kernels.Memcpy.run ~trace ~impl ~bytes:4096 ~platform:one_channel ());
-    Axi.Trace.events trace
-    |> List.filter_map (fun ev ->
-           match ev.Axi.Trace.channel with
-           | Axi.Trace.AR -> Some ev.Axi.Trace.id
-           | _ -> None)
-    |> List.sort_uniq compare
+  (* HLS keeps one read ID; Beethoven TLP uses several. The AXI timeline
+     has one lane per (port, direction, ID) track. *)
+  let read_lanes impl =
+    let tracer = Trace.create () in
+    ignore
+      (Kernels.Memcpy.run ~tracer ~impl ~bytes:4096 ~platform:one_channel ());
+    String.split_on_char '\n' (Trace.axi_timeline tracer)
+    |> List.filter (fun lane ->
+           String.length lane > 8 && String.sub lane 0 8 = "ddr0 rd ")
+    |> List.length
   in
-  check_int "HLS: one read id" 1 (List.length (read_ids Kernels.Memcpy.Hls));
+  check_int "HLS: one read id" 1 (read_lanes Kernels.Memcpy.Hls);
   check_bool "Beethoven 16-beat: several ids" true
-    (List.length (read_ids Kernels.Memcpy.Beethoven_16beat) >= 4)
+    (read_lanes Kernels.Memcpy.Beethoven_16beat >= 4)
 
 (* ---- MachSuite references (hand-checked small cases) ---- *)
 

@@ -93,7 +93,7 @@ let test_writer_counts_and_completion () =
             respond 7L);
         let rec push i =
           if i < n then
-            Soc.Writer.push w ~on_accept:(fun () -> push (i + 1)) ()
+            Soc.Writer.push w ~on_accept:(fun () -> push (i + 1))
         in
         push 0)
   in
@@ -201,6 +201,59 @@ let prop_stream =
          Desim.Engine.run (Soc.engine soc);
          !ok && !responded && Array.for_all (( = ) 1) seen))
 
+(* ---- statistics ---- *)
+
+let test_stats_latency_all_ports () =
+  (* two memcpy cores stream through different DDR ports of the 4-port
+     F1: the report's read latency covers every port, not just port 0 *)
+  let cfg = C.make ~name:"m" [ Kernels.Memcpy.system ~n_cores:2 ] in
+  let soc =
+    Soc.create
+      (B.Elaborate.elaborate cfg D.aws_f1)
+      ~behaviors:(fun _ -> Kernels.Memcpy.behavior)
+  in
+  let module H = Runtime.Handle in
+  let h = H.create soc in
+  let copy core =
+    let src = H.malloc h 8192 and dst = H.malloc h 8192 in
+    H.send h ~system:"Memcpy" ~core ~cmd:Kernels.Memcpy.command
+      ~args:
+        [
+          ("src", Int64.of_int src.H.rp_addr);
+          ("dst", Int64.of_int dst.H.rp_addr);
+          ("bytes", 8192L);
+        ]
+  in
+  List.iter (fun hd -> ignore (H.await h hd)) [ copy 0; copy 1 ];
+  let read_ports =
+    Array.to_list (Soc.axi_ports soc)
+    |> List.filter_map (fun p ->
+           Desim.Stats.summarize_opt (Axi.read_latency p))
+  in
+  check_bool "reads on more than one port" true (List.length read_ports > 1);
+  let n = List.fold_left (fun a s -> a + s.Desim.Stats.n) 0 read_ports in
+  let total =
+    List.fold_left (fun a s -> a +. s.Desim.Stats.total) 0. read_ports
+  in
+  let max_ps =
+    List.fold_left (fun a s -> Float.max a s.Desim.Stats.max) 0. read_ports
+  in
+  let expected =
+    Printf.sprintf "read latency mean %.0f ns (max %.0f)"
+      (total /. float_of_int n /. 1000.)
+      (max_ps /. 1000.)
+  in
+  let report = Soc.stats_report soc in
+  let has needle =
+    let k = String.length needle in
+    let rec go i =
+      i + k <= String.length report
+      && (String.sub report i k = needle || go (i + 1))
+    in
+    go 0
+  in
+  check_bool ("report says: " ^ expected) true (has expected)
+
 let () =
   Alcotest.run "soc"
     [
@@ -224,6 +277,11 @@ let () =
           Alcotest.test_case "vecadd correct" `Quick test_vecadd_end_to_end;
           Alcotest.test_case "multicore speedup" `Quick
             test_vecadd_multicore_speedup;
+        ] );
+      ( "stats",
+        [
+          Alcotest.test_case "read latency over all ports" `Quick
+            test_stats_latency_all_ports;
         ] );
       ("properties", [ prop_stream ]);
     ]
