@@ -103,7 +103,8 @@ let test_accel_small_run () =
   check_bool "verified bit-exact" true r.Attention.Accel.verified;
   check_int "all queries" (3 * 24) r.Attention.Accel.n_queries;
   check_bool "quantization error bounded" true
-    (r.Attention.Accel.max_error < 2.0 *. A3.operand_scale)
+    (r.Attention.Accel.max_error < 2.0 *. A3.operand_scale);
+  check_int "wall_ps" 45717807 r.Attention.Accel.wall_ps
 
 let test_accel_throughput_scales () =
   let thr n =
@@ -172,7 +173,9 @@ let test_rtl_core_in_soc () =
   (* un-pipelined control: ~3 passes over 320 keys + 64 32-cycle divides *)
   check_bool "cycles/query in the expected band" true
     (r.Attention.A3_rtl_core.cycles_per_query > 3000.
-    && r.Attention.A3_rtl_core.cycles_per_query < 6000.)
+    && r.Attention.A3_rtl_core.cycles_per_query < 6000.);
+  Alcotest.(check (float 0.)) "cycles/query exact" 3791.5
+    r.Attention.A3_rtl_core.cycles_per_query
 
 let () =
   Alcotest.run "attention"

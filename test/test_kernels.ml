@@ -83,12 +83,22 @@ let test_run_small_kernels_verified () =
     { D.aws_f1 with D.fabric_clock_ps = 8000;
       noc = Noc.Params.default ~clock_ps:8000 }
   in
+  (* exact simulated times pin the launch path: moving one burst, one
+     DMA or one command beat changes them *)
   List.iter
-    (fun k ->
+    (fun (k, wall_ps, single_latency_ps) ->
       let r = MS.run k ~rounds:1 ~n_cores:2 ~platform:p125 () in
       check_bool (MS.name k ^ " verified") true r.MS.verified;
-      check_bool "throughput positive" true (r.MS.measured_ops_per_sec > 0.))
-    [ MS.Nw; MS.Stencil2d; MS.Stencil3d; MS.Md_knn ]
+      check_bool "throughput positive" true (r.MS.measured_ops_per_sec > 0.);
+      check_int (MS.name k ^ " wall_ps") wall_ps r.MS.wall_ps;
+      check_int (MS.name k ^ " single_latency_ps") single_latency_ps
+        r.MS.single_latency_ps)
+    [
+      (MS.Nw, 542508141, 539522302);
+      (MS.Stencil2d, 542318819, 538828035);
+      (MS.Stencil3d, 276244462, 272576612);
+      (MS.Md_knn, 274606533, 271478372);
+    ]
 
 let test_auto_cores_positive () =
   List.iter
@@ -167,10 +177,16 @@ let test_merge_sort_reference () =
 
 let test_extra_kernels_end_to_end () =
   List.iter
-    (fun k ->
+    (fun (k, wall_ps) ->
       let r = MX.run k ~n_cores:2 ~platform:D.aws_f1 () in
-      check_bool (MX.name k ^ " verified") true r.MX.verified)
-    MX.all
+      check_bool (MX.name k ^ " verified") true r.MX.verified;
+      check_int (MX.name k ^ " wall_ps") wall_ps r.MX.wall_ps)
+    [
+      (MX.Fft, 30666818);
+      (MX.Spmv, 25885016);
+      (MX.Kmp, 141265482);
+      (MX.Merge_sort, 100099731);
+    ]
 
 let prop_sort =
   QCheck_alcotest.to_alcotest
