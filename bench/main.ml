@@ -142,12 +142,7 @@ let fig7 () =
      stage 3: weighted value reduction   (normalized, 1 row/cycle)\n\
      issue interval: %d cycles/query; latency: %d cycles\n\n"
     Attention.A3.issue_interval_cycles Attention.A3.pipeline_latency_cycles;
-  let rand =
-    let s = ref 7 in
-    fun () ->
-      s := ((!s * 1103515245) + 12345) land 0x3FFFFFFF;
-      !s
-  in
+  let rand = Fault.lcg ~seed:7 in
   let q8 () = (rand () mod 33) - 16 in
   let errs =
     List.init 20 (fun _ ->

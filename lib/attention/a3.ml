@@ -98,5 +98,18 @@ let mean_abs_error fixed float_out =
   done;
   !acc /. float_of_int n
 
+let put_rows buf rows =
+  Array.iteri
+    (fun r row ->
+      Array.iteri
+        (fun d v -> Bytes.set buf ((r * dim) + d) (Char.chr (v land 0xff)))
+        row)
+    rows
+
+let row_of_bytes b off =
+  Array.init dim (fun d ->
+      let v = Char.code (Bytes.get b (off + d)) in
+      if v >= 128 then v - 256 else v)
+
 let issue_interval_cycles = 340
 let pipeline_latency_cycles = 420

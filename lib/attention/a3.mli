@@ -44,6 +44,15 @@ val attend_float : query:float array -> keys:float array array -> values:float a
 val mean_abs_error : int array -> float array -> float
 (** Mean |dequantized fixed output − float output| across dimensions. *)
 
+(** {1 Memory layout}
+
+    Operand and output rows sit back to back in memory, [dim] bytes
+    each, one two's-complement int8 per byte. *)
+
+val put_rows : Bytes.t -> int array array -> unit
+val row_of_bytes : Bytes.t -> int -> int array
+(** The row stored at a byte offset. *)
+
 (** {1 Pipeline timing constants} *)
 
 val issue_interval_cycles : int

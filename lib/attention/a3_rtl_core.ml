@@ -238,30 +238,12 @@ let config ?(n_cores = 1) () =
 
 let rtl_behavior = B.Rtl_core.behavior ~build:circuit ()
 
-(* funct 0 (load_kv) is serviced by the composer's scratchpad machinery;
-   funct 1 enters the netlist *)
+(* funct 0 (load_kv) is the TLM core's scratchpad fill; funct 1 enters
+   the netlist *)
 let behavior : B.Soc.behavior =
  fun ctx beats ~respond ->
   match (List.hd beats).B.Rocc.funct with
-  | 0 ->
-      let args =
-        B.Cmd_spec.unpack Accel.load_kv_command
-          (List.map (fun b -> (b.B.Rocc.payload1, b.B.Rocc.payload2)) beats)
-      in
-      let k_addr = Int64.to_int (List.assoc "k_addr" args) in
-      let v_addr = Int64.to_int (List.assoc "v_addr" args) in
-      let keys_sp = B.Soc.scratchpad ctx "keys" in
-      let values_sp = B.Soc.scratchpad ctx "values" in
-      let pending = ref 2 in
-      let arrive () =
-        decr pending;
-        if !pending = 0 then respond 1L
-      in
-      let bytes = n_keys * 64 in
-      B.Soc.Scratchpad.init_from_memory keys_sp ~addr:k_addr ~bytes
-        ~on_done:arrive ();
-      B.Soc.Scratchpad.init_from_memory values_sp ~addr:v_addr ~bytes
-        ~on_done:arrive ()
+  | 0 -> Accel.behavior ctx beats ~respond
   | _ -> rtl_behavior ctx beats ~respond
 
 type result = {
@@ -276,40 +258,21 @@ let run ?(n_queries = 2) ?(n_cores = 1) ~platform () =
   let soc = B.Soc.create design ~behaviors:(fun _ -> behavior) in
   let handle = Runtime.Handle.create soc in
   let module H = Runtime.Handle in
-  let rand =
-    let s = ref 4242 in
-    fun () ->
-      s := ((!s * 1103515245) + 12345) land 0x3FFFFFFF;
-      (!s mod 33) - 16
-  in
+  let lcg = Fault.lcg ~seed:4242 in
+  let rand () = (lcg () mod 33) - 16 in
   let keys = Array.init n_keys (fun _ -> Array.init lanes (fun _ -> rand ())) in
   let values = Array.init n_keys (fun _ -> Array.init lanes (fun _ -> rand ())) in
   let queries =
     Array.init n_queries (fun _ -> Array.init lanes (fun _ -> rand ()))
   in
-  let put buf rows =
-    Array.iteri
-      (fun r row ->
-        Array.iteri
-          (fun c v -> Bytes.set buf ((r * lanes) + c) (Char.chr (v land 0xff)))
-          row)
-      rows
-  in
   let pk = H.malloc handle (n_keys * 64) in
   let pv = H.malloc handle (n_keys * 64) in
   let pq = H.malloc handle (n_queries * 64) in
   let po = H.malloc handle (n_queries * 64) in
-  put (H.host_bytes handle pk) keys;
-  put (H.host_bytes handle pv) values;
-  put (H.host_bytes handle pq) queries;
-  let pending = ref 0 in
-  List.iter
-    (fun p ->
-      incr pending;
-      H.copy_to_fpga handle p ~on_done:(fun () -> decr pending))
-    [ pk; pv; pq ];
-  Desim.Engine.run (H.engine handle);
-  if !pending <> 0 then failwith "a3_rtl: DMA incomplete";
+  A3.put_rows (H.host_bytes handle pk) keys;
+  A3.put_rows (H.host_bytes handle pv) values;
+  A3.put_rows (H.host_bytes handle pq) queries;
+  H.copy_all_to_fpga handle [ pk; pv; pq ];
   ignore
     (H.await handle
        (H.send handle ~system:"A3RTL" ~core:0 ~cmd:Accel.load_kv_command
@@ -329,25 +292,18 @@ let run ?(n_queries = 2) ?(n_cores = 1) ~platform () =
               ("n_queries", Int64.of_int n_queries);
             ]));
   let t1 = Desim.Engine.now (H.engine handle) in
-  let done_ = ref false in
-  H.copy_from_fpga handle po ~on_done:(fun () -> done_ := true);
-  Desim.Engine.run (H.engine handle);
-  assert !done_;
+  H.copy_all_from_fpga handle [ po ];
   let out_host = H.host_bytes handle po in
-  let verified = ref true in
-  Array.iteri
-    (fun qi query ->
-      let expect = A3.attend_fixed ~query ~keys ~values in
-      let got =
-        Array.init lanes (fun c ->
-            let v = Char.code (Bytes.get out_host ((qi * lanes) + c)) in
-            if v >= 128 then v - 256 else v)
-      in
-      if got <> expect then verified := false)
-    queries;
+  let verified =
+    List.for_all
+      (fun qi ->
+        A3.row_of_bytes out_host (qi * lanes)
+        = A3.attend_fixed ~query:queries.(qi) ~keys ~values)
+      (List.init n_queries Fun.id)
+  in
   let clock_ps = platform.Platform.Device.fabric_clock_ps in
   {
-    verified = !verified;
+    verified;
     n_queries;
     wall_ps = t1 - t0;
     cycles_per_query =

@@ -10,8 +10,9 @@
     one query at a time (the un-pipelined "low-effort" variant; the
     pipelined TLM model in {!Accel} is the throughput design point).
 
-    Commands: funct 0 = [load_kv] (scratchpad fill, serviced by the
-    composer's Scratchpad machinery); funct 1 = [attend] with
+    Commands: funct 0 = {!Accel.load_kv_command} (scratchpad fill through
+    the composer's Scratchpad machinery, serviced by {!Accel.behavior});
+    funct 1 = [attend] with
     payload1 = query address, payload2 = output address (32 b) |
     n_queries << 32. *)
 
@@ -20,8 +21,8 @@ val circuit : unit -> Hw.Circuit.t
 val config : ?n_cores:int -> unit -> Beethoven.Config.t
 
 val behavior : Beethoven.Soc.behavior
-(** Dispatches funct 0 to the scratchpad-init path and funct 1 into the
-    netlist. *)
+(** Dispatches funct 0 to {!Accel.behavior} (its [load_kv] scratchpad
+    fill) and funct 1 into the netlist. *)
 
 type result = {
   verified : bool;  (** outputs bit-exact vs {!A3.attend_fixed} *)

@@ -56,12 +56,6 @@ let auto_cores platform =
   let rec grow n = if n < 64 && fits (n + 1) then grow (n + 1) else n in
   if fits 1 then grow 1 else 0
 
-(* Read an int8 row of [dim] operands from a bytes source. *)
-let row_of_bytes b off =
-  Array.init A3.dim (fun d ->
-      let v = Char.code (Bytes.get b (off + d)) in
-      if v >= 128 then v - 256 else v)
-
 let behavior : Soc.behavior =
  fun ctx beats ~respond ->
   let cmd = List.hd beats in
@@ -69,12 +63,8 @@ let behavior : Soc.behavior =
   match cmd.B.Rocc.funct with
   | 0 ->
       (* load_kv: fill both scratchpads from device memory *)
-      let args =
-        B.Cmd_spec.unpack load_kv_command
-          (List.map (fun b -> (b.B.Rocc.payload1, b.B.Rocc.payload2)) beats)
-      in
-      let k_addr = Int64.to_int (List.assoc "k_addr" args) in
-      let v_addr = Int64.to_int (List.assoc "v_addr" args) in
+      let arg = B.Cmd_spec.decode load_kv_command beats in
+      let k_addr = arg "k_addr" and v_addr = arg "v_addr" in
       let keys_sp = Soc.scratchpad ctx "keys" in
       let values_sp = Soc.scratchpad ctx "values" in
       let pending = ref 2 in
@@ -88,23 +78,19 @@ let behavior : Soc.behavior =
         ~on_done:arrive ()
   | 1 ->
       (* attend: stream queries through the three-stage pipeline *)
-      let args =
-        B.Cmd_spec.unpack attend_command
-          (List.map (fun b -> (b.B.Rocc.payload1, b.B.Rocc.payload2)) beats)
-      in
-      let q_addr = Int64.to_int (List.assoc "q_addr" args) in
-      let out_addr = Int64.to_int (List.assoc "out_addr" args) in
-      let n_queries = Int64.to_int (List.assoc "n_queries" args) in
+      let arg = B.Cmd_spec.decode attend_command beats in
+      let q_addr = arg "q_addr" and out_addr = arg "out_addr" in
+      let n_queries = arg "n_queries" in
       let keys_sp = Soc.scratchpad ctx "keys" in
       let values_sp = Soc.scratchpad ctx "values" in
       (* materialize the stationary operands once per command *)
       let keys =
         Array.init A3.n_keys (fun i ->
-            row_of_bytes (Soc.Scratchpad.get keys_sp i) 0)
+            A3.row_of_bytes (Soc.Scratchpad.get keys_sp i) 0)
       in
       let values =
         Array.init A3.n_keys (fun i ->
-            row_of_bytes (Soc.Scratchpad.get values_sp i) 0)
+            A3.row_of_bytes (Soc.Scratchpad.get values_sp i) 0)
       in
       let reader = Soc.reader ctx "query" in
       let writer = Soc.writer ctx "output" in
@@ -155,12 +141,7 @@ let run ?(n_queries_per_core = 64) ?(n_cores = 23) ~platform () =
   let soc = Soc.create design ~behaviors:(fun _ -> behavior) in
   let handle = Runtime.Handle.create soc in
   let module H = Runtime.Handle in
-  let rand =
-    let state = ref 42 in
-    fun () ->
-      state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-      !state
-  in
+  let rand = Fault.lcg ~seed:42 in
   let q8 () = (rand () mod 33) - 16 in
   (* per-core K/V and query buffers *)
   let core_data =
@@ -184,33 +165,15 @@ let run ?(n_queries_per_core = 64) ?(n_cores = 23) ~platform () =
         let pv = H.malloc handle kv_bytes in
         let pq = H.malloc handle (n_queries_per_core * row_bytes) in
         let po = H.malloc handle (n_queries_per_core * row_bytes) in
-        let put buf rows =
-          Array.iteri
-            (fun i row ->
-              Array.iteri
-                (fun d v ->
-                  Bytes.set buf ((i * row_bytes) + d)
-                    (Char.chr (v land 0xff)))
-                row)
-            rows
-        in
-        put (H.host_bytes handle pk) keys;
-        put (H.host_bytes handle pv) values;
-        put (H.host_bytes handle pq) queries;
+        A3.put_rows (H.host_bytes handle pk) keys;
+        A3.put_rows (H.host_bytes handle pv) values;
+        A3.put_rows (H.host_bytes handle pq) queries;
         (pk, pv, pq, po))
       core_data
   in
-  let pending = ref 0 in
-  Array.iter
-    (fun (pk, pv, pq, _) ->
-      List.iter
-        (fun p ->
-          incr pending;
-          H.copy_to_fpga handle p ~on_done:(fun () -> decr pending))
-        [ pk; pv; pq ])
-    allocs;
-  Desim.Engine.run (H.engine handle);
-  if !pending <> 0 then failwith "A3: input DMA incomplete";
+  H.copy_all_to_fpga handle
+    (List.concat_map (fun (pk, pv, pq, _) -> [ pk; pv; pq ])
+       (Array.to_list allocs));
   (* load K/V on every core *)
   let loads =
     Array.to_list
@@ -243,14 +206,8 @@ let run ?(n_queries_per_core = 64) ?(n_cores = 23) ~platform () =
   ignore (H.await_all handle runs);
   let t2 = Desim.Engine.now (H.engine handle) in
   (* collect + verify *)
-  let pending = ref 0 in
-  Array.iter
-    (fun (_, _, _, po) ->
-      incr pending;
-      H.copy_from_fpga handle po ~on_done:(fun () -> decr pending))
-    allocs;
-  Desim.Engine.run (H.engine handle);
-  if !pending <> 0 then failwith "A3: output DMA incomplete";
+  H.copy_all_from_fpga handle
+    (Array.to_list (Array.map (fun (_, _, _, po) -> po) allocs));
   let verified = ref true in
   let max_error = ref 0.0 in
   Array.iteri
@@ -260,7 +217,7 @@ let run ?(n_queries_per_core = 64) ?(n_cores = 23) ~platform () =
       Array.iteri
         (fun qi query ->
           let expect = A3.attend_fixed ~query ~keys ~values in
-          let got = row_of_bytes out_host (qi * row_bytes) in
+          let got = A3.row_of_bytes out_host (qi * row_bytes) in
           if got <> expect then verified := false;
           let float_ref =
             A3.attend_float

@@ -101,3 +101,9 @@ let unpack c pairs =
       pos := !pos + w;
       (f.f_name, v))
     c.fields
+
+let decode c beats =
+  let args =
+    unpack c (List.map (fun b -> (b.Rocc.payload1, b.Rocc.payload2)) beats)
+  in
+  fun name -> Int64.to_int (List.assoc name args)

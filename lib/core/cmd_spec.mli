@@ -41,3 +41,9 @@ val pack : command -> (string * int64) list -> (int64 * int64) list
 
 val unpack : command -> (int64 * int64) list -> (string * int64) list
 (** Inverse of {!pack}. *)
+
+val decode : command -> Rocc.t list -> string -> int
+(** The behavior-side decoder: [decode c beats] unpacks the reassembled
+    RoCC beats of one command once and returns the field lookup, each
+    value as an [int] (wider fields wrap as [Int64.to_int] does). Raises
+    [Not_found] on a field the command does not declare. *)

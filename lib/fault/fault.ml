@@ -39,6 +39,12 @@ module Rng = struct
                     (Int64.of_int bound))
 end
 
+let lcg ~seed =
+  let state = ref seed in
+  fun () ->
+    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+    !state
+
 (* ------------------------------------------------------------------ *)
 (* SECDED Hamming(72,64)                                               *)
 (* ------------------------------------------------------------------ *)

@@ -40,6 +40,55 @@ val auto_cores : kernel -> Platform.Device.t -> int
 (** Largest core count that still floorplans on the platform (capped at
     48) — how the multi-core sizes of Fig. 6 are chosen. *)
 
+(** {1 The launch path}
+
+    Everything a MachSuite kernel here shares, so that a kernel module
+    keeps only its sizes, cycle model, compute, reference and input
+    fill. {!Machsuite_extra} launches through it too. *)
+module Launch : sig
+  type kernel = {
+    system : string;  (** the system a launch is sent to *)
+    cycles : int;  (** modelled compute cycles of one invocation *)
+    in1_bytes : int;
+    in2_bytes : int;  (** [0]: the kernel reads no second input *)
+    out_bytes : int;
+    compute : Beethoven.Soc.t -> in1:int -> in2:int -> out:int -> unit;
+        (** the functional result, read from and written to device
+            memory *)
+    fill : seed:int -> Bytes.t -> Bytes.t -> unit;
+        (** seeded host fill of one core's in1/in2 buffers *)
+    expected : Bytes.t -> Bytes.t -> Bytes.t;
+        (** the reference out image for given in1/in2 images *)
+  }
+
+  val command : Beethoven.Cmd_spec.command
+  (** ["launch"], funct 0: [in1]/[in2]/[out] buffer addresses. *)
+
+  val behavior : kernel -> Beethoven.Soc.behavior
+  (** The core side: bulk-read [in1] (and [in2] when [in2_bytes > 0]),
+      model [cycles] of compute, run [compute], bulk-write [out], then
+      respond [1L]. *)
+
+  type host = {
+    handle : Runtime.Handle.t;
+    send : int -> Runtime.Handle.response_handle;
+        (** launch once on a core, on that core's buffers *)
+    verify : unit -> bool;
+        (** DMA every core's [out] back and compare it with [expected] *)
+  }
+
+  val host :
+    kernel ->
+    Beethoven.Config.t ->
+    n_cores:int ->
+    platform:Platform.Device.t ->
+    host
+  (** The host side: elaborate the config, boot an SoC with room for
+      every core's buffers (64 MB at least), give each core its own
+      in1/in2/out buffers filled with seed [core * 7919], and DMA the
+      inputs in. Launch timing is left to the caller. *)
+end
+
 type run_result = {
   n_cores : int;
   rounds_per_core : int;

@@ -1,6 +1,7 @@
 module B = Beethoven
 module Soc = B.Soc
 module R = Platform.Resources
+module L = Machsuite.Launch
 
 type kernel = Fft | Spmv | Kmp | Merge_sort
 
@@ -185,14 +186,6 @@ let out_bytes k =
   | Kmp -> 8
   | Merge_sort -> n * 4
 
-let command =
-  B.Cmd_spec.make ~name:"launch" ~funct:0 ~response_bits:32
-    [
-      ("in1", B.Cmd_spec.Address);
-      ("in2", B.Cmd_spec.Address);
-      ("out", B.Cmd_spec.Address);
-    ]
-
 let kernel_resources = function
   | Fft -> R.make ~clb:6000 ~lut:34000 ~ff:22000 ~dsp:48 ()
   | Spmv -> R.make ~clb:2500 ~lut:14000 ~ff:9000 ~dsp:16 ()
@@ -217,14 +210,14 @@ let system k ~n_cores =
         B.Config.read_channel ~name:"in2" ~data_bytes:8 ();
       ]
     ~write_channels:[ B.Config.write_channel ~name:"out" ~data_bytes:8 () ]
-    ~scratchpads:(scratchpads k) ~commands:[ command ]
+    ~scratchpads:(scratchpads k) ~commands:[ L.command ]
     ~kernel_resources:(kernel_resources k) ()
 
 let config k ~n_cores =
   B.Config.make ~name:("machsuite_extra_" ^ name k) [ system k ~n_cores ]
 
 (* ------------------------------------------------------------------ *)
-(* Behaviors                                                           *)
+(* Compute                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let read_f64 soc addr i = Int64.float_of_bits (Soc.read_u64 soc (addr + (8 * i)))
@@ -267,47 +260,12 @@ let compute k soc ~in1 ~in2 ~out =
         (fun i v -> Soc.write_u32 soc (out + (4 * i)) (Int32.of_int v))
         sorted
 
-let behavior k : Soc.behavior =
- fun ctx beats ~respond ->
-  let args =
-    B.Cmd_spec.unpack command
-      (List.map (fun b -> (b.B.Rocc.payload1, b.B.Rocc.payload2)) beats)
-  in
-  let get nm = Int64.to_int (List.assoc nm args) in
-  let in1 = get "in1" and in2 = get "in2" and out = get "out" in
-  let soc = ctx.Soc.soc in
-  let finish () =
-    Soc.after_cycles ctx (beethoven_cycles k) (fun () ->
-        compute k soc ~in1 ~in2 ~out;
-        let writer = Soc.writer ctx "out" in
-        Soc.Writer.bulk writer ~addr:out ~bytes:(out_bytes k)
-          ~on_done:(fun () -> respond 1L))
-  in
-  let r1 = Soc.reader ctx "in1" in
-  if in2_bytes k > 0 then begin
-    let r2 = Soc.reader ctx "in2" in
-    let pending = ref 2 in
-    let arrive () =
-      decr pending;
-      if !pending = 0 then finish ()
-    in
-    Soc.Reader.bulk r1 ~addr:in1 ~bytes:(in1_bytes k) ~on_done:arrive;
-    Soc.Reader.bulk r2 ~addr:in2 ~bytes:(in2_bytes k) ~on_done:arrive
-  end
-  else Soc.Reader.bulk r1 ~addr:in1 ~bytes:(in1_bytes k) ~on_done:finish
-
 (* ------------------------------------------------------------------ *)
 (* Workloads + verification                                            *)
 (* ------------------------------------------------------------------ *)
 
-let lcg seed =
-  let state = ref seed in
-  fun () ->
-    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-    !state
-
 let fill_inputs k ~seed in1_host in2_host =
-  let rand = lcg (seed + 23) in
+  let rand = Fault.lcg ~seed:(seed + 23) in
   let n = data_size k in
   let f64 buf i v = Bytes.set_int64_le buf (8 * i) (Int64.bits_of_float v) in
   match k with
@@ -358,46 +316,53 @@ let fill_inputs k ~seed in1_host in2_host =
 let expected_output k in1_host in2_host =
   let n = data_size k in
   let out = Bytes.create (out_bytes k) in
-  let f64_of buf i = Int64.float_of_bits (Bytes.get_int64_le buf (8 * i)) in
+  let f64_of buf base i =
+    Int64.float_of_bits (Bytes.get_int64_le buf (base + (8 * i)))
+  in
+  let i32_of buf base i =
+    Int32.to_int (Bytes.get_int32_le buf (base + (4 * i)))
+  in
+  let put_f64 i v = Bytes.set_int64_le out (8 * i) (Int64.bits_of_float v) in
   (match k with
   | Fft ->
-      let re = Array.init n (f64_of in1_host) in
-      let im = Array.init n (fun i -> f64_of in1_host (n + i)) in
+      let re = Array.init n (f64_of in1_host 0) in
+      let im = Array.init n (f64_of in1_host (8 * n)) in
       Ref.fft re im;
-      Array.iteri (fun i v -> Bytes.set_int64_le out (8 * i) (Int64.bits_of_float v)) re;
-      Array.iteri
-        (fun i v -> Bytes.set_int64_le out (8 * (n + i)) (Int64.bits_of_float v))
-        im
+      Array.iteri put_f64 re;
+      Array.iteri (fun i -> put_f64 (n + i)) im
   | Spmv ->
-      let i32_of buf i = Int32.to_int (Bytes.get_int32_le buf (4 * i)) in
-      let row_ptr = Array.init (n + 1) (i32_of in1_host) in
+      let row_ptr = Array.init (n + 1) (i32_of in1_host 0) in
       let nnz = row_ptr.(n) in
       let col_base = (n + 1) * 4 in
-      let col_idx =
-        Array.init nnz (fun i ->
-            Int32.to_int (Bytes.get_int32_le in1_host (col_base + (4 * i))))
-      in
+      let col_idx = Array.init nnz (i32_of in1_host col_base) in
       let val_base = (col_base + (nnz * 4) + 7) / 8 * 8 in
-      let values =
-        Array.init nnz (fun i ->
-            Int64.float_of_bits (Bytes.get_int64_le in1_host (val_base + (8 * i))))
-      in
-      let x = Array.init n (f64_of in2_host) in
-      let y = Ref.spmv ~values ~col_idx ~row_ptr ~x in
-      Array.iteri (fun i v -> Bytes.set_int64_le out (8 * i) (Int64.bits_of_float v)) y
+      let values = Array.init nnz (f64_of in1_host val_base) in
+      let x = Array.init n (f64_of in2_host 0) in
+      Array.iteri put_f64 (Ref.spmv ~values ~col_idx ~row_ptr ~x)
   | Kmp ->
-      let plen = Int32.to_int (Bytes.get_int32_le in2_host 0) in
+      let plen = i32_of in2_host 0 0 in
       let pattern = Bytes.sub in2_host 4 plen in
       let matches = Ref.kmp ~pattern ~text:in1_host in
       Bytes.set_int64_le out 0 (Int64.of_int matches)
   | Merge_sort ->
-      let a =
-        Array.init n (fun i -> Int32.to_int (Bytes.get_int32_le in1_host (4 * i)))
-      in
       Array.iteri
         (fun i v -> Bytes.set_int32_le out (4 * i) (Int32.of_int v))
-        (Ref.merge_sort a));
+        (Ref.merge_sort (Array.init n (i32_of in1_host 0))));
   out
+
+let launch k =
+  {
+    L.system = name k;
+    cycles = beethoven_cycles k;
+    in1_bytes = in1_bytes k;
+    in2_bytes = in2_bytes k;
+    out_bytes = out_bytes k;
+    compute = compute k;
+    fill = fill_inputs k;
+    expected = expected_output k;
+  }
+
+let behavior k = L.behavior (launch k)
 
 type run_result = {
   n_cores : int;
@@ -407,67 +372,17 @@ type run_result = {
 }
 
 let run k ~n_cores ~platform () =
-  let design = B.Elaborate.elaborate (config k ~n_cores) platform in
-  let soc = Soc.create design ~behaviors:(fun _ -> behavior k) in
-  let handle = Runtime.Handle.create soc in
-  let module H = Runtime.Handle in
-  let allocs =
-    Array.init n_cores (fun core ->
-        let p1 = H.malloc handle (in1_bytes k) in
-        let p2 = H.malloc handle (max 4096 (in2_bytes k)) in
-        let po = H.malloc handle (out_bytes k) in
-        fill_inputs k ~seed:(core * 7919) (H.host_bytes handle p1)
-          (H.host_bytes handle p2);
-        (p1, p2, po))
-  in
-  let pending = ref 0 in
-  Array.iter
-    (fun (p1, p2, _) ->
-      List.iter
-        (fun p ->
-          incr pending;
-          H.copy_to_fpga handle p ~on_done:(fun () -> decr pending))
-        [ p1; p2 ])
-    allocs;
-  Desim.Engine.run (H.engine handle);
-  if !pending <> 0 then failwith "machsuite_extra: input DMA incomplete";
-  let t0 = Desim.Engine.now (H.engine handle) in
-  let hs =
-    Array.to_list
-      (Array.mapi
-         (fun core (p1, p2, po) ->
-           H.send handle ~system:(name k) ~core ~cmd:command
-             ~args:
-               [
-                 ("in1", Int64.of_int p1.H.rp_addr);
-                 ("in2", Int64.of_int p2.H.rp_addr);
-                 ("out", Int64.of_int po.H.rp_addr);
-               ])
-         allocs)
-  in
-  ignore (H.await_all handle hs);
-  let t1 = Desim.Engine.now (H.engine handle) in
-  let pending = ref 0 in
-  Array.iter
-    (fun (_, _, po) ->
-      incr pending;
-      H.copy_from_fpga handle po ~on_done:(fun () -> decr pending))
-    allocs;
-  Desim.Engine.run (H.engine handle);
-  if !pending <> 0 then failwith "machsuite_extra: output DMA incomplete";
-  let verified = ref true in
-  Array.iter
-    (fun (p1, p2, po) ->
-      let expect =
-        expected_output k (H.host_bytes handle p1) (H.host_bytes handle p2)
-      in
-      if not (Bytes.equal expect (H.host_bytes handle po)) then
-        verified := false)
-    allocs;
+  let host = L.host (launch k) (config k ~n_cores) ~n_cores ~platform in
+  let engine = Runtime.Handle.engine host.L.handle in
+  let t0 = Desim.Engine.now engine in
+  ignore
+    (Runtime.Handle.await_all host.L.handle (List.init n_cores host.L.send));
+  let wall_ps = Desim.Engine.now engine - t0 in
+  let verified = host.L.verify () in
   {
     n_cores;
-    wall_ps = t1 - t0;
+    wall_ps;
     measured_ops_per_sec =
-      float_of_int n_cores /. (float_of_int (t1 - t0) *. 1e-12);
-    verified = !verified;
+      float_of_int n_cores /. (float_of_int wall_ps *. 1e-12);
+    verified;
   }

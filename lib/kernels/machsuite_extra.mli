@@ -2,9 +2,10 @@
     exercising memory patterns the first five don't: FFT (strided
     butterflies), SpMV (data-dependent irregular reads), KMP string
     search (pure streaming over a long text), and merge sort
-    (read-modify-write passes). Same structure as {!Machsuite}:
-    functional reference, low-effort Beethoven core behavior with real
-    memory traffic, end-to-end verification. These extend the framework's
+    (read-modify-write passes). This module holds only what is specific
+    to them: sizes, cycle model, compute, functional reference and input
+    fill. The launch command, the core-side skeleton and the host
+    harness are {!Machsuite.Launch}'s. These extend the framework's
     application set; they are not part of the paper's evaluation and the
     benches label them as extensions. *)
 
@@ -23,11 +24,6 @@ val system : kernel -> n_cores:int -> Beethoven.Config.system
     the serving layer deploys ["Sort"] next to memcpy/vecadd so request
     mixes are genuinely heterogeneous. *)
 
-val command : Beethoven.Cmd_spec.command
-(** The shared ["launch"] command: [in1]/[in2]/[out] buffer addresses
-    (kernels with [in2_bytes k = 0] ignore [in2]); responds [1L] once
-    the result is written back. *)
-
 val in1_bytes : kernel -> int
 val in2_bytes : kernel -> int
 val out_bytes : kernel -> int
@@ -35,6 +31,9 @@ val out_bytes : kernel -> int
     working set (what a host must allocate to launch it). *)
 
 val behavior : kernel -> Beethoven.Soc.behavior
+(** {!Machsuite.Launch.behavior} over this kernel: launched with
+    {!Machsuite.Launch.command} (kernels with [in2_bytes k = 0] ignore
+    [in2]). *)
 
 type run_result = {
   n_cores : int;
@@ -45,6 +44,9 @@ type run_result = {
 
 val run :
   kernel -> n_cores:int -> platform:Platform.Device.t -> unit -> run_result
+(** One launch on each of [n_cores] cores, all in flight, through
+    {!Machsuite.Launch.host}; [wall_ps] spans first send to last
+    response. *)
 
 (** Functional references, exposed for direct unit testing. *)
 module Ref : sig

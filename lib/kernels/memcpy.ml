@@ -29,57 +29,40 @@ let command =
       ("bytes", B.Cmd_spec.Uint 32);
     ]
 
-(* The well-tuned memcpy system (64-beat bursts, 4 in flight, TLP), the
-   shape every full-host-path campaign and the serving layer deploy. *)
-let system ~n_cores =
+(* One memcpy system per (burst beats, in flight, TLP) tuning;
+   [resources] is [None] only for the channel tuner's bare candidates. *)
+let tuned_system ~n_cores ~resources (beats, in_flight, tlp) =
+  let buffer_beats = beats * max 2 in_flight in
   B.Config.system ~name:"Memcpy" ~n_cores
     ~read_channels:
       [
-        B.Config.read_channel ~name:"src" ~data_bytes:64 ~burst_beats:64
-          ~max_in_flight:4 ~use_tlp:true ~buffer_beats:(64 * 4) ();
+        B.Config.read_channel ~name:"src" ~data_bytes:64 ~burst_beats:beats
+          ~max_in_flight:in_flight ~use_tlp:tlp ~buffer_beats ();
       ]
     ~write_channels:
       [
-        B.Config.write_channel ~name:"dst" ~data_bytes:64 ~burst_beats:64
-          ~max_in_flight:4 ~use_tlp:true ~buffer_beats:(64 * 4) ();
+        B.Config.write_channel ~name:"dst" ~data_bytes:64 ~burst_beats:beats
+          ~max_in_flight:in_flight ~use_tlp:tlp ~buffer_beats ();
       ]
-    ~commands:[ command ]
-    ~kernel_resources:(Platform.Resources.make ~clb:60 ~lut:250 ~ff:300 ())
-    ()
+    ~commands:[ command ] ?kernel_resources:resources ()
+
+let resources = Some (Platform.Resources.make ~clb:60 ~lut:250 ~ff:300 ())
+
+(* The well-tuned memcpy system (64-beat bursts, 4 in flight, TLP), the
+   shape every full-host-path campaign and the serving layer deploy. *)
+let system ~n_cores = tuned_system ~n_cores ~resources (tuning Beethoven)
 
 let config impl =
-  let beats, in_flight, tlp = tuning impl in
   B.Config.make ~name:("memcpy_" ^ impl_name impl)
-    [
-      B.Config.system ~name:"Memcpy" ~n_cores:1
-        ~read_channels:
-          [
-            B.Config.read_channel ~name:"src" ~data_bytes:64
-              ~burst_beats:beats ~max_in_flight:in_flight ~use_tlp:tlp
-              ~buffer_beats:(beats * max 2 in_flight) ();
-          ]
-        ~write_channels:
-          [
-            B.Config.write_channel ~name:"dst" ~data_bytes:64
-              ~burst_beats:beats ~max_in_flight:in_flight ~use_tlp:tlp
-              ~buffer_beats:(beats * max 2 in_flight) ();
-          ]
-        ~commands:[ command ]
-        ~kernel_resources:(Platform.Resources.make ~clb:60 ~lut:250 ~ff:300 ())
-        ();
-    ]
+    [ tuned_system ~n_cores:1 ~resources (tuning impl) ]
 
 (* Forward each arriving beat straight into the writer. The item width
    follows the platform's AXI beat (64 B on the discrete shells, 16 B
    on Kria), so the same behavior serves a heterogeneous fleet. *)
 let behavior : Soc.behavior =
  fun ctx beats ~respond ->
-  let args =
-    B.Cmd_spec.unpack command
-      (List.map (fun b -> (b.B.Rocc.payload1, b.B.Rocc.payload2)) beats)
-  in
-  let get name = Int64.to_int (List.assoc name args) in
-  let src = get "src" and dst = get "dst" and bytes = get "bytes" in
+  let arg = B.Cmd_spec.decode command beats in
+  let src = arg "src" and dst = arg "dst" and bytes = arg "bytes" in
   let reader = Soc.reader ctx "src" in
   let writer = Soc.writer ctx "dst" in
   let item = min 64 (Soc.Reader.beat_bytes reader) in
@@ -164,22 +147,7 @@ type tuning_point = {
 
 let config_custom ~burst_beats ~in_flight ~tlp =
   B.Config.make ~name:"memcpy_tuned"
-    [
-      B.Config.system ~name:"Memcpy" ~n_cores:1
-        ~read_channels:
-          [
-            B.Config.read_channel ~name:"src" ~data_bytes:64
-              ~burst_beats ~max_in_flight:in_flight ~use_tlp:tlp
-              ~buffer_beats:(burst_beats * max 2 in_flight) ();
-          ]
-        ~write_channels:
-          [
-            B.Config.write_channel ~name:"dst" ~data_bytes:64
-              ~burst_beats ~max_in_flight:in_flight ~use_tlp:tlp
-              ~buffer_beats:(burst_beats * max 2 in_flight) ();
-          ]
-        ~commands:[ command ] ();
-    ]
+    [ tuned_system ~n_cores:1 ~resources:None (burst_beats, in_flight, tlp) ]
 
 let tune ?(bytes = 256 * 1024) ~platform () =
   let measure ~burst_beats ~in_flight ~tlp =

@@ -27,15 +27,10 @@ let config ?(n_cores = 1) () =
    final write response lands. *)
 let behavior : Soc.behavior =
  fun ctx beats ~respond ->
-  let args =
-    B.Cmd_spec.unpack command
-      (List.map (fun b -> (b.B.Rocc.payload1, b.B.Rocc.payload2)) beats)
-  in
-  let get name = Int64.to_int (List.assoc name args) in
-  let addend = Int64.to_int32 (List.assoc "addend" args) in
-  let vec_addr = get "vec_addr" in
-  let out_addr = get "out_addr" in
-  let n_eles = get "n_eles" in
+  let arg = B.Cmd_spec.decode command beats in
+  let addend = Int32.of_int (arg "addend") in
+  let vec_addr = arg "vec_addr" and out_addr = arg "out_addr" in
+  let n_eles = arg "n_eles" in
   let bytes = n_eles * 4 in
   let reader = Soc.reader ctx "vec_in" in
   let writer = Soc.writer ctx "vec_out" in
@@ -99,14 +94,9 @@ let run ?(n_cores = 1) ?(n_eles = 4096) ~platform () =
       | Some _ -> ()
       | None -> failwith "vecadd: command did not complete")
     !results;
-  let actual = Array.make n_eles 0l in
-  let done_ = ref false in
-  Runtime.Handle.copy_from_fpga handle output ~on_done:(fun () ->
-      done_ := true);
-  Desim.Engine.run (Runtime.Handle.engine handle);
-  if not !done_ then failwith "vecadd: DMA out never completed";
+  Runtime.Handle.copy_all_from_fpga handle [ output ];
   let host_out = Runtime.Handle.host_bytes handle output in
-  for i = 0 to n_eles - 1 do
-    actual.(i) <- Bytes.get_int32_le host_out (i * 4)
-  done;
+  let actual =
+    Array.init n_eles (fun i -> Bytes.get_int32_le host_out (i * 4))
+  in
   (expected, actual, Desim.Engine.now (Runtime.Handle.engine handle))

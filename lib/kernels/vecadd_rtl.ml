@@ -99,14 +99,7 @@ let run ?(n_cores = 1) ?(n_eles = 256) ~platform () =
         done;
         p)
   in
-  let pending = ref 0 in
-  Array.iter
-    (fun p ->
-      incr pending;
-      H.copy_to_fpga handle p ~on_done:(fun () -> decr pending))
-    bufs;
-  Desim.Engine.run (H.engine handle);
-  if !pending <> 0 then failwith "vecadd_rtl: DMA incomplete";
+  H.copy_all_to_fpga handle (Array.to_list bufs);
   let hs =
     Array.to_list
       (Array.mapi
@@ -121,14 +114,7 @@ let run ?(n_cores = 1) ?(n_eles = 256) ~platform () =
          bufs)
   in
   let resps = H.await_all handle hs in
-  let pending = ref 0 in
-  Array.iter
-    (fun p ->
-      incr pending;
-      H.copy_from_fpga handle p ~on_done:(fun () -> decr pending))
-    bufs;
-  Desim.Engine.run (H.engine handle);
-  if !pending <> 0 then failwith "vecadd_rtl: DMA out incomplete";
+  H.copy_all_from_fpga handle (Array.to_list bufs);
   let ok = ref true in
   Array.iteri
     (fun core p ->

@@ -203,7 +203,19 @@ let props =
             (List.map (fun (n, w, _) -> (n, B.Cmd_spec.Uint w)) fields)
         in
         let values = List.map (fun (n, _, v) -> (n, v)) fields in
-        B.Cmd_spec.unpack cmd (B.Cmd_spec.pack cmd values) = values);
+        let packed = B.Cmd_spec.pack cmd values in
+        (* the behavior-side decoder reads the same fields back from the
+           reassembled RoCC beats *)
+        let beats =
+          List.map
+            (fun (payload1, payload2) ->
+              { B.Rocc.system_id = 0; core_id = 0; funct = 1;
+                expects_response = false; payload1; payload2 })
+            packed
+        in
+        let field = B.Cmd_spec.decode cmd beats in
+        B.Cmd_spec.unpack cmd packed = values
+        && List.for_all (fun (n, v) -> field n = Int64.to_int v) values);
   ]
 
 let () =
