@@ -137,7 +137,6 @@ val create :
   ?memory_bytes:int ->
   ?tracer:Trace.t ->
   ?fault:Fault.Injector.t ->
-  ?policy:Fault.Policy.t ->
   Elaborate.t ->
   behaviors:(string -> behavior) ->
   t
@@ -145,9 +144,10 @@ val create :
     memory: 64 MB. With [fault], the injector is threaded through the
     whole stack: DRAM read bursts may flip bits (caught by the SECDED
     scrub-on-read path), AXI bursts may error (retried with exponential
-    backoff up to [policy.axi_max_retries]), command/response beats may be
-    dropped or delayed in the command NoC, and a planned core hang makes
-    its victim swallow traffic until the runtime quarantines it.
+    backoff up to {!Fault.Policy.default}'s [axi_max_retries]),
+    command/response beats may be dropped or delayed in the command NoC,
+    and a planned core hang makes its victim swallow traffic until the
+    runtime quarantines it.
 
     With [tracer], the whole stack records structured spans and counters:
     core execution, reader/writer streams, AXI bursts (every port, named
@@ -164,7 +164,6 @@ val tracer : t -> Trace.t option
 (** The structured tracer given at construction, if any. *)
 
 val fault_injector : t -> Fault.Injector.t option
-val policy : t -> Fault.Policy.t
 
 val cmd_key : t -> system_id:int -> core_id:int -> int
 (** The command-NoC endpoint id of a core — the routing key under which

@@ -286,12 +286,10 @@ type backend =
   | Single of {
       sg_cfg : Serve.config;
       sg_plan : Fault.Plan.t option;
-      sg_policy : Fault.Policy.t option;
     }
   | Fleet of {
       fl_cfg : Cluster.config;
       fl_plan : Fault.Plan.t option;
-      fl_policy : Fault.Policy.t option;
     }
 
 type t = {
@@ -510,14 +508,10 @@ let rec exec_node ex node =
 let run ?tracer sc =
   let session =
     match sc.sc_backend with
-    | Single { sg_cfg; sg_plan; sg_policy } ->
-        Sv
-          (Serve.Session.create ?tracer ?plan:sg_plan ?fault_policy:sg_policy
-             sg_cfg ())
-    | Fleet { fl_cfg; fl_plan; fl_policy } ->
-        Cl
-          (Cluster.Session.create ?tracer ?plan:fl_plan
-             ?fault_policy:fl_policy fl_cfg ())
+    | Single { sg_cfg; sg_plan } ->
+        Sv (Serve.Session.create ?tracer ?plan:sg_plan sg_cfg ())
+    | Fleet { fl_cfg; fl_plan } ->
+        Cl (Cluster.Session.create ?tracer ?plan:fl_plan fl_cfg ())
   in
   let ex =
     {
@@ -639,7 +633,6 @@ let warmup_ramp_hang_recover ~seed =
          {
            sg_cfg = cfg;
            sg_plan = Some { Fault.Plan.none with Fault.Plan.seed };
-           sg_policy = Some Fault.Policy.default;
          })
     [
       serve_phase ~label:"warm" ~duration_ps:phase_ps ();
@@ -705,7 +698,7 @@ let diurnal_daycycle ~seed =
       ()
   in
   make ~name:"diurnal-daycycle" ~seed
-    ~backend:(Single { sg_cfg = cfg; sg_plan = None; sg_policy = None })
+    ~backend:(Single { sg_cfg = cfg; sg_plan = None })
     [
       serve_phase ~label:"night" ~duration_ps:phase_ps ();
       Let ("p95_night", Stat (P95, "web"));
@@ -763,7 +756,7 @@ let failover_under_peak ~seed =
     Cluster.config ~seed ~duration_ps:phase_ps ~devices:3 ~warm:2 ~tenants ()
   in
   make ~name:"failover-under-peak" ~seed
-    ~backend:(Fleet { fl_cfg = cfg; fl_plan = None; fl_policy = None })
+    ~backend:(Fleet { fl_cfg = cfg; fl_plan = None })
     [
       serve_phase ~label:"steady" ~duration_ps:phase_ps ();
       Let ("completed_steady", Stat (Completed, "*"));

@@ -139,12 +139,10 @@ type backend =
   | Single of {
       sg_cfg : Serve.config;
       sg_plan : Fault.Plan.t option;
-      sg_policy : Fault.Policy.t option;
     }
   | Fleet of {
       fl_cfg : Cluster.config;
       fl_plan : Fault.Plan.t option;
-      fl_policy : Fault.Policy.t option;
     }
 
 type t = {

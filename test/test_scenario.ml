@@ -28,7 +28,7 @@ let small_cfg ?(seed = 42) ?(duration_ps = 40_000_000) ?tenants () =
   S.config ~seed ~duration_ps ~n_cores:1 ~core_cap:2 ~tenants ()
 
 let single ?(seed = 42) cfg =
-  Sc.Single { sg_cfg = { cfg with S.c_seed = seed }; sg_plan = None; sg_policy = None }
+  Sc.Single { sg_cfg = { cfg with S.c_seed = seed }; sg_plan = None }
 
 (* ---- random scenario graphs are deterministic ---- *)
 

@@ -179,13 +179,13 @@ let test_seed_changes_digest () =
 
 (* ---- the multi-outstanding / batched command path ---- *)
 
-let memcpy_soc ?fault ?policy ~n_cores () =
+let memcpy_soc ?fault ~n_cores () =
   let design =
     Beethoven.Elaborate.elaborate
       (Beethoven.Config.make ~name:"m" [ Kernels.Memcpy.system ~n_cores ])
       D.aws_f1
   in
-  Beethoven.Soc.create ?fault ?policy design ~behaviors:(fun _ ->
+  Beethoven.Soc.create ?fault design ~behaviors:(fun _ ->
       Kernels.Memcpy.behavior)
 
 let test_try_collect_and_batch () =
