@@ -21,7 +21,7 @@ let () =
     List.find (fun (n, _) -> n = "vec_out_data") (Hw.Circuit.outputs circuit)
     |> snd
   in
-  let vcd = Hw.Vcd.create sim ~signals:[ ("vec_out_data", q_out) ] () in
+  let vcd = Hw.Vcd.create sim ~signals:[ ("vec_out_data", q_out) ] in
   let set = Hw.Cyclesim.set_input_int sim in
   set "vec_in_req_ready" 1;
   set "vec_out_req_ready" 1;

@@ -89,7 +89,7 @@ let validate circuit (sys : Config.system) =
 (* one simulator per (soc, system, core) *)
 let instances : (int * string * int, core_state) Hashtbl.t = Hashtbl.create 8
 
-let state_of ?backend ~build (ctx : Soc.ctx) =
+let state_of ~build (ctx : Soc.ctx) =
   let key =
     (Soc.uid ctx.Soc.soc, ctx.Soc.system.Config.sys_name, ctx.Soc.core_id)
   in
@@ -98,7 +98,7 @@ let state_of ?backend ~build (ctx : Soc.ctx) =
   | None ->
       let circuit = build () in
       validate circuit ctx.Soc.system;
-      let sim = Hw.Sim.create ?backend circuit in
+      let sim = Hw.Sim.create circuit in
       let reads =
         List.map
           (fun rc ->
@@ -152,9 +152,9 @@ let state_of ?backend ~build (ctx : Soc.ctx) =
 
 let high sim name = Hw.Sim.output_int sim name = 1
 
-let behavior ?backend ~build () : Soc.behavior =
+let behavior ~build () : Soc.behavior =
  fun ctx beats ~respond ->
-  let st = state_of ?backend ~build ctx in
+  let st = state_of ~build ctx in
   let sim = st.sim in
   let soc = ctx.Soc.soc in
   let pending_beats = ref beats in

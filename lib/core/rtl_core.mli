@@ -4,11 +4,10 @@
     the Core's RTL (Fig. 2) against Beethoven's command and memory-stream
     interfaces, and the composer supplies everything around it. Here the
     Core is an {!Hw.Circuit} following the port convention below; this
-    module bridges it — cycle by cycle, through {!Hw.Sim} (the compiled
-    {!Hw.Compile} backend by default, {!Hw.Cyclesim} on request) — to the
-    transaction-level command fabric and Reader/Writer models, so the
-    RTL's own datapath computes the results while the memory system
-    provides the timing.
+    module bridges it — cycle by cycle, through {!Hw.Sim}'s default
+    backend (the compiled {!Hw.Compile} one) — to the transaction-level
+    command fabric and Reader/Writer models, so the RTL's own datapath
+    computes the results while the memory system provides the timing.
 
     {2 Port convention (the [BeethovenIO] equivalent)}
 
@@ -33,15 +32,9 @@
     when the core raises [resp_valid] *and* every write transaction it
     opened has received its final write response. *)
 
-val behavior :
-  ?backend:Hw.Sim.backend ->
-  build:(unit -> Hw.Circuit.t) ->
-  unit ->
-  Soc.behavior
+val behavior : build:(unit -> Hw.Circuit.t) -> unit -> Soc.behavior
 (** A {!Soc.behavior} that instantiates one circuit per core (lazily, via
-    [build]) and clocks it at the fabric rate while a command is active.
-    [backend] selects the simulator ({!Hw.Sim.default_backend}, the
-    compiled one, when omitted); both backends are bit-identical, so this
-    only changes speed. Raises [Failure] at first use if the circuit is
-    missing a required port or a port width disagrees with the channel
-    configuration. *)
+    [build]) and clocks it at the fabric rate while a command is active,
+    on {!Hw.Sim.default_backend}. Raises [Failure] at first use if the
+    circuit is missing a required port or a port width disagrees with
+    the channel configuration. *)

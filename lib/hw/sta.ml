@@ -33,7 +33,10 @@ type report = {
   r_hotspots : (Levelize.node * int) list;
 }
 
-let analyze ?(model = Typical) ?(hotspots = 5) lv =
+(* rows of the fanout hotspot table *)
+let hotspots = 5
+
+let analyze ?(model = Typical) lv =
   let nodes = Levelize.nodes lv in
   let n = Array.length nodes in
   let arrival = Array.make n 0 in
@@ -92,8 +95,7 @@ let analyze ?(model = Typical) ?(hotspots = 5) lv =
         (Levelize.hotspots lv ~n:hotspots);
   }
 
-let of_circuit ?model ?hotspots c =
-  analyze ?model ?hotspots (Levelize.of_circuit c)
+let of_circuit ?model c = analyze ?model (Levelize.of_circuit c)
 
 let render r =
   let buf = Buffer.create 1024 in

@@ -43,13 +43,11 @@ type report = {
   r_outputs : (string * int * int) list;
       (** per-output [(name, depth, delay)] in port order *)
   r_hotspots : (Levelize.node * int) list;
-      (** highest-fanout nodes with their fanout, descending *)
+      (** the 5 highest-fanout nodes with their fanout, descending *)
 }
 
-val analyze : ?model:model -> ?hotspots:int -> Levelize.t -> report
-(** [hotspots] bounds the fanout table (default 5). *)
-
-val of_circuit : ?model:model -> ?hotspots:int -> Circuit.t -> report
+val analyze : ?model:model -> Levelize.t -> report
+val of_circuit : ?model:model -> Circuit.t -> report
 
 val render : report -> string
 (** Human-readable tables: summary, worst path (signal / kind / delay /

@@ -22,7 +22,10 @@ let code_of_index i =
   in
   go i ""
 
-let create ?(timescale_ps = 4000) sim ~signals () =
+(* one sample per timestep of the composer's 4000 ps fabric clock *)
+let timescale_ps = 4000
+
+let create sim ~signals =
   let watched =
     List.mapi
       (fun i (name, s) ->

@@ -4,13 +4,8 @@
 
 type t
 
-val create :
-  ?timescale_ps:int ->
-  Cyclesim.t ->
-  signals:(string * Signal.t) list ->
-  unit ->
-  t
-(** Watch the given (name, signal) pairs. [timescale_ps] defaults to the
+val create : Cyclesim.t -> signals:(string * Signal.t) list -> t
+(** Watch the given (name, signal) pairs. The timescale is the
     composer's 4000 ps fabric clock; one {!sample} = one timestep. *)
 
 val sample : t -> unit

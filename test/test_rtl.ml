@@ -100,7 +100,7 @@ let test_vcd_dump () =
   let q = reg d -- "q" in
   let circuit = Hw.Circuit.create ~name:"t" ~outputs:[ ("q", q) ] in
   let sim = Hw.Cyclesim.create circuit in
-  let vcd = Hw.Vcd.create sim ~signals:[ ("d", d); ("q", q) ] () in
+  let vcd = Hw.Vcd.create sim ~signals:[ ("d", d); ("q", q) ] in
   List.iter
     (fun v ->
       Hw.Cyclesim.set_input_int sim "d" v;
