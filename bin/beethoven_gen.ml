@@ -40,6 +40,26 @@ let platforms =
 
 let emits = [ "summary"; "resources"; "constraints"; "cpp"; "verilog"; "sram"; "all" ]
 
+(* Usage errors name the valid choices and exit 2. *)
+let platform_of name =
+  match List.assoc_opt name platforms with
+  | Some p -> p
+  | None ->
+      Printf.eprintf "unknown platform %S (available: %s)\n" name
+        (String.concat ", " (List.map fst platforms));
+      exit 2
+
+(* [all], or one bundled design *)
+let select_designs design =
+  if design = "all" then designs
+  else
+    match List.assoc_opt design designs with
+    | Some f -> [ (design, f) ]
+    | None ->
+        Printf.eprintf "unknown design %S (available: all, %s)\n" design
+          (String.concat ", " (List.map fst designs));
+        exit 2
+
 let run design platform n_cores emit out_dir =
   let config_of =
     match List.assoc_opt design designs with
@@ -49,14 +69,7 @@ let run design platform n_cores emit out_dir =
           (String.concat ", " (List.map fst designs));
         exit 2
   in
-  let plat =
-    match List.assoc_opt platform platforms with
-    | Some p -> p
-    | None ->
-        Printf.eprintf "unknown platform %S (available: %s)\n" platform
-          (String.concat ", " (List.map fst platforms));
-        exit 2
-  in
+  let plat = platform_of platform in
   let config = config_of n_cores in
   let d =
     try Beethoven.Elaborate.elaborate config plat
@@ -119,24 +132,8 @@ let lint design platform n_cores json format werror waived =
         Printf.eprintf "unknown format %S (text, json)\n" other;
         exit 2
   in
-  let plat =
-    match List.assoc_opt platform platforms with
-    | Some p -> p
-    | None ->
-        Printf.eprintf "unknown platform %S (available: %s)\n" platform
-          (String.concat ", " (List.map fst platforms));
-        exit 2
-  in
-  let selected =
-    if design = "all" then designs
-    else
-      match List.assoc_opt design designs with
-      | Some f -> [ (design, f) ]
-      | None ->
-          Printf.eprintf "unknown design %S (available: all, %s)\n" design
-            (String.concat ", " (List.map fst designs));
-          exit 2
-  in
+  let plat = platform_of platform in
+  let selected = select_designs design in
   let diags =
     List.concat_map
       (fun (name, config_of) ->
@@ -221,24 +218,8 @@ let sta_run design platform n_cores model format =
         Printf.eprintf "unknown delay model %S (unit, typical)\n" other;
         exit 2
   in
-  let plat =
-    match List.assoc_opt platform platforms with
-    | Some p -> p
-    | None ->
-        Printf.eprintf "unknown platform %S (available: %s)\n" platform
-          (String.concat ", " (List.map fst platforms));
-        exit 2
-  in
-  let selected =
-    if design = "all" then designs
-    else
-      match List.assoc_opt design designs with
-      | Some f -> [ (design, f) ]
-      | None ->
-          Printf.eprintf "unknown design %S (available: all, %s)\n" design
-            (String.concat ", " (List.map fst designs));
-          exit 2
-  in
+  let plat = platform_of platform in
+  let selected = select_designs design in
   let tax = plat.Platform.Device.noc.Noc.Params.slr_crossing_latency_cycles in
   let per_design =
     List.map
@@ -344,14 +325,7 @@ let sta_cmd =
 (* ---- fault-campaign subcommand: seeded fault injection on memcpy ---- *)
 
 let fault_campaign seed bytes iters cores platform hang scale curve show_log =
-  let plat =
-    match List.assoc_opt platform platforms with
-    | Some p -> p
-    | None ->
-        Printf.eprintf "unknown platform %S (available: %s)\n" platform
-          (String.concat ", " (List.map fst platforms));
-        exit 2
-  in
+  let plat = platform_of platform in
   if curve then begin
     print_string
       (Kernels.Campaign.render_curve
@@ -440,14 +414,7 @@ let fault_cmd =
 (* ---- trace subcommand: traced memcpy with structured sinks ---- *)
 
 let trace_run seed bytes platform format out =
-  let plat =
-    match List.assoc_opt platform platforms with
-    | Some p -> p
-    | None ->
-        Printf.eprintf "unknown platform %S (available: %s)\n" platform
-          (String.concat ", " (List.map fst platforms));
-        exit 2
-  in
+  let plat = platform_of platform in
   if bytes mod 8 <> 0 || bytes <= 0 then begin
     Printf.eprintf "trace: bytes must be positive and 8-aligned\n";
     exit 2
@@ -552,16 +519,7 @@ let sim_run design backend cycles seed n_cores =
     Printf.eprintf "sim: cycles must be >= 1\n";
     exit 2
   end;
-  let selected =
-    if design = "all" then designs
-    else
-      match List.assoc_opt design designs with
-      | Some f -> [ (design, f) ]
-      | None ->
-          Printf.eprintf "unknown design %S (available: all, %s)\n" design
-            (String.concat ", " (List.map fst designs));
-          exit 2
-  in
+  let selected = select_designs design in
   let kernels =
     List.concat_map
       (fun (name, config_of) ->
@@ -739,14 +697,7 @@ let serve_run seed n_clients n_tenants duration_us policy platform cores batch
         Printf.eprintf "unknown policy %S (wfq, fifo)\n" policy;
         exit 2
   in
-  let plat =
-    match List.assoc_opt platform platforms with
-    | Some p -> p
-    | None ->
-        Printf.eprintf "unknown platform %S (available: %s)\n" platform
-          (String.concat ", " (List.map fst platforms));
-        exit 2
-  in
+  let plat = platform_of platform in
   if n_tenants < 1 || n_clients < 1 || duration_us < 1 then begin
     Printf.eprintf "serve: tenants, clients and duration must be >= 1\n";
     exit 2
