@@ -1,7 +1,6 @@
-(* Tests for the discrete-event engine, channels, and statistics. *)
+(* Tests for the discrete-event engine and statistics. *)
 
 module E = Desim.Engine
-module C = Desim.Channel
 module S = Desim.Stats
 
 let check_int = Alcotest.(check int)
@@ -120,56 +119,6 @@ let test_heap_stress () =
           (fun (ok, prev) t -> (ok && t >= prev, t))
           (true, 0) fired))
 
-let test_channel_basic () =
-  let e = E.create () in
-  let ch = C.create e ~capacity:2 in
-  let got = ref [] in
-  C.send ch 1 ~on_accept:ignore;
-  C.send ch 2 ~on_accept:ignore;
-  C.recv ch (fun v -> got := v :: !got);
-  C.recv ch (fun v -> got := v :: !got);
-  E.run e;
-  Alcotest.(check (list int)) "fifo order" [ 1; 2 ] (List.rev !got)
-
-let test_channel_backpressure () =
-  let e = E.create () in
-  let ch = C.create e ~capacity:1 in
-  let accepted = ref [] in
-  C.send ch 1 ~on_accept:(fun () -> accepted := 1 :: !accepted);
-  C.send ch 2 ~on_accept:(fun () -> accepted := 2 :: !accepted);
-  E.run e;
-  Alcotest.(check (list int)) "second blocked" [ 1 ] (List.rev !accepted);
-  check_bool "try_send full" false (C.try_send ch 3);
-  let got = ref (-1) in
-  C.recv ch (fun v -> got := v);
-  E.run e;
-  check_int "first delivered" 1 !got;
-  Alcotest.(check (list int)) "second admitted after drain" [ 1; 2 ]
-    (List.rev !accepted)
-
-let test_channel_pending_recv () =
-  let e = E.create () in
-  let ch = C.create e ~capacity:4 in
-  let got = ref [] in
-  (* receivers arrive before any data *)
-  C.recv ch (fun v -> got := v :: !got);
-  C.recv ch (fun v -> got := v :: !got);
-  E.run e;
-  check_int "nothing yet" 0 (List.length !got);
-  C.send ch 10 ~on_accept:ignore;
-  C.send ch 20 ~on_accept:ignore;
-  E.run e;
-  Alcotest.(check (list int)) "served in order" [ 10; 20 ] (List.rev !got)
-
-let test_channel_try_ops () =
-  let e = E.create () in
-  let ch = C.create e ~capacity:2 in
-  Alcotest.(check (option int)) "empty" None (C.try_recv ch);
-  check_bool "send ok" true (C.try_send ch 42);
-  Alcotest.(check (option int)) "peek" (Some 42) (C.peek ch);
-  Alcotest.(check (option int)) "recv" (Some 42) (C.try_recv ch);
-  check_int "occupancy back to 0" 0 (C.occupancy ch)
-
 let test_stats () =
   let c = S.counter () in
   S.incr c;
@@ -240,20 +189,6 @@ let props =
              (List.fold_left
                 (fun (ok, prev) t -> (ok && t >= prev, t))
                 (true, 0) fired));
-    prop "channel preserves fifo order under interleaving"
-      QCheck.(list_of_size Gen.(1 -- 100) (int_bound 1_000_000))
-      (fun items ->
-        let e = E.create () in
-        let ch = C.create e ~capacity:3 in
-        let got = ref [] in
-        List.iteri
-          (fun i v ->
-            E.schedule e ~delay:i (fun () -> C.send ch v ~on_accept:ignore);
-            E.schedule e ~delay:(i + 1) (fun () ->
-                C.recv ch (fun v -> got := v :: !got)))
-          items;
-        E.run e;
-        List.rev !got = items);
   ]
 
 let () =
@@ -270,13 +205,6 @@ let () =
           Alcotest.test_case "drain_or_fail clean" `Quick
             test_drain_or_fail_clean;
           Alcotest.test_case "heap stress" `Quick test_heap_stress;
-        ] );
-      ( "channel",
-        [
-          Alcotest.test_case "basic" `Quick test_channel_basic;
-          Alcotest.test_case "backpressure" `Quick test_channel_backpressure;
-          Alcotest.test_case "pending recv" `Quick test_channel_pending_recv;
-          Alcotest.test_case "try ops" `Quick test_channel_try_ops;
         ] );
       ( "stats",
         [
