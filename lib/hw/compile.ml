@@ -3,10 +3,14 @@
    arrays. Signals of width <= 62 live in a plain int array (OCaml's
    63-bit int, masked, so the stored value is always the canonical
    non-negative bitvector); wider signals fall back to Bits.t limbs. The
-   evaluation model is Cyclesim's: settle in slot order (dependencies
-   always resolve to lower slots), then latch — registers
-   read-before-write, synchronous memory reads latch the pre-write
-   contents, memory writes commit last. *)
+   evaluation model is Cyclesim's: settle (dependencies always resolve
+   to lower slots), then latch — registers read-before-write,
+   synchronous memory reads latch the pre-write contents, memory writes
+   commit last.
+
+   Evaluation is change-driven (compile.mli lists what queues a slot):
+   settle re-evaluates only queued slots, and a slot whose value comes
+   out unchanged queues nothing. *)
 
 open Signal
 
@@ -15,20 +19,72 @@ let mask_of w = if w >= 62 then max_int else (1 lsl w) - 1
 
 type mem_store = M_fast of int array | M_wide of Bits.t array
 
+type mem = {
+  store : mem_store;
+  readers : int array; (* slots of the memory's asynchronous reads *)
+}
+
+(* Slots queued for re-evaluation, bucketed by level. A level's queue
+   lives in [queue] from that level's first slot on (a level never holds
+   more slots than its slice), so draining levels in order evaluates
+   every slot after its dependencies, and [dirty] queues a slot at most
+   once. *)
+type pending = {
+  consumers : int array array; (* per slot: combinational consumer slots *)
+  level : int array; (* per slot *)
+  base : int array; (* per level: first slot of its slice *)
+  qlen : int array; (* per level: slots queued *)
+  queue : int array;
+  dirty : bool array;
+  mutable count : int; (* slots queued over all levels *)
+}
+
+let enqueue p s =
+  if not p.dirty.(s) then begin
+    p.dirty.(s) <- true;
+    let l = p.level.(s) in
+    p.queue.(p.base.(l) + p.qlen.(l)) <- s;
+    p.qlen.(l) <- p.qlen.(l) + 1;
+    p.count <- p.count + 1
+  end
+
+let enqueue_all p slots =
+  for i = 0 to Array.length slots - 1 do
+    enqueue p slots.(i)
+  done
+
+(* slot [s] took a new value: queue its consumers *)
+let changed p s = enqueue_all p p.consumers.(s)
+
+(* store a source value (input, register, sync read), propagating only
+   an actual change *)
+let set_fast p ivals s v =
+  if v <> ivals.(s) then begin
+    ivals.(s) <- v;
+    changed p s
+  end
+
+let set_wide p wvals s v =
+  let old = wvals.(s) in
+  if not (v == old || Bits.equal v old) then begin
+    wvals.(s) <- v;
+    changed p s
+  end
+
 type t = {
   lv : Levelize.t;
   widths : int array; (* per-slot signal width *)
   fast : bool array; (* per-slot: value lives in [ivals]? *)
   ivals : int array; (* settled values, single-word slots *)
   wvals : Bits.t array; (* settled values, wide slots *)
-  prog : (unit -> unit) array; (* settle program, slot order *)
+  prog : (unit -> unit) array; (* per slot: evaluate it (sources: no-op) *)
   latch : (unit -> unit) array; (* buffer next reg/sync values *)
   commit : (unit -> unit) array; (* mem writes, then reg/sync state *)
+  pend : pending;
   in_slots : (string, int list) Hashtbl.t; (* input name -> its slots *)
-  out_slots : (string * int) list;
-  mems : (int, mem_store) Hashtbl.t; (* mem uid -> contents *)
+  out_slots : (string, int) Hashtbl.t;
+  mems : (int, mem) Hashtbl.t; (* mem uid -> contents and readers *)
   mutable cycle : int;
-  mutable settled : bool;
 }
 
 let bits_of_fast ~width v = Bits.of_int ~width v
@@ -43,12 +99,42 @@ let create circuit =
   let wvals =
     Array.init n (fun i -> if fast.(i) then Bits.zero 0 else Bits.zero widths.(i))
   in
+  let consumers = Array.make n [] in
+  let readers = Hashtbl.create 8 in
+  Array.iter
+    (fun nd ->
+      let s = nd.Levelize.n_slot in
+      Array.iter (fun d -> consumers.(d) <- s :: consumers.(d)) nd.Levelize.n_deps;
+      match kind nd.Levelize.n_signal with
+      | Mem_read_async (mm, _) ->
+          Hashtbl.replace readers (mem_uid mm)
+            (s :: Option.value ~default:[] (Hashtbl.find_opt readers (mem_uid mm)))
+      | _ -> ())
+    nodes;
+  let n_levels = Levelize.n_levels lv in
+  let p =
+    {
+      consumers = Array.map Array.of_list consumers;
+      level = Array.map (fun nd -> nd.Levelize.n_level) nodes;
+      base = Array.init n_levels (fun l -> fst (Levelize.level_slice lv l));
+      qlen = Array.make n_levels 0;
+      queue = Array.make n 0;
+      dirty = Array.make n false;
+      count = 0;
+    }
+  in
   let mems = Hashtbl.create 8 in
   List.iter
     (fun m ->
       Hashtbl.add mems (mem_uid m)
-        (if mem_width m <= fast_width then M_fast (Array.make (mem_size m) 0)
-         else M_wide (Array.make (mem_size m) (Bits.zero (mem_width m)))))
+        {
+          store =
+            (if mem_width m <= fast_width then M_fast (Array.make (mem_size m) 0)
+             else M_wide (Array.make (mem_size m) (Bits.zero (mem_width m))));
+          readers =
+            Array.of_list
+              (Option.value ~default:[] (Hashtbl.find_opt readers (mem_uid m)));
+        })
     (Circuit.memories circuit);
   (* exact for widths <= 62 after canonicalization *)
   let to_fast b = Bits.to_int_trunc b in
@@ -62,8 +148,7 @@ let create circuit =
       fun () -> bits_of_fast ~width:w ivals.(slot)
     else fun () -> wvals.(slot)
   in
-  let prog = ref [] in
-  let emit f = prog := f :: !prog in
+  let prog = Array.make n ignore in
   let latches = ref [] in
   let commits = ref [] in
   let in_slots = Hashtbl.create 8 in
@@ -74,6 +159,12 @@ let create circuit =
       let deps = nd.Levelize.n_deps in
       let w = widths.(s) in
       let m = mask_of w in
+      (* every combinational slot starts queued: the first settle
+         evaluates the whole netlist *)
+      let emit f =
+        prog.(s) <- f;
+        enqueue p s
+      in
       match kind g with
       | Const b -> if fast.(s) then ivals.(s) <- to_fast b else wvals.(s) <- b
       | Input name ->
@@ -200,7 +291,7 @@ let create circuit =
       | Mem_read_async (mm, _) ->
           let read_addr = read_int deps.(0) in
           let size = mem_size mm in
-          (match Hashtbl.find mems (mem_uid mm) with
+          (match (Hashtbl.find mems (mem_uid mm)).store with
           | M_fast arr ->
               emit (fun () ->
                   let a = read_addr () in
@@ -237,7 +328,7 @@ let create circuit =
                 else armed := false)
               :: !latches;
             commits :=
-              (fun () -> if !armed then ivals.(s) <- !pend) :: !commits)
+              (fun () -> if !armed then set_fast p ivals s !pend) :: !commits)
           else (
             wvals.(s) <- spec.init;
             let pend = ref spec.init and armed = ref false in
@@ -248,7 +339,7 @@ let create circuit =
                 else armed := false)
               :: !latches;
             commits :=
-              (fun () -> if !armed then wvals.(s) <- !pend) :: !commits)
+              (fun () -> if !armed then set_wide p wvals s !pend) :: !commits)
       | Mem_read_sync (mm, addr, enable) -> (
           let read_addr =
             let as_ = Levelize.slot_of lv addr in
@@ -256,7 +347,7 @@ let create circuit =
           in
           let es = Levelize.slot_of lv enable in
           let size = mem_size mm in
-          match Hashtbl.find mems (mem_uid mm) with
+          match (Hashtbl.find mems (mem_uid mm)).store with
           | M_fast arr ->
               let pend = ref 0 and armed = ref false in
               latches :=
@@ -268,7 +359,7 @@ let create circuit =
                   else armed := false)
                 :: !latches;
               commits :=
-                (fun () -> if !armed then ivals.(s) <- !pend) :: !commits
+                (fun () -> if !armed then set_fast p ivals s !pend) :: !commits
           | M_wide arr ->
               let z = Bits.zero (mem_width mm) in
               let pend = ref z and armed = ref false in
@@ -281,14 +372,15 @@ let create circuit =
                   else armed := false)
                 :: !latches;
               commits :=
-                (fun () -> if !armed then wvals.(s) <- !pend) :: !commits))
+                (fun () -> if !armed then set_wide p wvals s !pend) :: !commits))
     nodes;
   (* memory write ports commit after every reg/sync next is buffered but
-     before state commits — read-first order, last port wins per address *)
+     before state commits — read-first order, last port wins per address;
+     a write that changes a word queues the memory's asynchronous reads *)
   let mem_commits = ref [] in
   List.iter
     (fun mm ->
-      let store = Hashtbl.find mems (mem_uid mm) in
+      let { store; readers } = Hashtbl.find mems (mem_uid mm) in
       let size = mem_size mm in
       List.iter
         (fun wp ->
@@ -301,45 +393,76 @@ let create circuit =
                 (fun () ->
                   if ivals.(es) <> 0 then
                     let a = read_addr () in
-                    if a < size then arr.(a) <- ivals.(dsl))
+                    if a < size && arr.(a) <> ivals.(dsl) then begin
+                      arr.(a) <- ivals.(dsl);
+                      enqueue_all p readers
+                    end)
                 :: !mem_commits
           | M_wide arr ->
               mem_commits :=
                 (fun () ->
                   if ivals.(es) <> 0 then
                     let a = read_addr () in
-                    if a < size then arr.(a) <- wvals.(dsl))
+                    if a < size && not (Bits.equal arr.(a) wvals.(dsl)) then begin
+                      arr.(a) <- wvals.(dsl);
+                      enqueue_all p readers
+                    end)
                 :: !mem_commits)
         (mem_write_ports mm))
     (Circuit.memories circuit);
+  let out_slots = Hashtbl.create 8 in
+  List.iter
+    (fun (name, sg) ->
+      (* the first binding of a name wins, as with List.assoc *)
+      if not (Hashtbl.mem out_slots name) then
+        Hashtbl.add out_slots name (Levelize.slot_of lv sg))
+    (Circuit.outputs circuit);
   {
     lv;
     widths;
     fast;
     ivals;
     wvals;
-    prog = Array.of_list (List.rev !prog);
+    prog;
     latch = Array.of_list (List.rev !latches);
     commit = Array.of_list (List.rev !mem_commits @ List.rev !commits);
+    pend = p;
     in_slots;
-    out_slots =
-      List.map
-        (fun (name, sg) -> (name, Levelize.slot_of lv sg))
-        (Circuit.outputs circuit);
+    out_slots;
     mems;
     cycle = 0;
-    settled = false;
   }
 
+(* drain the queue level by level; a level's queue cannot grow while it
+   is drained, since every consumer sits at a higher level *)
 let settle t =
-  let p = t.prog in
-  for i = 0 to Array.length p - 1 do
-    p.(i) ()
-  done;
-  t.settled <- true
+  let p = t.pend in
+  let l = ref 0 in
+  while p.count > 0 do
+    let lvl = !l in
+    let first = p.base.(lvl) and k = p.qlen.(lvl) in
+    for i = first to first + k - 1 do
+      let s = p.queue.(i) in
+      p.dirty.(s) <- false;
+      if t.fast.(s) then begin
+        let old = t.ivals.(s) in
+        t.prog.(s) ();
+        if t.ivals.(s) <> old then changed p s
+      end
+      else begin
+        let old = t.wvals.(s) in
+        t.prog.(s) ();
+        let v = t.wvals.(s) in
+        if not (v == old || Bits.equal v old) then changed p s
+      end
+    done;
+    p.qlen.(lvl) <- 0;
+    p.count <- p.count - k;
+    incr l
+  done
 
 let step t =
-  if not t.settled then settle t;
+  settle t;
   let l = t.latch in
   for i = 0 to Array.length l - 1 do
     l.(i) ()
@@ -348,9 +471,7 @@ let step t =
   for i = 0 to Array.length c - 1 do
     c.(i) ()
   done;
-  t.cycle <- t.cycle + 1;
-  t.settled <- false;
-  settle t
+  t.cycle <- t.cycle + 1
 
 let set_input t name v =
   match Hashtbl.find_opt t.in_slots name with
@@ -363,10 +484,9 @@ let set_input t name v =
              (Bits.width v) w);
       List.iter
         (fun s ->
-          if t.fast.(s) then t.ivals.(s) <- Bits.to_int_trunc v
-          else t.wvals.(s) <- v)
-        slots;
-      t.settled <- false
+          if t.fast.(s) then set_fast t.pend t.ivals s (Bits.to_int_trunc v)
+          else set_wide t.pend t.wvals s v)
+        slots
 
 let set_input_int t name v =
   match Hashtbl.find_opt t.in_slots name with
@@ -379,35 +499,40 @@ let value_of_slot t s =
   else t.wvals.(s)
 
 let output t name =
-  if not t.settled then settle t;
-  match List.assoc_opt name t.out_slots with
-  | Some s -> value_of_slot t s
-  | None -> raise Not_found
+  settle t;
+  value_of_slot t (Hashtbl.find t.out_slots name)
 
 let output_int t name =
-  if not t.settled then settle t;
-  match List.assoc_opt name t.out_slots with
-  | Some s -> if t.fast.(s) then t.ivals.(s) else Bits.to_int t.wvals.(s)
-  | None -> raise Not_found
+  settle t;
+  let s = Hashtbl.find t.out_slots name in
+  if t.fast.(s) then t.ivals.(s) else Bits.to_int t.wvals.(s)
 
 let peek t s =
-  if not t.settled then settle t;
+  settle t;
   value_of_slot t (Levelize.slot_of t.lv s)
 
 let cycle t = t.cycle
 
 let read_memory t m addr =
-  let store = Hashtbl.find t.mems (mem_uid m) in
+  let { store; _ } = Hashtbl.find t.mems (mem_uid m) in
   if addr < 0 || addr >= mem_size m then invalid_arg "read_memory: range";
   match store with
   | M_fast arr -> bits_of_fast ~width:(mem_width m) arr.(addr)
   | M_wide arr -> arr.(addr)
 
 let write_memory t m addr v =
-  let store = Hashtbl.find t.mems (mem_uid m) in
+  let { store; readers } = Hashtbl.find t.mems (mem_uid m) in
   if addr < 0 || addr >= mem_size m then invalid_arg "write_memory: range";
   if Bits.width v <> mem_width m then invalid_arg "write_memory: width";
-  (match store with
-  | M_fast arr -> arr.(addr) <- Bits.to_int_trunc v
-  | M_wide arr -> arr.(addr) <- v);
-  t.settled <- false
+  match store with
+  | M_fast arr ->
+      let v = Bits.to_int_trunc v in
+      if arr.(addr) <> v then begin
+        arr.(addr) <- v;
+        enqueue_all t.pend readers
+      end
+  | M_wide arr ->
+      if not (Bits.equal arr.(addr) v) then begin
+        arr.(addr) <- v;
+        enqueue_all t.pend readers
+      end

@@ -18,9 +18,22 @@ module type S = sig
   val set_input_int : t -> string -> int -> unit
   val output : t -> string -> Bits.t
   val output_int : t -> string -> int
+
   val peek : t -> Signal.t -> Bits.t
+  (** Any signal's value, settled first: like {!output} and
+      {!output_int}, it is valid at any time. *)
+
   val settle : t -> unit
+  (** Bring every combinational value up to date with the inputs, the
+      state and the memories. {!Cyclesim} re-evaluates the whole netlist;
+      {!Compile} re-evaluates only the slots whose dependencies changed
+      (see {!Compile}). *)
+
   val step : t -> unit
+  (** Settle, then advance one clock edge. {!Compile} leaves the edge's
+      changes queued for the next read or settle; no caller can tell,
+      since every read settles first. *)
+
   val cycle : t -> int
   val read_memory : t -> Signal.Mem.mem -> int -> Bits.t
   val write_memory : t -> Signal.Mem.mem -> int -> Bits.t -> unit

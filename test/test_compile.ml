@@ -426,24 +426,115 @@ let prop_lockstep =
        (QCheck.make gen_mixed)
        (fun (ops, seed) -> lockstep ~cycles:25 ~seed (build_mixed ops)))
 
+(* interleaved order: one random script of simulator calls run on both
+   backends. Drives re-send the current value of some inputs, so the
+   compiled backend's "input unchanged" path is taken; backdoor memory
+   writes, settles, observations and clock edges come in any order. Every
+   observation compares the observed value, every output and every
+   memory word. Script indices are reduced modulo the circuit's inputs,
+   outputs, signals and memories. *)
+let interleaved ~seed script circuit =
+  let st = Random.State.make [| seed |] in
+  let si = Cyclesim.create circuit and sc = Compile.create circuit in
+  let inputs = Circuit.inputs circuit and outputs = Circuit.outputs circuit in
+  let signals = Array.of_list (Circuit.signals_in_topo_order circuit) in
+  let mems = Array.of_list (Circuit.memories circuit) in
+  let driven = Hashtbl.create 8 in
+  let ok = ref true in
+  let agree a b = if not (Bits.equal a b) then ok := false in
+  let observe () =
+    List.iter
+      (fun (n, _) -> agree (Cyclesim.output si n) (Compile.output sc n))
+      outputs;
+    Array.iter
+      (fun m ->
+        for a = 0 to mem_size m - 1 do
+          agree (Cyclesim.read_memory si m a) (Compile.read_memory sc m a)
+        done)
+      mems
+  in
+  List.iter
+    (fun (op, k) ->
+      match op with
+      | 0 ->
+          List.iter
+            (fun (n, w) ->
+              if Random.State.bool st then begin
+                let v =
+                  match Hashtbl.find_opt driven n with
+                  | Some v when Random.State.int st 3 > 0 -> v
+                  | _ -> random_bits st ~width:w
+                in
+                Hashtbl.replace driven n v;
+                Cyclesim.set_input si n v;
+                Compile.set_input sc n v
+              end)
+            inputs
+      | 1 ->
+          Cyclesim.settle si;
+          Compile.settle sc
+      | 2 ->
+          let n, _ = List.nth outputs (k mod List.length outputs) in
+          agree (Cyclesim.output si n) (Compile.output sc n);
+          observe ()
+      | 3 ->
+          let g = signals.(k mod Array.length signals) in
+          agree (Cyclesim.peek si g) (Compile.peek sc g);
+          observe ()
+      | 4 when mems <> [||] ->
+          let m = mems.(k mod Array.length mems) in
+          let a = Random.State.int st (mem_size m) in
+          (* sometimes rewrite the word it already holds *)
+          let v =
+            if Random.State.bool st then Cyclesim.read_memory si m a
+            else random_bits st ~width:(mem_width m)
+          in
+          Cyclesim.write_memory si m a v;
+          Compile.write_memory sc m a v
+      | _ ->
+          Cyclesim.step si;
+          Compile.step sc)
+    script;
+  observe ();
+  !ok
+
+let gen_script = QCheck.Gen.(list_size (10 -- 60) (pair (0 -- 5) small_nat))
+
+let prop_interleaved =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200
+       ~name:"interleaved calls agree with the interpreter"
+       (QCheck.make QCheck.Gen.(pair gen_mixed gen_script))
+       (fun ((ops, seed), script) -> interleaved ~seed script (build_mixed ops)))
+
+let bundled_kernels () =
+  List.concat_map
+    (fun (config : Beethoven.Config.t) ->
+      List.filter_map
+        (fun (sys : Beethoven.Config.system) -> sys.Beethoven.Config.kernel_circuit)
+        config.Beethoven.Config.systems)
+    [
+      Attention.A3_rtl_core.config ~n_cores:1 ();
+      Kernels.Vecadd_rtl.config ~n_cores:1 ();
+    ]
+
 (* bundled designs: every kernel circuit in the beethoven_gen table runs
    both backends in lockstep (the same check `beethoven_gen sim
    --backend both` and the @simspeed gate run from the CLI) *)
 let test_bundled_lockstep () =
   List.iter
-    (fun (name, (config : Beethoven.Config.t)) ->
-      List.iter
-        (fun (sys : Beethoven.Config.system) ->
-          match sys.Beethoven.Config.kernel_circuit with
-          | None -> ()
-          | Some c ->
-              check_bool (name ^ " lockstep clean") true
-                (lockstep ~cycles:64 ~seed:7 c))
-        config.Beethoven.Config.systems)
-    [
-      ("a3-rtl", Attention.A3_rtl_core.config ~n_cores:1 ());
-      ("vecadd-rtl", Kernels.Vecadd_rtl.config ~n_cores:1 ());
-    ]
+    (fun c ->
+      check_bool (Circuit.name c ^ " lockstep clean") true
+        (lockstep ~cycles:64 ~seed:7 c))
+    (bundled_kernels ())
+
+let prop_bundled_interleaved =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:12
+       ~name:"bundled kernels: interleaved calls agree"
+       (QCheck.make QCheck.Gen.(pair gen_script nat))
+       (fun (script, seed) ->
+         List.for_all (interleaved ~seed script) (bundled_kernels ())))
 
 let () =
   Alcotest.run "compile"
@@ -479,5 +570,7 @@ let () =
           prop_lockstep;
           Alcotest.test_case "bundled kernels lockstep" `Quick
             test_bundled_lockstep;
+          prop_interleaved;
+          prop_bundled_interleaved;
         ] );
     ]
