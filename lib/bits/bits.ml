@@ -60,6 +60,22 @@ let of_int64 ~width n =
   fill 0 n;
   canonicalize t
 
+(* two bytes per limb *)
+let of_bytes b =
+  let n = Bytes.length b in
+  let t = make (8 * n) in
+  for i = 0 to Array.length t.limbs - 1 do
+    t.limbs.(i) <-
+      (if (2 * i) + 1 < n then Bytes.get_uint16_le b (2 * i)
+       else Bytes.get_uint8 b (2 * i))
+  done;
+  t
+
+let to_bytes t =
+  let n = (t.width + 7) / 8 in
+  Bytes.init n (fun i ->
+      Char.unsafe_chr ((t.limbs.(i / 2) lsr (8 * (i land 1))) land 0xff))
+
 let one width =
   if width < 1 then invalid_arg "Bits.one: width must be >= 1";
   of_int ~width 1

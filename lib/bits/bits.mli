@@ -25,6 +25,10 @@ val of_int : width:int -> int -> t
 val of_int64 : width:int -> int64 -> t
 (** Low [width] bits of [n], interpreting [n] as unsigned. *)
 
+val of_bytes : Bytes.t -> t
+(** Little-endian: byte [i] of the buffer is bits [8i+7 .. 8i]. The width
+    is [8 * Bytes.length]. *)
+
 val of_bin_string : string -> t
 (** Parse a binary string, e.g. ["1010"] (width 4). Underscores ignored. *)
 
@@ -45,6 +49,10 @@ val to_int : t -> int
 
 val to_int64 : t -> int64
 (** Raises [Failure] if width > 64 and high bits are set. *)
+
+val to_bytes : t -> Bytes.t
+(** Little-endian, [(width + 7) / 8] bytes; the inverse of {!of_bytes}.
+    Bits of the last byte past the width are zero. *)
 
 val to_int_trunc : t -> int
 (** Low 62 bits as a non-negative [int]; never raises. *)

@@ -2,21 +2,34 @@
    the transaction-level SoC: the composer-generated glue a Beethoven
    user never writes by hand. *)
 
-let bits_of_mem soc addr n_bytes =
-  Bits.concat_list
-    (List.init n_bytes (fun i ->
-         Bits.of_int ~width:8 (Soc.read_u8 soc (addr + (n_bytes - 1 - i)))))
+(* the seven ports of read or write channel [c], named once per instance;
+   the data direction differs (a read channel's [data] is an input, a
+   write channel's an output) *)
+type chan_ports = {
+  req_valid : string;
+  req_addr : string;
+  req_len : string;
+  req_ready : string;
+  data_valid : string;
+  data : string;
+  data_ready : string;
+}
 
-let mem_of_bits soc addr b =
-  let n_bytes = Bits.width b / 8 in
-  for i = 0 to n_bytes - 1 do
-    Soc.write_u8 soc (addr + i)
-      (Bits.to_int (Bits.slice b ~hi:((8 * i) + 7) ~lo:(8 * i)))
-  done
+let chan_ports c =
+  {
+    req_valid = c ^ "_req_valid";
+    req_addr = c ^ "_req_addr";
+    req_len = c ^ "_req_len";
+    req_ready = c ^ "_req_ready";
+    data_valid = c ^ "_data_valid";
+    data = c ^ "_data";
+    data_ready = c ^ "_data_ready";
+  }
 
 type read_bridge = {
-  rb_chan : Config.read_channel;
+  rb_ports : chan_ports;
   rb_reader : Soc.Reader.r;
+  rb_beat : Bytes.t; (* the presented data beat, copied out of memory *)
   rb_items : int Queue.t; (* offsets whose data has arrived *)
   mutable rb_base : int; (* base address of the active stream *)
   mutable rb_presented : bool; (* data_valid currently asserted *)
@@ -24,7 +37,7 @@ type read_bridge = {
 }
 
 type write_bridge = {
-  wb_chan : Config.write_channel;
+  wb_ports : chan_ports;
   wb_writer : Soc.Writer.w;
   mutable wb_base : int;
   mutable wb_offset : int;
@@ -34,9 +47,9 @@ type write_bridge = {
 }
 
 type spad_bridge = {
-  sb_name : string;
   sb_spad : Soc.Scratchpad.sp;
-  sb_row_bits : int;
+  sb_rd_addr : string;
+  sb_rd_data : string;
 }
 
 type core_state = {
@@ -72,28 +85,42 @@ let validate circuit (sys : Config.system) =
     [ "req_ready"; "resp_valid"; "resp_data" ];
   List.iter
     (fun (rc : Config.read_channel) ->
-      let c = rc.Config.rc_name in
+      let p = chan_ports rc.Config.rc_name in
       List.iter (require_port circuit ~dir:`Out)
-        [ c ^ "_req_valid"; c ^ "_req_addr"; c ^ "_req_len"; c ^ "_data_ready" ])
+        [ p.req_valid; p.req_addr; p.req_len; p.data_ready ])
     sys.Config.read_channels;
   List.iter
     (fun (wc : Config.write_channel) ->
-      let c = wc.Config.wc_name in
+      let p = chan_ports wc.Config.wc_name in
       List.iter (require_port circuit ~dir:`Out)
-        [
-          c ^ "_req_valid"; c ^ "_req_addr"; c ^ "_req_len"; c ^ "_data_valid";
-          c ^ "_data";
-        ])
+        [ p.req_valid; p.req_addr; p.req_len; p.data_valid; p.data ])
     sys.Config.write_channels
 
-(* one simulator per (soc, system, core) *)
-let instances : (int * string * int, core_state) Hashtbl.t = Hashtbl.create 8
+(* One simulator per (system, core) of each SoC. The table holds its SoC
+   weakly: the bridges point back at the SoC through their Reader, Writer
+   and scratchpad handles, so a strong table would keep every SoC that
+   ever ran an RTL command alive, device memory and all. *)
+module Per_soc = Ephemeron.K1.Make (struct
+  type t = Soc.t
+
+  let equal = ( == )
+  let hash soc = Hashtbl.hash (Soc.uid soc)
+end)
+
+let instances : (string * int, core_state) Hashtbl.t Per_soc.t =
+  Per_soc.create 8
 
 let state_of ~build (ctx : Soc.ctx) =
-  let key =
-    (Soc.uid ctx.Soc.soc, ctx.Soc.system.Config.sys_name, ctx.Soc.core_id)
+  let cores =
+    match Per_soc.find_opt instances ctx.Soc.soc with
+    | Some cores -> cores
+    | None ->
+        let cores = Hashtbl.create 4 in
+        Per_soc.add instances ctx.Soc.soc cores;
+        cores
   in
-  match Hashtbl.find_opt instances key with
+  let key = (ctx.Soc.system.Config.sys_name, ctx.Soc.core_id) in
+  match Hashtbl.find_opt cores key with
   | Some st -> st
   | None ->
       let circuit = build () in
@@ -103,8 +130,9 @@ let state_of ~build (ctx : Soc.ctx) =
         List.map
           (fun rc ->
             {
-              rb_chan = rc;
+              rb_ports = chan_ports rc.Config.rc_name;
               rb_reader = Soc.reader ctx rc.Config.rc_name;
+              rb_beat = Bytes.create rc.Config.rc_data_bytes;
               rb_items = Queue.create ();
               rb_base = 0;
               rb_presented = false;
@@ -116,7 +144,7 @@ let state_of ~build (ctx : Soc.ctx) =
         List.map
           (fun wc ->
             {
-              wb_chan = wc;
+              wb_ports = chan_ports wc.Config.wc_name;
               wb_writer = Soc.writer ctx wc.Config.wc_name;
               wb_base = 0;
               wb_offset = 0;
@@ -138,16 +166,16 @@ let state_of ~build (ctx : Soc.ctx) =
                      "Rtl_core: %s_rd_addr without a %s_rd_data input" nm nm);
               Some
                 {
-                  sb_name = nm;
                   sb_spad = Soc.scratchpad ctx nm;
-                  sb_row_bits = 8 * ((sp.Config.sp_data_bits + 7) / 8);
+                  sb_rd_addr = nm ^ "_rd_addr";
+                  sb_rd_data = nm ^ "_rd_data";
                 }
             end
             else None)
           ctx.Soc.system.Config.scratchpads
       in
       let st = { sim; reads; writes; spads } in
-      Hashtbl.add instances key st;
+      Hashtbl.add cores key st;
       st
 
 let high sim name = Hw.Sim.output_int sim name = 1
@@ -180,27 +208,25 @@ let behavior ~build () : Soc.behavior =
     set_int "resp_ready" 1;
     List.iter
       (fun rb ->
-        let c = rb.rb_chan.Config.rc_name in
+        let p = rb.rb_ports in
         (* request port accepted only while the Reader is idle; streams
            are serialized per channel like the hardware Reader *)
-        set_int (c ^ "_req_ready") (if rb.rb_active then 0 else 1);
+        set_int p.req_ready (if rb.rb_active then 0 else 1);
         match Queue.peek_opt rb.rb_items with
         | Some offset ->
-            set_int (c ^ "_data_valid") 1;
-            set (c ^ "_data")
-              (bits_of_mem soc (rb.rb_base + offset)
-                 rb.rb_chan.Config.rc_data_bytes);
+            set_int p.data_valid 1;
+            Soc.blit_out soc ~src_addr:(rb.rb_base + offset) ~dst:rb.rb_beat;
+            set p.data (Bits.of_bytes rb.rb_beat);
             rb.rb_presented <- true
         | None ->
-            set_int (c ^ "_data_valid") 0;
+            set_int p.data_valid 0;
             rb.rb_presented <- false)
       st.reads;
     List.iter
       (fun wb ->
-        let c = wb.wb_chan.Config.wc_name in
-        set_int (c ^ "_req_ready") (if wb.wb_open then 0 else 1);
-        set_int (c ^ "_data_ready")
-          (if wb.wb_open && wb.wb_unacked < 4 then 1 else 0))
+        let p = wb.wb_ports in
+        set_int p.req_ready (if wb.wb_open then 0 else 1);
+        set_int p.data_ready (if wb.wb_open && wb.wb_unacked < 4 then 1 else 0))
       st.writes;
     Hw.Sim.settle sim;
     (* scratchpad read ports are asynchronous: feed each settled address
@@ -209,19 +235,10 @@ let behavior ~build () : Soc.behavior =
     if st.spads <> [] then begin
       List.iter
         (fun sb ->
-          let addr =
-            Bits.to_int_trunc (Hw.Sim.output sim (sb.sb_name ^ "_rd_addr"))
-          in
+          let addr = Bits.to_int_trunc (Hw.Sim.output sim sb.sb_rd_addr) in
           let depth = Soc.Scratchpad.depth sb.sb_spad in
           let row = if addr < depth then addr else 0 in
-          let bytes = Soc.Scratchpad.get sb.sb_spad row in
-          let bits =
-            Bits.concat_list
-              (List.init (Bytes.length bytes) (fun i ->
-                   Bits.of_int ~width:8
-                     (Char.code (Bytes.get bytes (Bytes.length bytes - 1 - i)))))
-          in
-          set (sb.sb_name ^ "_rd_data") (Bits.resize bits sb.sb_row_bits))
+          set sb.sb_rd_data (Bits.of_bytes (Soc.Scratchpad.get sb.sb_spad row)))
         st.spads;
       Hw.Sim.settle sim
     end;
@@ -229,14 +246,10 @@ let behavior ~build () : Soc.behavior =
     let req_fired = high sim "req_ready" && !pending_beats <> [] in
     List.iter
       (fun rb ->
-        let c = rb.rb_chan.Config.rc_name in
-        if (not rb.rb_active) && high sim (c ^ "_req_valid") then begin
-          let addr =
-            Bits.to_int_trunc (Hw.Sim.output sim (c ^ "_req_addr"))
-          in
-          let len =
-            Bits.to_int_trunc (Hw.Sim.output sim (c ^ "_req_len"))
-          in
+        let p = rb.rb_ports in
+        if (not rb.rb_active) && high sim p.req_valid then begin
+          let addr = Bits.to_int_trunc (Hw.Sim.output sim p.req_addr) in
+          let len = Bits.to_int_trunc (Hw.Sim.output sim p.req_len) in
           rb.rb_base <- addr;
           rb.rb_active <- true;
           Soc.Reader.stream rb.rb_reader ~addr ~bytes:len
@@ -244,19 +257,15 @@ let behavior ~build () : Soc.behavior =
             ~on_done:(fun () -> rb.rb_active <- false)
             ()
         end;
-        if rb.rb_presented && high sim (c ^ "_data_ready") then
+        if rb.rb_presented && high sim p.data_ready then
           ignore (Queue.pop rb.rb_items))
       st.reads;
     List.iter
       (fun wb ->
-        let c = wb.wb_chan.Config.wc_name in
-        if (not wb.wb_open) && high sim (c ^ "_req_valid") then begin
-          let addr =
-            Bits.to_int_trunc (Hw.Sim.output sim (c ^ "_req_addr"))
-          in
-          let len =
-            Bits.to_int_trunc (Hw.Sim.output sim (c ^ "_req_len"))
-          in
+        let p = wb.wb_ports in
+        if (not wb.wb_open) && high sim p.req_valid then begin
+          let addr = Bits.to_int_trunc (Hw.Sim.output sim p.req_addr) in
+          let len = Bits.to_int_trunc (Hw.Sim.output sim p.req_len) in
           wb.wb_open <- true;
           wb.wb_done <- false;
           wb.wb_base <- addr;
@@ -267,10 +276,11 @@ let behavior ~build () : Soc.behavior =
               wb.wb_done <- true)
         end
         else if
-          wb.wb_open && wb.wb_unacked < 4 && high sim (c ^ "_data_valid")
+          wb.wb_open && wb.wb_unacked < 4 && high sim p.data_valid
         then begin
-          let data = Hw.Sim.output sim (c ^ "_data") in
-          mem_of_bits soc (wb.wb_base + wb.wb_offset) data;
+          let data = Hw.Sim.output sim p.data in
+          Soc.blit_in soc ~src:(Bits.to_bytes data)
+            ~dst_addr:(wb.wb_base + wb.wb_offset);
           wb.wb_offset <- wb.wb_offset + (Bits.width data / 8);
           wb.wb_unacked <- wb.wb_unacked + 1;
           Soc.Writer.push wb.wb_writer ~on_accept:(fun () ->

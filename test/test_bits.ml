@@ -168,6 +168,29 @@ let props =
         Bits.to_signed_int b = v);
   ]
 
+(* little-endian byte images against a byte-at-a-time reference *)
+let byte_props =
+  let arb_bytes =
+    QCheck.make ~print:(fun s -> String.escaped s)
+      QCheck.Gen.(string_size ~gen:char (0 -- 80))
+  in
+  [
+    prop "of_bytes is little-endian" arb_bytes (fun s ->
+        let b = Bytes.of_string s and n = String.length s in
+        Bits.equal (Bits.of_bytes b)
+          (Bits.concat_list
+             (List.init n (fun i ->
+                  Bits.of_int ~width:8 (Char.code s.[n - 1 - i])))));
+    prop "to_bytes inverts of_bytes" arb_bytes (fun s ->
+        Bytes.to_string (Bits.to_bytes (Bits.of_bytes (Bytes.of_string s))) = s);
+    prop "to_bytes pads the last byte" arb_wv (fun (w, v) ->
+        let b = Bits.to_bytes (Bits.of_int ~width:w v) in
+        Bytes.length b = (w + 7) / 8
+        && List.for_all
+             (fun i -> Bytes.get_uint8 b i = (v lsr (8 * i)) land 0xff)
+             (List.init (Bytes.length b) Fun.id));
+  ]
+
 let () =
   Alcotest.run "bits"
     [
@@ -181,5 +204,5 @@ let () =
           Alcotest.test_case "structure" `Quick test_structure;
           Alcotest.test_case "shifts" `Quick test_shifts;
         ] );
-      ("properties", props);
+      ("properties", props @ byte_props);
     ]

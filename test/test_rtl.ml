@@ -189,6 +189,25 @@ let test_rtl_missing_port_rejected () =
      raised := String.length msg > 0);
   check_bool "missing ports rejected with a diagnostic" true !raised
 
+(* a finished run must not keep its SoC reachable: the bridge's
+   simulators (and their Reader/Writer handles) live as long as the SoC *)
+let test_rtl_core_releases_socs () =
+  let live_bytes () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+  in
+  let before = live_bytes () in
+  for _ = 1 to 3 do
+    let ok, _, _ = Kernels.Vecadd_rtl.run ~platform:D.aws_f1 () in
+    check_bool "run verified" true ok
+  done;
+  let grown = live_bytes () - before in
+  (* each run's SoC zero-fills 64 MB of device memory *)
+  let bound = 64 * 1024 * 1024 / 4 in
+  if grown > bound then
+    Alcotest.failf "3 runs left %d MB live (bound %d MB)"
+      (grown / 1024 / 1024) (bound / 1024 / 1024)
+
 (* ---- intercore ports ---- *)
 
 let intercore_config () =
@@ -340,6 +359,8 @@ let () =
             test_rtl_core_sequential_commands;
           Alcotest.test_case "missing ports" `Quick
             test_rtl_missing_port_rejected;
+          Alcotest.test_case "finished SoCs are released" `Quick
+            test_rtl_core_releases_socs;
         ] );
       ( "intercore",
         [
