@@ -602,38 +602,47 @@ let sim_speed () =
   header "sim-speed"
     "RTL simulation throughput, interpreter vs compiled backend (cycles/sec)";
   let cycles = 5_000 in
-  let time_backend backend c =
+  (* seeded stimulus, generated before the clock starts: a fresh random
+     value on every input on every cycle, so a timed cycle never finds
+     the netlist idle *)
+  let stimulus c =
+    let st = Random.State.make [| 17 |] in
+    let random_bits w =
+      let rec chunks w =
+        if w <= 16 then [ Bits.of_int ~width:w (Random.State.int st (1 lsl w)) ]
+        else Bits.of_int ~width:16 (Random.State.int st 65536) :: chunks (w - 16)
+      in
+      Bits.concat_list (chunks w)
+    in
+    Array.init cycles (fun _ ->
+        List.map (fun (n, w) -> (n, random_bits w)) (Hw.Circuit.inputs c))
+  in
+  let drive sim inputs =
+    List.iter (fun (n, v) -> Hw.Sim.set_input sim n v) inputs
+  in
+  let time_backend backend c stim =
     let sim = Hw.Sim.create ~backend c in
     (* settle once so create/first-evaluation cost is off the clock *)
     Hw.Sim.settle sim;
     let t0 = Sys.time () in
-    for _ = 1 to cycles do
-      Hw.Sim.step sim
-    done;
+    Array.iter
+      (fun inputs ->
+        drive sim inputs;
+        Hw.Sim.step sim)
+      stim;
     let dt = Float.max (Sys.time () -. t0) 1e-6 in
     (dt, float_of_int cycles /. dt)
   in
-  (* short untimed lockstep sanity pass: the speedup is only meaningful
-     if the two backends still agree on the benchmarked designs *)
-  let lockstep_ok c =
+  (* short untimed lockstep sanity pass over the first 100 cycles of the
+     stimulus: the speedup is only meaningful if the two backends still
+     agree on the benchmarked designs *)
+  let lockstep_ok c stim =
     let si = Hw.Sim.create ~backend:Hw.Sim.Interpreter c in
     let sc = Hw.Sim.create ~backend:Hw.Sim.Compiled c in
-    let st = Random.State.make [| 17 |] in
     let ok = ref true in
-    for _ = 1 to 100 do
-      List.iter
-        (fun (n, w) ->
-          let rec chunks w =
-            if w <= 16 then
-              [ Bits.of_int ~width:w (Random.State.int st (1 lsl w)) ]
-            else
-              Bits.of_int ~width:16 (Random.State.int st 65536)
-              :: chunks (w - 16)
-          in
-          let v = Bits.concat_list (chunks w) in
-          Hw.Sim.set_input si n v;
-          Hw.Sim.set_input sc n v)
-        (Hw.Circuit.inputs c);
+    for i = 0 to 99 do
+      drive si stim.(i);
+      drive sc stim.(i);
       List.iter
         (fun (n, _) ->
           if not (Bits.equal (Hw.Sim.output si n) (Hw.Sim.output sc n)) then
@@ -648,10 +657,11 @@ let sim_speed () =
     List.map
       (fun (name, c) ->
         let lv = Hw.Levelize.of_circuit c in
-        if not (lockstep_ok c) then
+        let stim = stimulus c in
+        if not (lockstep_ok c stim) then
           failwith (Printf.sprintf "sim-speed: backends diverge on %s" name);
-        let dt_i, cps_i = time_backend Hw.Sim.Interpreter c in
-        let dt_c, cps_c = time_backend Hw.Sim.Compiled c in
+        let dt_i, cps_i = time_backend Hw.Sim.Interpreter c stim in
+        let dt_c, cps_c = time_backend Hw.Sim.Compiled c stim in
         let speedup = cps_c /. cps_i in
         Printf.printf
           "  %-18s %5d node(s), depth %3d: %10.0f -> %10.0f cycles/sec \

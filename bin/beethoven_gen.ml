@@ -543,6 +543,25 @@ let sim_run design backend cycles seed n_cores =
     in
     Bits.concat_list (chunks w)
   in
+  (* seeded stimulus: each input holds a random value for a random 1-8
+     cycles, then draws a new one; every input is re-driven every cycle,
+     so held cycles exercise the "input unchanged" path *)
+  let stimulus st c =
+    let held =
+      List.map (fun (n, w) -> (n, w, ref (Bits.zero w), ref 0))
+        (Hw.Circuit.inputs c)
+    in
+    fun () ->
+      List.map
+        (fun (n, w, v, left) ->
+          if !left = 0 then begin
+            v := random_bits st w;
+            left := 1 + Random.State.int st 8
+          end;
+          decr left;
+          (n, !v))
+        held
+  in
   let fold_digest d b =
     String.fold_left
       (fun d c -> ((d * 33) + Char.code c) land 0x3fffffff)
@@ -558,11 +577,10 @@ let sim_run design backend cycles seed n_cores =
              so the same invocation with the other backend must print the
              same digest *)
           let sim = Hw.Sim.create ~backend:b c in
+          let next = stimulus st c in
           let digest = ref 5381 in
           for _ = 1 to cycles do
-            List.iter
-              (fun (n, w) -> Hw.Sim.set_input sim n (random_bits st w))
-              (Hw.Circuit.inputs c);
+            List.iter (fun (n, v) -> Hw.Sim.set_input sim n v) (next ());
             List.iter
               (fun (n, _) -> digest := fold_digest !digest (Hw.Sim.output sim n))
               (Hw.Circuit.outputs c);
@@ -573,15 +591,15 @@ let sim_run design backend cycles seed n_cores =
       | `Both ->
           let si = Hw.Sim.create ~backend:Hw.Sim.Interpreter c in
           let sc = Hw.Sim.create ~backend:Hw.Sim.Compiled c in
+          let next = stimulus st c in
           let bad = ref None in
           (try
              for cyc = 1 to cycles do
                List.iter
-                 (fun (n, w) ->
-                   let v = random_bits st w in
+                 (fun (n, v) ->
                    Hw.Sim.set_input si n v;
                    Hw.Sim.set_input sc n v)
-                 (Hw.Circuit.inputs c);
+                 (next ());
                List.iter
                  (fun (n, _) ->
                    if not (Bits.equal (Hw.Sim.output si n) (Hw.Sim.output sc n))
@@ -652,7 +670,8 @@ let sim_cmd =
       `S Manpage.s_description;
       `P
         "Drives every RTL-DSL kernel circuit of the selected bundled \
-         design(s) with seeded random stimulus. With $(b,--backend \
+         design(s) with seeded random stimulus: each input holds a random \
+         value for a random 1-8 cycles. With $(b,--backend \
          interpreter) or $(b,compiled) it steps that backend and prints a \
          backend-stable digest of every output on every cycle (the two \
          backends must print the same digest for the same seed). With \
