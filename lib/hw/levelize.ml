@@ -97,9 +97,6 @@ let n_nodes t = Array.length t.nodes
 let n_levels t = Array.length t.slices
 let comb_depth t = n_levels t - 1
 let level_slice t lvl = t.slices.(lvl)
-let deps_resolved t nd =
-  Array.map (fun slot -> t.nodes.(slot).n_signal) nd.n_deps
-
 let slot_of t s = Hashtbl.find t.slot_by_uid (uid s)
 let node_of t s = t.nodes.(slot_of t s)
 let level_of t s = (node_of t s).n_level

@@ -10,11 +10,12 @@
     ordered by uid, so the layout is a deterministic function of the
     circuit alone.
 
-    This array is the contract for the ROADMAP's compiled-simulator item:
-    a backend can evaluate slot [0..n) in order (dependencies always
-    resolve to lower slots), or evaluate each level's slice in parallel,
-    over preallocated value arrays indexed by slot — no hashing, no
-    pointer chasing. {!Dataflow} and {!Sta} already run over it. *)
+    This array is the contract for compiled backends: evaluating slots
+    [0..n) in order is valid (dependencies always resolve to lower
+    slots), and so is evaluating level by level in any order within a
+    level, over preallocated value arrays indexed by slot — no hashing,
+    no pointer chasing. {!Compile} queues changed slots per level;
+    {!Dataflow} and {!Sta} run over the whole array. *)
 
 type node = {
   n_slot : int;  (** index of this node in {!nodes} *)
@@ -55,17 +56,10 @@ val comb_depth : t -> int
 val level_slice : t -> int -> int * int
 (** [(first_slot, count)] of a level's contiguous slice of {!nodes}. *)
 
-val node_of : t -> Signal.t -> node
-(** Raises [Not_found] for signals outside the circuit. *)
-
-val deps_resolved : t -> node -> Signal.t array
-(** The node's combinational dependencies as signals, aligned with
-    [n_deps] (slot [n_deps.(i)] is [deps_resolved.(i)]) — the
-    convenience view of the layout contract above for backends that
-    need the signal (width, kind) alongside the slot. Allocates a fresh
-    array per call; {!Dataflow} and {!Sta} do not use it. *)
-
 val slot_of : t -> Signal.t -> int
+(** Raises [Not_found] for signals outside the circuit, as do
+    {!level_of} and {!fanout_of}. *)
+
 val level_of : t -> Signal.t -> int
 val fanout_of : t -> Signal.t -> int
 
