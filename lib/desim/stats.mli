@@ -24,13 +24,11 @@ val summarize_opt : series -> summary option
 (** [None] on an empty series — the safe form for call sites that can
     legitimately observe zero samples (short fault campaigns, idle ports). *)
 
-val summarize : series -> summary
-(** Raises [Failure] on an empty series; prefer {!summarize_opt}. *)
-
 val quantile_opt : series -> q:float -> float option
 (** Linear-interpolated quantile of all observed samples ([q] clamped to
-    [0, 1]); [None] on an empty series. Sorts a copy: O(n log n) per call,
-    intended for end-of-run reporting. *)
+    [0, 1]); [None] on an empty series. The samples are sorted on the
+    first call after an {!observe}, O(n log n), and later calls reuse that
+    order until the next {!observe}. *)
 
 type histogram
 

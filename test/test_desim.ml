@@ -126,7 +126,7 @@ let test_stats () =
   check_int "counter" 5 (S.count c);
   let s = S.series () in
   List.iter (S.observe s) [ 1.0; 2.0; 3.0 ];
-  let sum = S.summarize s in
+  let sum = Option.get (S.summarize_opt s) in
   check_int "n" 3 sum.S.n;
   Alcotest.(check (float 1e-9)) "mean" 2.0 sum.S.mean;
   Alcotest.(check (float 1e-9)) "min" 1.0 sum.S.min;
@@ -141,9 +141,6 @@ let test_stats () =
 let test_summarize_opt () =
   let s = S.series () in
   Alcotest.(check bool) "empty is None" true (S.summarize_opt s = None);
-  (match S.summarize s with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "summarize of empty series must raise");
   S.observe s 7.0;
   (match S.summarize_opt s with
   | Some sum ->
@@ -189,6 +186,40 @@ let props =
              (List.fold_left
                 (fun (ok, prev) t -> (ok && t >= prev, t))
                 (true, 0) fired));
+    (* quantile_opt keeps its sorted samples between calls; every answer
+       must equal a fresh copy-and-sort of everything observed so far *)
+    prop "quantiles match a fresh sort under interleaved observes"
+      QCheck.(
+        list_of_size
+          Gen.(1 -- 200)
+          (pair bool
+             (pair (float_bound_inclusive 1000.) (float_bound_inclusive 1.))))
+      (fun ops ->
+        let s = S.series () in
+        let seen = ref [] in
+        List.for_all
+          (fun (is_observe, (x, q)) ->
+            if is_observe then begin
+              S.observe s x;
+              seen := x :: !seen;
+              true
+            end
+            else
+              let expect =
+                match Array.of_list !seen with
+                | [||] -> None
+                | a ->
+                    Array.sort Float.compare a;
+                    let n = Array.length a in
+                    let pos = q *. float_of_int (n - 1) in
+                    let i = int_of_float pos in
+                    let frac = pos -. float_of_int i in
+                    Some
+                      (if i + 1 < n then a.(i) +. (frac *. (a.(i + 1) -. a.(i)))
+                       else a.(i))
+              in
+              S.quantile_opt s ~q = expect)
+          ops);
   ]
 
 let () =
