@@ -2,10 +2,6 @@ let dim = 64
 let n_keys = 320
 let operand_scale = 1.0 /. 16.0
 
-let quantize f =
-  let v = int_of_float (Float.round (f /. operand_scale)) in
-  max (-128) (min 127 v)
-
 let dequantize v = float_of_int v *. operand_scale
 
 (* exp(-x) for x in Q4.4 steps (0 .. 255 -> 0 .. 15.94), Q1.15 results. *)

@@ -17,9 +17,6 @@ val n_keys : int (** 320 *)
 (** Operands are Q3.4 fixed point (scale 1/16, range [-8, 8)). *)
 val operand_scale : float
 
-val quantize : float -> int
-(** Saturating to int8 Q3.4. *)
-
 val dequantize : int -> float
 
 (** {1 Fixed-point pipeline} *)
@@ -27,12 +24,6 @@ val dequantize : int -> float
 val exp_lut : int array
 (** 256-entry table: [exp_lut.(i)] = round(2^15 * exp(-i/16)) — the
     stage-2 exponentiation unit. *)
-
-val stage1_scores : query:int array -> keys:int array array -> int array
-(** Raw integer dot products (exposed for stage-level RTL verification). *)
-
-val stage2_weights : int array -> int array
-(** Scores → Q1.15 softmax weights via the exp LUT. *)
 
 val attend_fixed : query:int array -> keys:int array array -> values:int array array -> int array
 (** All operands int8-valued ints; result: [dim] outputs in int8 range.

@@ -10,7 +10,7 @@ let attend_command =
 
 let lanes = A3.dim
 let n_keys = A3.n_keys
-let dotw = A3_rtl.dot_width
+let dotw = 24 (* score width: a sum of 64 int8 x int8 products *)
 
 (* FSM states *)
 let s_idle = 0

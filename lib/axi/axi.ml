@@ -71,10 +71,8 @@ type t = {
   read_queues : id_queue array;
   write_queues : id_queue array;
   read_latency : Desim.Stats.series;
-  write_latency : Desim.Stats.series;
   mutable reads_issued : int;
   mutable writes_issued : int;
-  mutable error_responses : int;
 }
 
 let create ?tracer ?(name = "axi") ?fault engine dram prm =
@@ -93,10 +91,8 @@ let create ?tracer ?(name = "axi") ?fault engine dram prm =
       Array.init prm.Params.n_ids (fun _ ->
           { q = Queue.create (); in_flight = false });
     read_latency = Desim.Stats.series ();
-    write_latency = Desim.Stats.series ();
     reads_issued = 0;
     writes_issued = 0;
-    error_responses = 0;
   }
 
 let params t = t.prm
@@ -186,7 +182,6 @@ let rec launch t queue =
              response after roughly a CAS latency *)
           let cfg = Dram.config t.dram in
           let err_latency = cfg.Dram.Config.cl * cfg.Dram.Config.tck_ps in
-          t.error_responses <- t.error_responses + 1;
           Desim.Engine.schedule t.engine ~delay:err_latency (fun () ->
               queue.in_flight <- false;
               ignore (Queue.pop queue.q);
@@ -238,13 +233,9 @@ let rec launch t queue =
             (chunk + 1) mod chunks_per_beat = 0 || chunk = total_chunks - 1
           then fire_beat (chunk / chunks_per_beat))
         ~on_complete:(fun () ->
-          let now = Desim.Engine.now t.engine in
-          let lat = float_of_int (now - txn.txn_issued_at) in
-          Desim.Stats.observe
-            (match txn.txn_dir with
-            | Dram.Read -> t.read_latency
-            | Dram.Write -> t.write_latency)
-            lat;
+          if txn.txn_dir = Dram.Read then
+            Desim.Stats.observe t.read_latency
+              (float_of_int (Desim.Engine.now t.engine - txn.txn_issued_at));
           queue.in_flight <- false;
           ignore (Queue.pop queue.q);
           finish_txn t txn Resp.Okay;
@@ -304,8 +295,6 @@ let write ?span:parent t ~id ~addr ~beats ~on_done =
     ~on_beat:(fun ~beat:_ -> ())
     ~on_done
 
-let error_responses t = t.error_responses
 let read_latency t = t.read_latency
-let write_latency t = t.write_latency
 let reads_issued t = t.reads_issued
 let writes_issued t = t.writes_issued

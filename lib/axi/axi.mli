@@ -94,11 +94,7 @@ val write :
 (** {1 Statistics} *)
 
 val read_latency : t -> Desim.Stats.series
-(** Per-transaction latency (issue to last beat), picoseconds. *)
+(** Per-read-transaction latency (issue to last beat), picoseconds. *)
 
-val write_latency : t -> Desim.Stats.series
 val reads_issued : t -> int
 val writes_issued : t -> int
-
-val error_responses : t -> int
-(** Number of injected SLVERR/DECERR responses returned. *)

@@ -127,13 +127,6 @@ let to_int64 t =
   done;
   !v
 
-let popcount t =
-  let pop_limb l =
-    let rec go l acc = if l = 0 then acc else go (l lsr 1) (acc + (l land 1)) in
-    go l 0
-  in
-  Array.fold_left (fun acc l -> acc + pop_limb l) 0 t.limbs
-
 let of_bin_string s =
   let digits =
     String.to_seq s |> Seq.filter (fun c -> c <> '_') |> List.of_seq
@@ -229,8 +222,6 @@ let sub a b =
   check_same_width "sub" a b;
   add a (neg b)
 
-let succ t = if t.width = 0 then t else add t (one t.width)
-
 let mul_wide a b =
   let t = make (a.width + b.width) in
   let na = Array.length a.limbs and nb = Array.length b.limbs in
@@ -323,16 +314,7 @@ let compare a b =
   go (Array.length a.limbs - 1)
 
 let lt a b = compare a b < 0
-let le a b = compare a b <= 0
-let gt a b = compare a b > 0
 let ge a b = compare a b >= 0
-
-let compare_signed a b =
-  check_same_width "compare_signed" a b;
-  match (msb a, msb b) with
-  | true, false -> -1
-  | false, true -> 1
-  | _ -> compare a b
 
 let to_signed_int t =
   if not (msb t) then to_int t
@@ -446,14 +428,6 @@ let extract_int t ~lo ~width:w =
     done;
     !v land mask
   end
-
-let select_bits t positions =
-  let w = List.length positions in
-  let r = make w in
-  List.iteri
-    (fun i pos -> if bit t pos then set_bit r (w - 1 - i) true)
-    positions;
-  r
 
 let reverse t =
   let r = make t.width in

@@ -57,7 +57,6 @@ val to_bytes : t -> Bytes.t
 val to_int_trunc : t -> int
 (** Low 62 bits as a non-negative [int]; never raises. *)
 
-val popcount : t -> int
 val to_bin_string : t -> string
 val to_hex_string : t -> string
 val pp : Format.formatter -> t -> unit
@@ -70,11 +69,6 @@ val sub : t -> t -> t
 val mul : t -> t -> t
 (** Truncating multiply at the operand width. *)
 
-val mul_wide : t -> t -> t
-(** Full-width multiply: result width is the sum of operand widths. *)
-
-val neg : t -> t
-val succ : t -> t
 
 (** {1 Logic} *)
 
@@ -91,10 +85,7 @@ val shift_right_arith : t -> int -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val lt : t -> t -> bool
-val le : t -> t -> bool
-val gt : t -> t -> bool
 val ge : t -> t -> bool
-val compare_signed : t -> t -> int
 val to_signed_int : t -> int
 (** Two's-complement interpretation; raises [Failure] when it can't fit. *)
 
@@ -112,9 +103,6 @@ val concat : t -> t -> t
 val concat_list : t list -> t
 (** [concat_list [a; b; c]] = [concat a (concat b c)]. *)
 
-val resize : t -> int -> t
-(** Zero-extend or truncate to the given width. *)
-
 val sext : t -> int -> t
 (** Sign-extend (or truncate) to the given width. *)
 
@@ -127,9 +115,6 @@ val extract_int : t -> lo:int -> width:int -> int
     the compiled simulator. Bits beyond [t]'s width read as zero. Raises
     [Invalid_argument] when [width] is outside [0, 62] or [lo] is
     negative. *)
-
-val select_bits : t -> int list -> t
-(** Gather the listed bit positions (head of list = MSB of result). *)
 
 val reverse : t -> t
 (** Bit-reverse. *)

@@ -21,7 +21,6 @@ type command = {
 }
 
 val field_bits : field -> int
-val payload_bits : command -> int
 val rocc_beats : command -> int
 (** Number of RoCC commands needed: each carries 128 payload bits. *)
 

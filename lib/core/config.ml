@@ -148,9 +148,4 @@ let make ~name systems =
     systems;
   { acc_name = name; systems }
 
-let find_system t name =
-  match List.find_opt (fun s -> s.sys_name = name) t.systems with
-  | Some s -> s
-  | None -> invalid_arg ("Config.find_system: no system " ^ name)
-
 let total_cores t = List.fold_left (fun acc s -> acc + s.n_cores) 0 t.systems

@@ -110,5 +110,4 @@ val make : name:string -> system list -> t
 (** Validates: unique system names, unique channel/scratchpad names within
     a system, unique functs, positive core counts. *)
 
-val find_system : t -> string -> system
 val total_cores : t -> int

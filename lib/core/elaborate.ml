@@ -303,10 +303,6 @@ module Cache = struct
   let misses t = t.c_misses
   let entries t = Hashtbl.length t.tbl
   let last_lookups t = List.rev t.c_last
-
-  let stats_line t =
-    Printf.sprintf "elab-cache: %d hit(s), %d miss(es), %d entrie(s)"
-      t.c_hits t.c_misses (Hashtbl.length t.tbl)
 end
 
 let cmd_endpoint t ~system ~core = cmd_ep_id t.config ~system ~core

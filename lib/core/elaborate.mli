@@ -59,13 +59,10 @@ module Cache : sig
 
   val create : unit -> cache
 
-  val system_key : Config.system -> string
-  (** Content hash (16 hex digits) of the per-system config slice. Equal
-      keys imply equal {!Check.analyze_kernel} results. *)
-
   val elaborate : ?checks:bool -> cache -> Config.t -> Platform.Device.t -> t
   (** Like {!Elaborate.elaborate}, but per-system kernel analyses are
-      looked up by {!system_key} (plus the platform name) and memoized.
+      looked up by a content hash of the per-system config slice (plus
+      the platform name) and memoized.
       Raises exactly when the fresh elaboration would. *)
 
   val hits : cache -> int
@@ -76,8 +73,6 @@ module Cache : sig
   (** Per-system (name, was-hit) of the most recent {!elaborate} call, in
       config order — the evidence the cache hit-rate regression test
       checks. *)
-
-  val stats_line : cache -> string
 end
 
 val cmd_endpoint : t -> system:string -> core:int -> int

@@ -32,7 +32,6 @@ val place : Config.t -> Platform.Device.t -> t
 (** Raises [Failure] with a diagnostic when the design cannot fit. *)
 
 val slr_of : t -> system:string -> core:int -> int
-val cores_on_slr : t -> int -> core_place list
 
 val constraints : t -> string
 (** Vivado-style pblock placement constraints enforcing the floorplan. *)

@@ -3,6 +3,8 @@ module R = Platform.Resources
 (* Table II per-component figures, 23-core A3 on the VU9P. *)
 let reader_base = R.make ~clb:600 ~lut:2300 ~ff:2600 ()
 let writer_base = R.make ~clb:304 ~lut:815 ~ff:1051 ()
+(* control logic of a scratchpad (init FSM + ports), excluding both its
+   storage cells and its fill Reader *)
 let scratchpad_base = R.make ~clb:100 ~lut:300 ~ff:200 ()
 
 (* ~0.6% of the device, per the paper's description of the host frontend. *)
@@ -20,12 +22,7 @@ let mem_noc_width_bits (p : Platform.Device.t) =
 
 let cmd_noc_width_bits = Rocc.width + 16
 
-let reader_buffer_bits (rc : Config.read_channel) (p : Platform.Device.t) =
-  rc.Config.rc_buffer_beats * p.Platform.Device.axi.Axi.Params.data_bytes * 8
-
-let writer_buffer_bits (wc : Config.write_channel) (p : Platform.Device.t) =
-  wc.Config.wc_buffer_beats * p.Platform.Device.axi.Axi.Params.data_bytes * 8
-
+(* rough LUT/FF estimate for a kernel written in the RTL DSL *)
 let circuit_estimate c =
   (* estimate on the folded netlist, as the tool flow would see it *)
   let stats = Hw.Circuit.stats (Hw.Opt.constant_fold c) in

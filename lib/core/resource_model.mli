@@ -6,12 +6,6 @@
     paper publishes for the 23-core A³ design (Table II), which is the one
     public ground truth for this generator's output. *)
 
-val reader_base : Platform.Resources.t
-val writer_base : Platform.Resources.t
-val scratchpad_base : Platform.Resources.t
-(** Control logic of a scratchpad (init FSM + ports), excluding both its
-    storage cells and its fill Reader. *)
-
 val mmio_frontend : Platform.Resources.t
 (** The AXI-MMIO command/response system (one per accelerator). *)
 
@@ -23,13 +17,6 @@ val mem_noc_width_bits : Platform.Device.t -> int
 
 val cmd_noc_width_bits : int
 (** RoCC command width + routing. *)
-
-val reader_buffer_bits : Config.read_channel -> Platform.Device.t -> int
-val writer_buffer_bits : Config.write_channel -> Platform.Device.t -> int
-
-val circuit_estimate : Hw.Circuit.t -> Platform.Resources.t
-(** Rough LUT/FF estimate for a kernel written in the RTL DSL, from its
-    netlist statistics. *)
 
 val core_logic :
   Config.system -> Platform.Device.t -> Platform.Resources.t

@@ -65,25 +65,3 @@ type response = {
   resp_core_id : int;
   resp_data : int64;
 }
-
-let response_width = 96
-
-let encode_response r =
-  check_range "resp_system_id" r.resp_system_id 0 255;
-  check_range "resp_core_id" r.resp_core_id 0 1023;
-  Bits.concat_list
-    [
-      Bits.of_int ~width:8 r.resp_system_id;
-      Bits.of_int ~width:10 r.resp_core_id;
-      Bits.zero 14;
-      Bits.of_int64 ~width:64 r.resp_data;
-    ]
-
-let decode_response b =
-  if Bits.width b <> response_width then
-    invalid_arg "Rocc.decode_response: wrong width";
-  {
-    resp_system_id = Bits.to_int (Bits.slice b ~hi:95 ~lo:88);
-    resp_core_id = Bits.to_int (Bits.slice b ~hi:87 ~lo:78);
-    resp_data = Bits.to_int64 (Bits.slice b ~hi:63 ~lo:0);
-  }

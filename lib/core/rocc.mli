@@ -16,8 +16,6 @@ type t = {
   payload2 : int64;
 }
 
-val opcode_custom0 : int
-
 val encode : t -> Bits.t
 (** 160-bit wire form: [instruction(32) :: payload1(64) :: payload2(64)].
     Raises [Invalid_argument] if a field is out of range. *)
@@ -35,8 +33,3 @@ type response = {
   resp_core_id : int;
   resp_data : int64;
 }
-
-val encode_response : response -> Bits.t (** 96 bits *)
-
-val decode_response : Bits.t -> response
-val response_width : int

@@ -35,7 +35,7 @@
 val behavior : build:(unit -> Hw.Circuit.t) -> unit -> Soc.behavior
 (** A {!Soc.behavior} that instantiates one circuit per core (lazily, via
     [build]) and clocks it at the fabric rate while a command is active,
-    on {!Hw.Sim.default_backend}. Each core's simulator lives as long as
-    its SoC: the behavior does not keep a finished SoC reachable. Raises
-    [Failure] at first use if the circuit is missing a required port or
-    a port width disagrees with the channel configuration. *)
+    on {!Hw.Sim.create}'s default backend. Each core's simulator lives as
+    long as its SoC: the behavior does not keep a finished SoC reachable.
+    Raises [Failure] at first use if the circuit is missing a required
+    port or a port width disagrees with the channel configuration. *)

@@ -613,30 +613,6 @@ module Scratchpad = struct
     if Bytes.length v <> sp.sp_row_bytes then
       invalid_arg "Scratchpad.set: row width";
     Bytes.blit v 0 sp.sp_data (row * sp.sp_row_bytes) sp.sp_row_bytes
-
-  let get_u64 (sp : sp) row =
-    if row < 0 || row >= depth sp then invalid_arg "Scratchpad.get_u64: row";
-    if sp.sp_row_bytes >= 8 then Bytes.get_int64_le sp.sp_data (row * sp.sp_row_bytes)
-    else begin
-      let v = ref 0L in
-      for i = sp.sp_row_bytes - 1 downto 0 do
-        v :=
-          Int64.logor
-            (Int64.shift_left !v 8)
-            (Int64.of_int (Char.code (Bytes.get sp.sp_data ((row * sp.sp_row_bytes) + i))))
-      done;
-      !v
-    end
-
-  let set_u64 (sp : sp) row v =
-    if row < 0 || row >= depth sp then invalid_arg "Scratchpad.set_u64: row";
-    let n = min sp.sp_row_bytes 8 in
-    for i = 0 to n - 1 do
-      Bytes.set sp.sp_data
-        ((row * sp.sp_row_bytes) + i)
-        (Char.chr
-           (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL)))
-    done
 end
 
 (* ------------------------------------------------------------------ *)

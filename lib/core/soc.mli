@@ -85,8 +85,6 @@ module Scratchpad : sig
   (** Row contents ([data_bits/8] bytes, zero-padded). *)
 
   val set : sp -> int -> Bytes.t -> unit
-  val get_u64 : sp -> int -> int64
-  val set_u64 : sp -> int -> int64 -> unit
   val depth : sp -> int
   val latency : sp -> int
 end

@@ -235,8 +235,6 @@ module Class = struct
     | Heartbeat_loss -> "heartbeat-loss"
     | Device_brownout -> "device-brownout"
 
-  let of_name s = List.find_opt (fun c -> name c = s) all
-
   let index c =
     let rec go i = function
       | [] -> assert false

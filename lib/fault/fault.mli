@@ -102,7 +102,6 @@ module Class : sig
      index seeds its decision stream, so the prefix order is frozen for
      digest stability. *)
   val name : t -> string
-  val of_name : string -> t option
 end
 
 (** {1 Campaign plans} *)
@@ -171,7 +170,6 @@ module Log : sig
   type entry = { time : int; cls : Class.t; kind : kind; site : string }
 
   val kind_name : kind -> string
-  val render_entry : entry -> string
   val render : entry list -> string
 end
 

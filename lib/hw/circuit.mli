@@ -47,7 +47,6 @@ val comb_deps : Signal.t -> Signal.t list
 val seq_deps : Signal.t -> Signal.t list
 (** Fan-in of sequential elements, sampled at the cycle boundary. *)
 
-val mem_of : Signal.t -> Signal.Mem.mem option
 val kind_name : Signal.t -> string
 val describe : Signal.t -> string
 (** ["signal #12 (count, wire)"] — uid, name when present, kind. *)

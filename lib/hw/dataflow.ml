@@ -260,7 +260,6 @@ let run lv =
   let xs, mem_x = x_fixpoint lv values in
   { lv; values; xs; mem_x }
 
-let levelize t = t.lv
 let value_of t s = t.values.(Levelize.slot_of t.lv s)
 let is_x t s = t.xs.(Levelize.slot_of t.lv s)
 

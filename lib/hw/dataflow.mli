@@ -30,17 +30,11 @@
 
 type aval = Bot | Const of Bits.t | Top
 
-val join : aval -> aval -> aval
-val pp_aval : Format.formatter -> aval -> unit
-(** [bot], [42'h2a] (via {!Bits.pp}) or [top]. *)
-
 type t
 
 val run : Levelize.t -> t
 (** Run both fixpoints. Cost is a small constant number of passes over
     the levelized array (each register can only climb the lattice twice). *)
-
-val levelize : t -> Levelize.t
 
 val value_of : t -> Signal.t -> aval
 (** Raises [Not_found] for signals outside the circuit. *)

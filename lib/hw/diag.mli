@@ -24,9 +24,6 @@ val make :
 val severity_name : severity -> string
 (** ["error"], ["warning"], ["info"]. *)
 
-val compare_severity : severity -> severity -> int
-(** Orders [Error < Warning < Info] (most severe first). *)
-
 val sort : t list -> t list
 (** Stable sort by severity (errors first), then rule id. *)
 

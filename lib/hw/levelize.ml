@@ -98,9 +98,6 @@ let n_levels t = Array.length t.slices
 let comb_depth t = n_levels t - 1
 let level_slice t lvl = t.slices.(lvl)
 let slot_of t s = Hashtbl.find t.slot_by_uid (uid s)
-let node_of t s = t.nodes.(slot_of t s)
-let level_of t s = (node_of t s).n_level
-let fanout_of t s = (node_of t s).n_fanout
 let max_fanout t = Array.fold_left (fun acc nd -> max acc nd.n_fanout) 0 t.nodes
 
 let hotspots t ~n =

@@ -57,11 +57,7 @@ val level_slice : t -> int -> int * int
 (** [(first_slot, count)] of a level's contiguous slice of {!nodes}. *)
 
 val slot_of : t -> Signal.t -> int
-(** Raises [Not_found] for signals outside the circuit, as do
-    {!level_of} and {!fanout_of}. *)
-
-val level_of : t -> Signal.t -> int
-val fanout_of : t -> Signal.t -> int
+(** Raises [Not_found] for signals outside the circuit. *)
 
 val max_fanout : t -> int
 (** Largest fanout of any node (0 for a single-node circuit). *)

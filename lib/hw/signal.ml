@@ -78,11 +78,6 @@ let assign w d =
       | None -> r := Some d)
   | _ -> invalid_arg "Signal.assign: not a wire"
 
-let is_assigned w =
-  match w.knd with
-  | Wire r -> Option.is_some !r
-  | _ -> invalid_arg "Signal.is_assigned: not a wire"
-
 let same_width op a b =
   if a.width <> b.width then
     invalid_arg
@@ -145,7 +140,6 @@ let select t ~hi ~lo =
 
 let bit t i = select t ~hi:i ~lo:i
 let msb t = bit t (t.width - 1)
-let lsb t = bit t 0
 
 let concat parts =
   match parts with
@@ -170,10 +164,6 @@ let sext t w =
 
 let reduce_or t = zero t.width <: t
 
-let reduce_and t =
-  let all = const (Bits.ones t.width) in
-  t ==: all
-
 let reg ?enable ?clear ?init d =
   let init = Option.value init ~default:(Bits.zero d.width) in
   if Bits.width init <> d.width then
@@ -185,12 +175,6 @@ let reg ?enable ?clear ?init d =
   | Some c when c.width <> 1 -> invalid_arg "Signal.reg: clear must be 1 bit"
   | _ -> ());
   fresh d.width (Reg { d; enable; clear; init })
-
-let reg_fb ?enable ?init ~width f =
-  let w = wire width in
-  let q = reg ?enable ?init w in
-  assign w (f q);
-  q
 
 module Mem = struct
   type mem = mem_t
@@ -236,7 +220,6 @@ module Mem = struct
     fresh m.m_width (Mem_read_sync (m, addr, enable))
 
   let size m = m.m_size
-  let data_width m = m.m_width
 end
 
 let ( -- ) t n =

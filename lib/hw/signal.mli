@@ -28,8 +28,6 @@ val wire : int -> t
 val assign : t -> t -> unit
 (** [assign w d] drives wire [w] with [d]. A wire may be assigned once. *)
 
-val is_assigned : t -> bool
-
 (** {1 Combinational operators} *)
 
 val add : t -> t -> t
@@ -68,7 +66,6 @@ val mux : t -> t list -> t
 val select : t -> hi:int -> lo:int -> t
 val bit : t -> int -> t
 val msb : t -> t
-val lsb : t -> t
 val concat : t list -> t (** head of the list = most-significant bits *)
 
 val uresize : t -> int -> t (** zero-extend / truncate *)
@@ -79,17 +76,12 @@ val repeat : t -> int -> t (** concatenate [n >= 1] copies *)
 
 val zero : int -> t
 val reduce_or : t -> t
-val reduce_and : t -> t
 
 (** {1 Sequential elements} *)
 
 val reg : ?enable:t -> ?clear:t -> ?init:Bits.t -> t -> t
 (** [reg d] is a register latching [d] each cycle ([enable] high, default
     always). [clear] synchronously resets to [init] (default zeros). *)
-
-val reg_fb : ?enable:t -> ?init:Bits.t -> width:int -> (t -> t) -> t
-(** [reg_fb ~width f] builds a register whose next value is [f q] — the
-    usual idiom for counters and state machines. *)
 
 module Mem : sig
   type mem
@@ -106,7 +98,6 @@ module Mem : sig
   val read_async : mem -> addr:t -> t
   val read_sync : mem -> ?enable:t -> addr:t -> unit -> t
   val size : mem -> int
-  val data_width : mem -> int
 end
 
 (** {1 Naming} *)

@@ -20,7 +20,6 @@ module _ : S = Compile
 
 type backend = Interpreter | Compiled
 
-let default_backend = Compiled
 let backend_name = function Interpreter -> "interpreter" | Compiled -> "compiled"
 
 let backend_of_string = function
@@ -30,7 +29,7 @@ let backend_of_string = function
 
 type t = I of Cyclesim.t | C of Compile.t
 
-let create ?(backend = default_backend) circuit =
+let create ?(backend = Compiled) circuit =
   match backend with
   | Interpreter -> I (Cyclesim.create circuit)
   | Compiled -> C (Compile.create circuit)

@@ -41,9 +41,6 @@ end
 
 type backend = Interpreter | Compiled
 
-val default_backend : backend
-(** {!Compiled} — the interpreter remains the differential reference. *)
-
 val backend_name : backend -> string
 (** ["interpreter"] / ["compiled"]. *)
 
@@ -54,7 +51,8 @@ type t
 (** A simulator instance of either backend. *)
 
 val create : ?backend:backend -> Circuit.t -> t
-(** Defaults to {!default_backend}. *)
+(** Defaults to {!Compiled}; the interpreter remains the differential
+    reference. *)
 
 val backend : t -> backend
 

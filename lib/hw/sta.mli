@@ -23,8 +23,6 @@ type model = Unit | Typical
 val model_name : model -> string
 (** ["unit"] / ["typical"]. *)
 
-val delay_of : model -> Signal.t -> int
-
 type path_node = {
   pn_signal : Signal.t;
   pn_delay : int;  (** this node's own delay *)

@@ -20,10 +20,6 @@ val data_size : kernel -> int (** the N of Table I *)
 
 val parallelism : kernel -> string (** High / Medium / None, per Table I *)
 
-val inner_ops : kernel -> int
-(** Inner-loop iterations of one kernel invocation (MACs, DP cells,
-    stencil points, pairwise interactions). *)
-
 val beethoven_cycles : kernel -> int
 (** Fabric cycles of compute for one invocation on one core (excludes
     memory streaming, which is simulated). *)

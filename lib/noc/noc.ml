@@ -26,8 +26,6 @@ type t = {
   n_buffers : int;
   n_crossings : int;
   mutable messages : int;
-  mutable drops : int;
-  mutable delays : int;
   (* per-endpoint earliest-next-arrival clamp: the tree preserves ordering
      along a route, so a delayed message holds back the ones behind it *)
   arrival_floor : (int, int) Hashtbl.t;
@@ -85,8 +83,6 @@ let build prm ~root_slr ~endpoints =
     n_buffers = !n_buffers;
     n_crossings = !n_crossings;
     messages = 0;
-    drops = 0;
-    delays = 0;
     arrival_floor = Hashtbl.create 16;
   }
 
@@ -178,7 +174,6 @@ let send t engine ~ep_id ?(payload_beats = 1) ?tracer ?label ?span ?fault k =
   | Some (inj, drop_cls) ->
       if Fault.Injector.decide inj drop_cls then begin
         (* the message vanishes in the fabric: the callback never fires *)
-        t.drops <- t.drops + 1;
         trace_hop t ?tracer ?label ?span ~engine ~ep_id ~now ~arrival:now
           Dropped;
         Dropped
@@ -198,17 +193,9 @@ let send t engine ~ep_id ?(payload_beats = 1) ?tracer ?label ?span ?fault k =
         let arrival = max arrival floor in
         Hashtbl.replace t.arrival_floor ep_id arrival;
         Desim.Engine.schedule_at engine ~time:arrival k;
-        let delivery =
-          if extra > 0 then begin
-            t.delays <- t.delays + 1;
-            Delayed extra
-          end
-          else Delivered
-        in
+        let delivery = if extra > 0 then Delayed extra else Delivered in
         trace_hop t ?tracer ?label ?span ~engine ~ep_id ~now ~arrival delivery;
         delivery
       end
 
 let messages_sent t = t.messages
-let messages_dropped t = t.drops
-let messages_delayed t = t.delays

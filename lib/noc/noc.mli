@@ -31,7 +31,6 @@ val build : Params.t -> root_slr:int -> endpoints:endpoint list -> t
 
 (** {1 Structure} *)
 
-val n_endpoints : t -> int
 val n_buffers : t -> int
 (** Internal tree nodes, including SLR-crossing pipeline buffers. *)
 
@@ -39,10 +38,9 @@ val n_slr_crossings : t -> int
 val depth_of : t -> ep_id:int -> int
 (** Hops (tree nodes traversed) from the root to the endpoint. *)
 
-val latency_cycles : t -> ep_id:int -> int
-(** One-way latency in fabric cycles. *)
-
 val latency_ps : t -> ep_id:int -> int
+(** One-way latency: a whole number of fabric cycles. *)
+
 val describe : t -> string
 (** Human-readable topology summary. *)
 
@@ -71,5 +69,3 @@ val send :
     series and histogram; drops become instants. *)
 
 val messages_sent : t -> int
-val messages_dropped : t -> int
-val messages_delayed : t -> int

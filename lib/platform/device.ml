@@ -198,7 +198,6 @@ let total_capacity t =
   Resources.sum (List.map (fun s -> s.capacity) t.slrs)
 
 let total_shell t = Resources.sum (List.map (fun s -> s.shell) t.slrs)
-let n_slrs t = List.length t.slrs
 
 let slr_exn t i =
   match List.find_opt (fun s -> s.slr_index = i) t.slrs with
@@ -206,7 +205,6 @@ let slr_exn t i =
   | None -> invalid_arg "Platform.slr_exn: no such SLR"
 
 let fabric_freq_mhz t = 1.0e6 /. float_of_int t.fabric_clock_ps
-let core_clock_cycles_to_ps t cycles = cycles * t.fabric_clock_ps
 
 module Power = struct
   (* Calibrated against the paper's 23-core A3 design: 24 W average power
@@ -222,9 +220,4 @@ module Power = struct
       +. (float_of_int r.Resources.dsp *. 0.5e-3)
     in
     4.0 +. (dynamic *. f)
-
-  let asic_watts ~area_um2 ~freq_mhz =
-    (* ~0.15 W/mm^2 static-ish + dynamic scaling; coarse but monotone *)
-    let mm2 = area_um2 /. 1.0e6 in
-    (0.05 *. mm2) +. (0.25 *. mm2 *. (freq_mhz /. 1000.))
 end

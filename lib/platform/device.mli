@@ -60,17 +60,11 @@ val sim : t
 
 val total_capacity : t -> Resources.t
 val total_shell : t -> Resources.t
-val n_slrs : t -> int
 val slr_exn : t -> int -> slr
 val fabric_freq_mhz : t -> float
-
-val core_clock_cycles_to_ps : t -> int -> int
-(** Convert fabric cycles to simulation picoseconds. *)
 
 module Power : sig
   val fpga_watts : Resources.t -> freq_mhz:float -> float
   (** Activity-based FPGA power estimate: static + per-resource dynamic
       term scaled by clock frequency. *)
-
-  val asic_watts : area_um2:float -> freq_mhz:float -> float
 end

@@ -27,7 +27,6 @@ val free : t -> int -> unit
     a base that is not currently allocated, distinguishing a double-free
     from a pointer that never came out of {!alloc}. *)
 
-val allocated_bytes : t -> int
 val free_bytes : t -> int
 val n_blocks : t -> int
 (** Live allocations. *)

@@ -60,8 +60,6 @@ type t = {
   mutable next_kick : int;
   mutable server_free_at : int;
   mutable server_busy_ps : int;
-  mutable commands_sent : int;
-  mutable responses_received : int;
   mutable command_timeouts : int;
   mutable command_retries : int;
 }
@@ -90,8 +88,6 @@ let create ?(server_op_ps = 1_500_000) ?(poison_freed = false) soc =
     next_kick = 0;
     server_free_at = 0;
     server_busy_ps = 0;
-    commands_sent = 0;
-    responses_received = 0;
     command_timeouts = 0;
     command_retries = 0;
   }
@@ -335,7 +331,6 @@ let fail handle msg =
 
 let send_raw ?span ?batch t cmd =
   let handle = fresh_handle () in
-  t.commands_sent <- t.commands_sent + 1;
   Log.debug (fun f ->
       f "send sys=%d core=%d funct=%d" cmd.Rocc.system_id cmd.Rocc.core_id
         cmd.Rocc.funct);
@@ -347,7 +342,6 @@ let send_raw ?span ?batch t cmd =
            another serialized server operation *)
         ignore
           (server_op ?span ~op:"collect" t (fun () ->
-               t.responses_received <- t.responses_received + 1;
                resolve handle resp.Rocc.resp_data)))
   in
   (match batch with
@@ -681,11 +675,6 @@ let try_collect h =
 
 let response_seen_at h = h.raw_at
 
-let on_ready h k =
-  match h.result with
-  | Some v -> k v
-  | None -> h.waiters <- k :: h.waiters
-
 let on_settled h k =
   match (h.result, h.failed) with
   | Some v, _ -> k (Ok v)
@@ -708,6 +697,4 @@ let await_all t hs = List.map (await t) hs
 let allocator t = t.alloc
 let command_timeouts t = t.command_timeouts
 let command_retries t = t.command_retries
-let commands_sent t = t.commands_sent
-let responses_received t = t.responses_received
 let server_busy_ps t = t.server_busy_ps

@@ -137,11 +137,6 @@ val send :
     child span covering enqueue → submission, under the command's
     transaction id. *)
 
-val send_raw :
-  ?span:int -> ?batch:batch -> t -> Beethoven.Rocc.t -> response_handle
-(** Submit one raw RoCC beat. [span] is the trace parent for the server
-    operations and the SoC delivery path (see {!tracer}). *)
-
 val try_get : response_handle -> int64 option
 
 type collect = Pending | Done of int64 | Failed of string
@@ -167,10 +162,6 @@ val response_seen_at : response_handle -> int option
     the serialized collect operation — the service/collect phase boundary
     a latency breakdown needs. [None] until then (or on failure). *)
 
-val on_ready : response_handle -> (int64 -> unit) -> unit
-(** Call [k] on success. Never fires on failure; conservation accounting
-    should use {!on_settled}. *)
-
 val on_settled : response_handle -> ((int64, string) result -> unit) -> unit
 (** Call [k] exactly once when the handle settles: [Ok data] on the
     (first) response, [Error msg] when recovery is exhausted. *)
@@ -183,9 +174,6 @@ val await : t -> response_handle -> int64
 val await_all : t -> response_handle list -> int64 list
 
 (** {1 Statistics} *)
-
-val commands_sent : t -> int
-val responses_received : t -> int
 
 val command_timeouts : t -> int
 (** Response deadlines missed by the watchdog. *)

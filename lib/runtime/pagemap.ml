@@ -5,7 +5,6 @@ let frames_per_huge = huge_bytes / page_bytes
 type mapping = { vaddr : int; bytes : int; hugepages : bool }
 
 type t = {
-  n_frames : int;
   (* free 4 KB frame indices, deliberately shuffled to model external
      fragmentation of a long-running system *)
   mutable free_frames : int list;
@@ -41,7 +40,6 @@ let create ~phys_bytes () =
     List.rev !order
   in
   {
-    n_frames;
     free_frames = scatter;
     free_huge = List.init (n_huge / 2) (fun i -> (n_huge / 2) + i);
     page_table = Hashtbl.create 1024;
@@ -146,4 +144,3 @@ let phys_regions t m =
 
 let physically_contiguous t m = List.length (phys_regions t m) = 1
 let frames_free t = List.length t.free_frames
-let total_frames t = t.n_frames

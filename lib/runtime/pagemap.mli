@@ -14,10 +14,6 @@ type t
 val create : phys_bytes:int -> unit -> t
 (** A machine with the given physical memory (multiple of 2 MB). *)
 
-val page_bytes : int (** 4096 *)
-
-val huge_bytes : int (** 2 MB *)
-
 type mapping = { vaddr : int; bytes : int; hugepages : bool }
 
 val mmap : t -> ?hugepages:bool -> int -> mapping
@@ -33,10 +29,5 @@ val physically_contiguous : t -> mapping -> bool
 (** Whether the whole region translates to one contiguous physical run —
     the property a physically-addressed DMA engine needs. *)
 
-val phys_regions : t -> mapping -> (int * int) list
-(** The (phys_base, length) runs backing the region, in virtual order. *)
-
 val frames_free : t -> int
 (** Free 4 KB frames remaining in the regular pool. *)
-
-val total_frames : t -> int

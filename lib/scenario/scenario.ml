@@ -256,9 +256,6 @@ type node =
 let serve_phase ?tenants ~label ~duration_ps () =
   Act (Serve_phase { sp_label = label; sp_duration_ps = duration_ps; sp_tenants = tenants })
 
-let inject_hang ?(dev = 0) ?(after = 1) ~system ~core () =
-  Act (Inject_hang { ih_dev = dev; ih_system = system; ih_core = core; ih_after = after })
-
 let action_label = function
   | Serve_phase { sp_label; _ } -> "serve:" ^ sp_label
   | Sleep d -> Printf.sprintf "sleep:%d" d
@@ -640,7 +637,8 @@ let warmup_ramp_hang_recover ~seed =
         ~tenants:[ tenant ~curve:ramp ~rate_rps:0. () ]
         ();
       Let ("p95_ramp", Stat (P95, "app"));
-      inject_hang ~system:0 ~core:0 ~after:1 ();
+      Act
+        (Inject_hang { ih_dev = 0; ih_system = 0; ih_core = 0; ih_after = 1 });
       serve_phase ~label:"hang" ~duration_ps:phase_ps ();
       Assert
         {

@@ -42,9 +42,7 @@ type obs = {
   ob_health : (int * string) list;  (** device slot → health name; fleet only *)
 }
 
-val empty_obs : obs
 val obs_of_serve : Serve.report -> obs
-val obs_of_cluster : Cluster.report -> obs
 
 (** {1 Expressions and conditions} *)
 
@@ -89,11 +87,6 @@ type cond =
   | Any of cond list
   | Not of cond
 
-val eval_expr : (string * float) list -> obs -> expr -> float
-val eval_cond : (string * float) list -> obs -> cond -> bool
-val render_expr : expr -> string
-val render_cond : cond -> string
-
 (** {1 Actions and nodes} *)
 
 type action =
@@ -124,14 +117,6 @@ type node =
   | Assert of { a_cond : cond; a_msg : string }
       (** a failed assertion records a failure (and fails the run) but
           execution continues *)
-
-val serve_phase :
-  ?tenants:Tenant.t list -> label:string -> duration_ps:int -> unit -> node
-
-val inject_hang :
-  ?dev:int -> ?after:int -> system:int -> core:int -> unit -> node
-
-val node_label : node -> string
 
 (** {1 Scenarios} *)
 
@@ -210,10 +195,6 @@ val render : result -> string
     - ["failover-under-peak"] (3-slot fleet): kill the loaded device
       under traffic; quarantine, drain, re-shard and replay must hand
       the work over with zero lost acked commands. *)
-
-val warmup_ramp_hang_recover : seed:int -> t
-val diurnal_daycycle : seed:int -> t
-val failover_under_peak : seed:int -> t
 
 val bundled : (string * (seed:int -> t)) list
 val find_bundled : string -> (seed:int -> t) option

@@ -187,22 +187,6 @@ let observe_hist t name ~bucket_width x =
   in
   S.record h x
 
-let series_quantile t name ~q =
-  match Hashtbl.find_opt t.series name with
-  | None -> None
-  | Some s -> S.quantile_opt s ~q
-
-let series_quantiles t name =
-  match Hashtbl.find_opt t.series name with
-  | None -> None
-  | Some s -> (
-      match
-        ( S.quantile_opt s ~q:0.50,
-          S.quantile_opt s ~q:0.95,
-          S.quantile_opt s ~q:0.99 )
-      with
-      | Some a, Some b, Some c -> Some (a, b, c)
-      | _ -> None)
 
 (* Structured accessors: consumers (the tuner, the profile sink, tests)
    read counter values and series quantiles from the registry itself
@@ -250,7 +234,6 @@ module Series = struct
 end
 
 let span_count t = t.n_spans
-let txn_count t = t.next_txn
 
 (* -- well-formedness ------------------------------------------------ *)
 

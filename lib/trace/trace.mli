@@ -115,13 +115,6 @@ val observe_hist : t -> string -> bucket_width:float -> float -> unit
 (** Feed one value into a named histogram (e.g. NoC hop latency). The
     bucket width is fixed by the first call for a given name. *)
 
-val series_quantiles : t -> string -> (float * float * float) option
-(** (p50, p95, p99) of a named series; [None] if absent or empty. *)
-
-val series_quantile : t -> string -> q:float -> float option
-(** Arbitrary quantile of a named series (e.g. the p99.9 a serving SLO
-    report needs); [None] if absent or empty. *)
-
 (** {1 Structured snapshots}
 
     Whole-registry accessors, so consumers (the closed-loop tuner, the
@@ -169,7 +162,6 @@ val check : ?strict:bool -> t -> string list
     clean. *)
 
 val span_count : t -> int
-val txn_count : t -> int
 
 (** {1 Sinks} *)
 

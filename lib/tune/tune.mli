@@ -56,8 +56,6 @@ type axis = Cores | Channels | In_flight | Batch | Core_cap
 val all_axes : axis list
 val axis_name : axis -> string
 val axis_of_name : string -> axis option
-val axis_values : axis -> int list
-(** The discrete grid the search draws from on each axis. *)
 
 type score = {
   sc_rps : float;  (** mean over phases of total achieved requests/s *)

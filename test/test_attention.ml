@@ -21,10 +21,10 @@ let random_head seed =
   (Array.init A3.dim (fun _ -> q8 ()), mat (), mat ())
 
 let test_quantize_roundtrip () =
-  check_int "0.5 -> 8" 8 (A3.quantize 0.5);
-  check_int "saturates high" 127 (A3.quantize 100.0);
-  check_int "saturates low" (-128) (A3.quantize (-100.0));
-  Alcotest.(check (float 1e-9)) "dequantize" 0.5 (A3.dequantize 8)
+  Alcotest.(check (float 1e-9)) "dequantize" 0.5 (A3.dequantize 8);
+  Alcotest.(check (float 1e-9)) "int8 min is -8" (-8.0) (A3.dequantize (-128));
+  Alcotest.(check (float 1e-9))
+    "int8 max is 8 - 1/16" 7.9375 (A3.dequantize 127)
 
 let test_exp_lut_monotone () =
   check_int "lut size" 256 (Array.length A3.exp_lut);

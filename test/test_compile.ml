@@ -292,7 +292,7 @@ let test_sim_dispatch () =
   let a = input "a" 8 in
   let c = circuit1 (a +: of_int ~width:8 1) in
   check_bool "default backend is compiled" true
-    (Sim.default_backend = Sim.Compiled);
+    (Sim.backend (Sim.create c) = Sim.Compiled);
   check_string "backend names" "interpreter,compiled"
     (String.concat ","
        (List.map Sim.backend_name [ Sim.Interpreter; Sim.Compiled ]));

@@ -1,5 +1,5 @@
-(* Extension features: the FIFO generator, signed-arithmetic DSL helpers,
-   A3's RTL dot-product stage, DRAM refresh, the page-table model, strided
+(* Extension features: signed-arithmetic DSL helpers, the sequential
+   divider, netlist folding, DRAM refresh, the page-table model, strided
    Reader streams, and the ASIC/test-chip platform entries. *)
 
 module B = Beethoven
@@ -23,99 +23,6 @@ let test_sext_repeat () =
   check_int "repeated" 0b1010_1010_1010 (Hw.Cyclesim.output_int sim "rp");
   Hw.Cyclesim.set_input_int sim "a" 0b0101;
   check_int "positive sext" 0b0101 (Hw.Cyclesim.output_int sim "sx")
-
-(* ---- FIFO generator ---- *)
-
-let mk_fifo depth =
-  let open Hw.Signal in
-  let f = Hw.Fifo.create ~depth ~width:8 () in
-  let enq_valid = input "enq_valid" 1 in
-  let enq_data = input "enq_data" 8 in
-  let deq_ready = input "deq_ready" 1 in
-  assign f.Hw.Fifo.enq_valid enq_valid;
-  assign f.Hw.Fifo.enq_data enq_data;
-  assign f.Hw.Fifo.deq_ready deq_ready;
-  let c =
-    Hw.Circuit.create ~name:"fifo_tb"
-      ~outputs:
-        [
-          ("enq_ready", f.Hw.Fifo.enq_ready);
-          ("deq_valid", f.Hw.Fifo.deq_valid);
-          ("deq_data", f.Hw.Fifo.deq_data);
-          ("occupancy", f.Hw.Fifo.occupancy);
-        ]
-  in
-  Hw.Cyclesim.create c
-
-let test_fifo_fill_drain () =
-  let sim = mk_fifo 4 in
-  let set = Hw.Cyclesim.set_input_int sim in
-  set "deq_ready" 0;
-  (* fill to capacity *)
-  List.iteri
-    (fun i v ->
-      set "enq_valid" 1;
-      set "enq_data" v;
-      check_int (Printf.sprintf "ready while filling %d" i) 1
-        (Hw.Cyclesim.output_int sim "enq_ready");
-      Hw.Cyclesim.step sim)
-    [ 11; 22; 33; 44 ];
-  check_int "full: not ready" 0 (Hw.Cyclesim.output_int sim "enq_ready");
-  check_int "occupancy 4" 4 (Hw.Cyclesim.output_int sim "occupancy");
-  set "enq_valid" 0;
-  (* drain in order *)
-  set "deq_ready" 1;
-  List.iter
-    (fun v ->
-      check_int "valid while draining" 1
-        (Hw.Cyclesim.output_int sim "deq_valid");
-      check_int "fifo order" v (Hw.Cyclesim.output_int sim "deq_data");
-      Hw.Cyclesim.step sim)
-    [ 11; 22; 33; 44 ];
-  check_int "empty" 0 (Hw.Cyclesim.output_int sim "deq_valid")
-
-let test_fifo_bad_depth () =
-  Alcotest.check_raises "non power of two"
-    (Invalid_argument "Fifo.create: depth must be a power of two >= 2")
-    (fun () -> ignore (Hw.Fifo.create ~depth:6 ~width:8 ()))
-
-let prop_fifo =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:60 ~name:"fifo matches a queue model"
-       QCheck.(list_of_size Gen.(1 -- 120) (pair bool (int_bound 255)))
-       (fun ops ->
-         let sim = mk_fifo 8 in
-         let set = Hw.Cyclesim.set_input_int sim in
-         let model = Queue.create () in
-         let ok = ref true in
-         List.iter
-           (fun (is_enq, v) ->
-             if is_enq then begin
-               set "deq_ready" 0;
-               set "enq_valid" 1;
-               set "enq_data" v;
-               Hw.Cyclesim.settle sim;
-               let accepted = Hw.Cyclesim.output_int sim "enq_ready" = 1 in
-               if accepted <> (Queue.length model < 8) then ok := false;
-               if accepted then Queue.push v model
-             end
-             else begin
-               set "enq_valid" 0;
-               set "deq_ready" 1;
-               Hw.Cyclesim.settle sim;
-               let valid = Hw.Cyclesim.output_int sim "deq_valid" = 1 in
-               if valid <> not (Queue.is_empty model) then ok := false;
-               if valid then begin
-                 let got = Hw.Cyclesim.output_int sim "deq_data" in
-                 if got <> Queue.pop model then ok := false
-               end
-             end;
-             Hw.Cyclesim.step sim;
-             if
-               Hw.Cyclesim.output_int sim "occupancy" <> Queue.length model
-             then ok := false)
-           ops;
-         !ok))
 
 (* ---- netlist optimization ---- *)
 
@@ -146,7 +53,8 @@ let test_constant_fold_mux_and_reg () =
      enable; the counter feedback survives the rebuild *)
   let chosen = mux (of_int ~width:2 1) [ zero 8; a; of_int ~width:8 9 ] in
   let q = reg ~enable:vdd chosen in
-  let count = reg_fb ~width:8 (fun c -> c +: of_int ~width:8 1) in
+  let count = wire 8 in
+  assign count (reg (count +: of_int ~width:8 1));
   let c =
     Hw.Circuit.create ~name:"fr" ~outputs:[ ("q", q); ("count", count) ]
   in
@@ -165,79 +73,52 @@ let test_constant_fold_mux_and_reg () =
       (Hw.Cyclesim.output_int s2 "count")
   done
 
+(* Folding must keep the A3 core's 256-entry exp-LUT mux bit-exact. Every
+   input gets a seeded random value on every cycle; the 512-bit rows carry
+   small signed lanes so that scores stay near the running max and the
+   softmax indexes the whole LUT instead of saturating to zero. *)
 let prop_fold_equiv =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:40
-       ~name:"folding the A3 stage-2 circuit preserves behaviour"
-       QCheck.(list_of_size Gen.(1 -- 30) (int_bound 100_000))
-       (fun scores ->
-         let c = Attention.A3_rtl.stage2_circuit () in
-         let folded = Hw.Opt.constant_fold c in
-         let s1 = Hw.Cyclesim.create c and s2 = Hw.Cyclesim.create folded in
-         let drive sim name v = Hw.Cyclesim.set_input sim name v in
+    (QCheck.Test.make ~count:2
+       ~name:"folding the A3 RTL core preserves behaviour"
+       (QCheck.make ~print:string_of_int QCheck.Gen.int)
+       (fun seed ->
+         let c = Attention.A3_rtl_core.circuit () in
+         let s1 = Hw.Compile.create c
+         and s2 = Hw.Compile.create (Hw.Opt.constant_fold c) in
+         let rng = Random.State.make [| seed |] in
+         let draw w =
+           let small = w = 512 in
+           let b =
+             Bytes.init ((w + 7) / 8) (fun _ ->
+                 Char.chr
+                   (if small then (Random.State.int rng 33 - 16) land 0xff
+                    else Random.State.int rng 256))
+           in
+           Bits.slice (Bits.of_bytes b) ~hi:(w - 1) ~lo:0
+         in
          let ok = ref true in
-         List.iter
-           (fun sim ->
-             drive sim "max_score" (Bits.of_int ~width:24 100_000);
-             Hw.Cyclesim.set_input_int sim "clear" 1;
-             Hw.Cyclesim.set_input_int sim "score_valid" 0;
-             drive sim "score" (Bits.zero 24);
-             Hw.Cyclesim.step sim;
-             Hw.Cyclesim.set_input_int sim "clear" 0)
-           [ s1; s2 ];
-         List.iter
-           (fun sc ->
-             List.iter
-               (fun sim ->
-                 Hw.Cyclesim.set_input_int sim "score_valid" 1;
-                 drive sim "score" (Bits.of_int ~width:24 sc);
-                 Hw.Cyclesim.step sim)
-               [ s1; s2 ];
-             if
-               Hw.Cyclesim.output_int s1 "weight"
-               <> Hw.Cyclesim.output_int s2 "weight"
-               || Hw.Cyclesim.output_int s1 "wsum"
-                  <> Hw.Cyclesim.output_int s2 "wsum"
-             then ok := false)
-           scores;
+         for _ = 1 to 3500 do
+           List.iter
+             (fun (name, w) ->
+               let v = draw w in
+               Hw.Compile.set_input s1 name v;
+               Hw.Compile.set_input s2 name v)
+             (Hw.Circuit.inputs c);
+           List.iter
+             (fun (name, _) ->
+               if
+                 not
+                   (Bits.equal (Hw.Compile.output s1 name)
+                      (Hw.Compile.output s2 name))
+               then ok := false)
+             (Hw.Circuit.outputs c);
+           Hw.Compile.step s1;
+           Hw.Compile.step s2
+         done;
          !ok))
 
-(* ---- A3 stage-1 RTL ---- *)
-
-let test_a3_stage1_dot_products () =
-  let sim = Hw.Cyclesim.create (Attention.A3_rtl.circuit ()) in
-  let rand =
-    let s = ref 5 in
-    fun () ->
-      s := ((!s * 1103515245) + 12345) land 0x3FFFFFFF;
-      (!s mod 256) - 128
-  in
-  let q = Array.init 64 (fun _ -> rand ()) in
-  Hw.Cyclesim.set_input_int sim "load_q" 1;
-  Hw.Cyclesim.set_input sim "q_row" (Attention.A3_rtl.pack_row q);
-  Hw.Cyclesim.set_input_int sim "key_valid" 0;
-  Hw.Cyclesim.set_input_int sim "clear" 1;
-  Hw.Cyclesim.set_input sim "key_row" (Bits.zero 512);
-  Hw.Cyclesim.step sim;
-  Hw.Cyclesim.set_input_int sim "load_q" 0;
-  Hw.Cyclesim.set_input_int sim "clear" 0;
-  let max_ref = ref min_int in
-  for i = 1 to 40 do
-    let k = Array.init 64 (fun _ -> rand ()) in
-    Hw.Cyclesim.set_input_int sim "key_valid" 1;
-    Hw.Cyclesim.set_input sim "key_row" (Attention.A3_rtl.pack_row k);
-    Hw.Cyclesim.step sim;
-    let expect = Attention.A3_rtl.dot_reference q k in
-    if expect > !max_ref then max_ref := expect;
-    check_int
-      (Printf.sprintf "dot product %d" i)
-      expect
-      (Bits.to_signed_int (Hw.Cyclesim.output sim "score"))
-  done;
-  Hw.Cyclesim.set_input_int sim "key_valid" 0;
-  Hw.Cyclesim.step sim;
-  check_int "running max (first global reduction)" !max_ref
-    (Bits.to_signed_int (Hw.Cyclesim.output sim "max_score"))
+(* ---- sequential divider ---- *)
 
 let mk_divider w =
   let open Hw.Signal in
@@ -306,128 +187,6 @@ let prop_divider =
          let q, r = divider_divide sim 24 x y in
          q = x / y && r = x mod y))
 
-(* the full three-stage A3 pipeline at netlist level, normalization via
-   the sequential divider, verified bit-exact against the functional
-   model *)
-let test_a3_full_rtl_pipeline () =
-  let rand =
-    let s = ref 99 in
-    fun () ->
-      s := ((!s * 1103515245) + 12345) land 0x3FFFFFFF;
-      (!s mod 33) - 16
-  in
-  let q = Array.init 64 (fun _ -> rand ()) in
-  let keys = Array.init Attention.A3.n_keys (fun _ -> Array.init 64 (fun _ -> rand ())) in
-  let values = Array.init Attention.A3.n_keys (fun _ -> Array.init 64 (fun _ -> rand ())) in
-  (* stage 1 netlist: scores + max *)
-  let s1 = Hw.Cyclesim.create (Attention.A3_rtl.circuit ()) in
-  Hw.Cyclesim.set_input_int s1 "load_q" 1;
-  Hw.Cyclesim.set_input s1 "q_row" (Attention.A3_rtl.pack_row q);
-  Hw.Cyclesim.set_input_int s1 "key_valid" 0;
-  Hw.Cyclesim.set_input_int s1 "clear" 1;
-  Hw.Cyclesim.set_input s1 "key_row" (Bits.zero 512);
-  Hw.Cyclesim.step s1;
-  Hw.Cyclesim.set_input_int s1 "load_q" 0;
-  Hw.Cyclesim.set_input_int s1 "clear" 0;
-  let scores =
-    Array.map
-      (fun k ->
-        Hw.Cyclesim.set_input_int s1 "key_valid" 1;
-        Hw.Cyclesim.set_input s1 "key_row" (Attention.A3_rtl.pack_row k);
-        Hw.Cyclesim.step s1;
-        Bits.to_signed_int (Hw.Cyclesim.output s1 "score"))
-      keys
-  in
-  Hw.Cyclesim.set_input_int s1 "key_valid" 0;
-  Hw.Cyclesim.step s1;
-  let max_score = Bits.to_signed_int (Hw.Cyclesim.output s1 "max_score") in
-  Alcotest.(check (array int))
-    "stage 1 scores == reference" (Attention.A3.stage1_scores ~query:q ~keys)
-    scores;
-  (* stage 2 netlist: weights + wsum *)
-  let s2 = Hw.Cyclesim.create (Attention.A3_rtl.stage2_circuit ()) in
-  Hw.Cyclesim.set_input_int s2 "clear" 1;
-  Hw.Cyclesim.set_input_int s2 "score_valid" 0;
-  Hw.Cyclesim.set_input s2 "score" (Bits.zero 24);
-  Hw.Cyclesim.set_input s2 "max_score" (Bits.zero 24);
-  Hw.Cyclesim.step s2;
-  Hw.Cyclesim.set_input_int s2 "clear" 0;
-  Hw.Cyclesim.set_input s2 "max_score"
-    (Bits.of_signed_int ~width:24 max_score);
-  let weights =
-    Array.map
-      (fun sc ->
-        Hw.Cyclesim.set_input_int s2 "score_valid" 1;
-        Hw.Cyclesim.set_input s2 "score" (Bits.of_signed_int ~width:24 sc);
-        Hw.Cyclesim.step s2;
-        Hw.Cyclesim.output_int s2 "weight")
-      scores
-  in
-  Hw.Cyclesim.set_input_int s2 "score_valid" 0;
-  Hw.Cyclesim.step s2;
-  let wsum = Hw.Cyclesim.output_int s2 "wsum" in
-  let ref_weights = Attention.A3.stage2_weights scores in
-  Alcotest.(check (array int)) "stage 2 weights == reference" ref_weights weights;
-  check_int "wsum == reference" (Array.fold_left ( + ) 0 ref_weights) wsum;
-  (* stage 3 netlist: weighted accumulators *)
-  let s3 = Hw.Cyclesim.create (Attention.A3_rtl.stage3_circuit ()) in
-  Hw.Cyclesim.set_input_int s3 "clear" 1;
-  Hw.Cyclesim.set_input_int s3 "w_valid" 0;
-  Hw.Cyclesim.set_input_int s3 "weight" 0;
-  Hw.Cyclesim.set_input_int s3 "sel" 0;
-  Hw.Cyclesim.set_input s3 "v_row" (Bits.zero 512);
-  Hw.Cyclesim.step s3;
-  Hw.Cyclesim.set_input_int s3 "clear" 0;
-  Array.iteri
-    (fun i w ->
-      Hw.Cyclesim.set_input_int s3 "w_valid" 1;
-      Hw.Cyclesim.set_input_int s3 "weight" w;
-      Hw.Cyclesim.set_input s3 "v_row" (Attention.A3_rtl.pack_row values.(i));
-      Hw.Cyclesim.step s3)
-    weights;
-  Hw.Cyclesim.set_input_int s3 "w_valid" 0;
-  let acc d =
-    Hw.Cyclesim.set_input_int s3 "sel" d;
-    Bits.to_signed_int (Hw.Cyclesim.output s3 "acc")
-  in
-  (* normalization through the sequential divider, sign handled around it
-     (the functional model divides toward zero) *)
-  let open Hw.Signal in
-  let dv = Hw.Divider.create ~width:32 () in
-  let start = input "start" 1 and a = input "a" 32 and b = input "b" 32 in
-  assign dv.Hw.Divider.start start;
-  assign dv.Hw.Divider.dividend a;
-  assign dv.Hw.Divider.divisor b;
-  let dsim =
-    Hw.Cyclesim.create
-      (Hw.Circuit.create ~name:"norm"
-         ~outputs:[ ("q", dv.Hw.Divider.quotient); ("done", dv.Hw.Divider.done_) ])
-  in
-  let divide x y =
-    Hw.Cyclesim.set_input_int dsim "start" 1;
-    Hw.Cyclesim.set_input_int dsim "a" x;
-    Hw.Cyclesim.set_input_int dsim "b" y;
-    Hw.Cyclesim.step dsim;
-    Hw.Cyclesim.set_input_int dsim "start" 0;
-    let guard = ref 0 in
-    while Hw.Cyclesim.output_int dsim "done" = 0 && !guard < 64 do
-      Hw.Cyclesim.step dsim;
-      incr guard
-    done;
-    Hw.Cyclesim.output_int dsim "q"
-  in
-  let expect = Attention.A3.attend_fixed ~query:q ~keys ~values in
-  let got =
-    Array.init 64 (fun d ->
-        let num = acc d + (wsum / 2) in
-        let v =
-          if num >= 0 then divide num wsum else -divide (-num) wsum
-        in
-        max (-128) (min 127 v))
-  in
-  Alcotest.(check (array int))
-    "normalized outputs == attend_fixed" expect got
-
 (* ---- DRAM refresh ---- *)
 
 let test_refresh_costs_bandwidth () =
@@ -482,10 +241,6 @@ let test_pagemap_hugepages_contiguous () =
     (Runtime.Pagemap.physically_contiguous pm small);
   check_bool "hugepage-backed region is contiguous" true
     (Runtime.Pagemap.physically_contiguous pm huge);
-  check_int "regions cover the request"
-    (3 * 1024 * 1024)
-    (List.fold_left (fun acc (_, l) -> acc + l) 0
-       (Runtime.Pagemap.phys_regions pm huge));
   Runtime.Pagemap.munmap pm huge;
   Runtime.Pagemap.munmap pm small
 
@@ -605,21 +360,11 @@ let () =
       ( "dsl",
         [
           Alcotest.test_case "sext/repeat" `Quick test_sext_repeat;
-          Alcotest.test_case "fifo fill/drain" `Quick test_fifo_fill_drain;
-          Alcotest.test_case "fifo bad depth" `Quick test_fifo_bad_depth;
           Alcotest.test_case "divider" `Quick test_divider_basics;
           Alcotest.test_case "constant folding" `Quick test_constant_fold_shrinks;
           Alcotest.test_case "fold mux/reg" `Quick test_constant_fold_mux_and_reg;
-          prop_fifo;
           prop_divider;
           prop_fold_equiv;
-        ] );
-      ( "a3-rtl",
-        [
-          Alcotest.test_case "dot products + max" `Quick
-            test_a3_stage1_dot_products;
-          Alcotest.test_case "full pipeline bit-exact" `Quick
-            test_a3_full_rtl_pipeline;
         ] );
       ( "refresh",
         [

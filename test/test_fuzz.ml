@@ -93,7 +93,7 @@ let elaboration_invariants platform config =
                        sys.C.scratchpads)))
           0 config.C.systems
       in
-      let mem_ok = Noc.n_endpoints d.B.Elaborate.mem_noc = expected_mem_eps in
+      let mem_ok = List.length d.B.Elaborate.mem_endpoints = expected_mem_eps in
       (* accounting: grand total = beethoven + shell *)
       let acct =
         d.B.Elaborate.grand_total

@@ -256,9 +256,8 @@ let test_redundant_reset () =
 let test_dataflow_values () =
   let x = input "x" 8 in
   let held = reg ~init:(Bits.of_int ~width:8 5) (of_int ~width:8 5) -- "held" in
-  let counter =
-    reg_fb ~width:8 (fun q -> q +: of_int ~width:8 1) -- "ctr"
-  in
+  let counter = wire 8 in
+  assign counter (reg (counter +: of_int ~width:8 1) -- "ctr");
   let c =
     Hw.Circuit.create ~name:"df"
       ~outputs:[ ("held", held); ("ctr", counter); ("x", x) ]
@@ -285,13 +284,14 @@ let test_levelize_basic () =
   let o = s &: q in
   let c = Hw.Circuit.create ~name:"lv" ~outputs:[ ("o", o) ] in
   let lv = Levelize.of_circuit c in
+  let node s = (Levelize.nodes lv).(Levelize.slot_of lv s) in
   check_int "n_nodes matches topo"
     (List.length (Hw.Circuit.signals_in_topo_order c))
     (Levelize.n_nodes lv);
-  check_int "input is a source" 0 (Levelize.level_of lv a);
-  check_int "reg is a source" 0 (Levelize.level_of lv q);
-  check_int "add above its operands" 1 (Levelize.level_of lv s);
-  check_int "and above the add" 2 (Levelize.level_of lv o);
+  check_int "input is a source" 0 (node a).Levelize.n_level;
+  check_int "reg is a source" 0 (node q).Levelize.n_level;
+  check_int "add above its operands" 1 (node s).Levelize.n_level;
+  check_int "and above the add" 2 (node o).Levelize.n_level;
   check_int "comb depth" 2 (Levelize.comb_depth lv);
   (* slices tile the node array in level-major order *)
   let total = ref 0 in
@@ -302,7 +302,7 @@ let test_levelize_basic () =
   done;
   check_int "slices cover every node" (Levelize.n_nodes lv) !total;
   (* fanout of s: the and (comb) plus the reg's d (seq) *)
-  check_int "fanout counts comb and seq loads" 2 (Levelize.fanout_of lv s);
+  check_int "fanout counts comb and seq loads" 2 (node s).Levelize.n_fanout;
   (* hotspots are fanout-descending *)
   let hs = Levelize.hotspots lv ~n:3 in
   check_bool "hotspots sorted by fanout" true
@@ -513,14 +513,17 @@ let prop_levelize_respects_deps =
          let o = build_ops ~pipeline:false ~pool0:(input_pool ()) ops in
          let c = Hw.Circuit.create ~name:"rand" ~outputs:[ ("o", o) ] in
          let lv = Levelize.of_circuit c in
+         let level s =
+           (Levelize.nodes lv).(Levelize.slot_of lv s).Levelize.n_level
+         in
          let topo = Hw.Circuit.signals_in_topo_order c in
          Levelize.n_nodes lv = List.length topo
          && List.for_all
               (fun s ->
-                let l = Levelize.level_of lv s in
+                let l = level s in
                 List.for_all
                   (fun d ->
-                    Levelize.level_of lv d < l
+                    level d < l
                     && Levelize.slot_of lv d < Levelize.slot_of lv s)
                   (Hw.Circuit.comb_deps s))
               topo

@@ -33,9 +33,8 @@ let test_slr_crossing_latency () =
   let noc =
     Noc.build prm ~root_slr:0 ~endpoints:(eps_of_list [ 0; 1; 2 ])
   in
-  let l0 = Noc.latency_cycles noc ~ep_id:0 in
-  let l1 = Noc.latency_cycles noc ~ep_id:1 in
-  let l2 = Noc.latency_cycles noc ~ep_id:2 in
+  let cycles ep_id = Noc.latency_ps noc ~ep_id / prm.Noc.Params.clock_ps in
+  let l0 = cycles 0 and l1 = cycles 1 and l2 = cycles 2 in
   check_bool "farther SLR = more latency" true (l0 < l1 && l1 < l2);
   check_int "crossing cost" prm.Noc.Params.slr_crossing_latency_cycles (l1 - l0);
   check_int "crossings counted" 3 (Noc.n_slr_crossings noc)
@@ -87,7 +86,7 @@ let props =
         let noc = Noc.build prm ~root_slr:0 ~endpoints:(eps_of_list slrs) in
         List.for_all
           (fun i ->
-            let l = Noc.latency_cycles noc ~ep_id:i in
+            let l = Noc.latency_ps noc ~ep_id:i / prm.Noc.Params.clock_ps in
             l >= 1 && l <= 64)
           (List.init (List.length slrs) (fun i -> i)));
     prop "buffers grow monotonically with endpoint count (same SLR)"

@@ -119,7 +119,7 @@ let test_sram_library_differences () =
 
 let test_u200_description () =
   let p = D.aws_f1 in
-  check_int "3 SLRs" 3 (D.n_slrs p);
+  check_int "3 SLRs" 3 (List.length p.D.slrs);
   let cap = D.total_capacity p in
   (* VU9P totals *)
   check_int "CLBs" (3 * 49260) cap.R.clb;
@@ -134,7 +134,7 @@ let test_kria_description () =
   let p = D.kria in
   check_bool "embedded shares address space" true
     p.D.host.D.shared_address_space;
-  check_int "single SLR" 1 (D.n_slrs p)
+  check_int "single SLR" 1 (List.length p.D.slrs)
 
 let test_power_model () =
   (* the paper's Table II resources at 250 MHz should land near the

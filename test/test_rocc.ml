@@ -61,13 +61,6 @@ let test_rocc_rejects_non_custom () =
   in
   check_bool "zero opcode rejected" true raised
 
-let test_response_roundtrip () =
-  let r =
-    { B.Rocc.resp_system_id = 9; resp_core_id = 512; resp_data = 0x1234567890L }
-  in
-  check_bool "response roundtrip" true
-    (B.Rocc.decode_response (B.Rocc.encode_response r) = r)
-
 (* ---- Cmd_spec ---- *)
 
 let vec_cmd =
@@ -79,8 +72,17 @@ let vec_cmd =
     ]
 
 let test_cmd_spec_layout () =
-  check_int "payload bits" (32 + 64 + 20) (B.Cmd_spec.payload_bits vec_cmd);
   check_int "beats" 1 (B.Cmd_spec.rocc_beats vec_cmd);
+  let payload widths =
+    B.Cmd_spec.make ~name:"p" ~funct:0
+      (List.mapi
+         (fun i w -> (Printf.sprintf "x%d" i, B.Cmd_spec.Uint w))
+         widths)
+  in
+  check_int "128 payload bits fit one beat" 1
+    (B.Cmd_spec.rocc_beats (payload [ 64; 64 ]));
+  check_int "129 payload bits need two beats" 2
+    (B.Cmd_spec.rocc_beats (payload [ 64; 64; 1 ]));
   let wide =
     B.Cmd_spec.make ~name:"wide" ~funct:0
       (List.init 5 (fun i -> (Printf.sprintf "a%d" i, B.Cmd_spec.Address)))
@@ -228,7 +230,6 @@ let () =
           Alcotest.test_case "field limits" `Quick test_rocc_field_limits;
           Alcotest.test_case "non-custom rejected" `Quick
             test_rocc_rejects_non_custom;
-          Alcotest.test_case "response" `Quick test_response_roundtrip;
         ] );
       ( "cmd_spec",
         [

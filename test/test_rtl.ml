@@ -277,7 +277,8 @@ let test_intercore_pipeline () =
     let sp = B.Soc.scratchpad ctx "inbox" in
     let sum = ref 0L in
     for row = 0 to count - 1 do
-      sum := Int64.add !sum (B.Soc.Scratchpad.get_u64 sp row)
+      sum :=
+        Int64.add !sum (Bytes.get_int64_le (B.Soc.Scratchpad.get sp row) 0)
     done;
     respond !sum
   in

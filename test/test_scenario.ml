@@ -32,6 +32,11 @@ let single ?(seed = 42) cfg =
 
 (* ---- random scenario graphs are deterministic ---- *)
 
+let phase label duration_ps =
+  Sc.Act
+    (Sc.Serve_phase
+       { sp_label = label; sp_duration_ps = duration_ps; sp_tenants = None })
+
 (* A small vocabulary of nodes, indexed so QCheck shrinks nicely. The
    graphs mix traffic phases, sleeps, bindings, conditionals, bounded
    loops, asserts (some deliberately failing: determinism must hold for
@@ -39,7 +44,7 @@ let single ?(seed = 42) cfg =
    failure verdict and continues). *)
 let node_of_tag tag =
   match tag mod 8 with
-  | 0 -> Sc.serve_phase ~label:"p" ~duration_ps:25_000_000 ()
+  | 0 -> phase "p" 25_000_000
   | 1 -> Sc.Act (Sc.Sleep 5_000_000)
   | 2 -> Sc.Let ("x", Sc.Stat (Sc.P95, "t"))
   | 3 ->
@@ -62,7 +67,10 @@ let node_of_tag tag =
           w_max_trips = 2;
           w_body = [ Sc.Let ("trips", Sc.Const 2.) ];
         }
-  | 6 -> Sc.inject_hang ~system:0 ~core:0 ()
+  | 6 ->
+      Sc.Act
+        (Sc.Inject_hang
+           { ih_dev = 0; ih_system = 0; ih_core = 0; ih_after = 1 })
   | _ ->
       Sc.Assert
         {
@@ -133,7 +141,7 @@ let prop_single_phase_matches_plain_run =
       let cfg = small_cfg ~seed () in
       let sc =
         Sc.make ~name:"one-phase" ~seed ~backend:(single ~seed cfg)
-          [ Sc.serve_phase ~label:"only" ~duration_ps:cfg.S.c_duration_ps () ]
+          [ phase "only" cfg.S.c_duration_ps ]
       in
       let res = Sc.run sc in
       let plain = S.run cfg () in
@@ -192,7 +200,7 @@ let test_conditions_see_the_phase () =
   let sc =
     Sc.make ~name:"cond" ~seed:3 ~backend:(single ~seed:3 cfg)
       [
-        Sc.serve_phase ~label:"p" ~duration_ps:cfg.S.c_duration_ps ();
+        phase "p" cfg.S.c_duration_ps;
         Sc.Let ("done", Sc.Stat (Sc.Completed, "t"));
         Sc.Assert
           {

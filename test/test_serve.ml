@@ -24,12 +24,8 @@ let test_mix_rounding () =
   check_string "label derives from rounded size" "vecadd-64b" k.S.Mix.k_label
 
 let test_policy_names () =
-  List.iter
-    (fun p ->
-      match S.policy_of_name (S.policy_name p) with
-      | Some p' -> check_bool "round-trips" true (p = p')
-      | None -> Alcotest.fail "policy name did not round-trip")
-    [ S.Wfq; S.Fifo ];
+  check_bool "wfq parses" true (S.policy_of_name "wfq" = Some S.Wfq);
+  check_bool "fifo parses" true (S.policy_of_name "fifo" = Some S.Fifo);
   check_bool "unknown rejected" true (S.policy_of_name "lifo" = None)
 
 (* ---- weighted-fair shares ---- *)

@@ -118,9 +118,12 @@ let test_scratchpad_init_and_access () =
         let sp = Soc.scratchpad ctx "sp" in
         check_int "depth" 128 (Soc.Scratchpad.depth sp);
         Soc.Scratchpad.init_from_memory sp ~addr:8192 ~on_done:(fun () ->
-            seen := Soc.Scratchpad.get_u64 sp 5;
-            Soc.Scratchpad.set_u64 sp 6 99L;
-            respond (Soc.Scratchpad.get_u64 sp 6))
+            let row i = Bytes.get_int64_le (Soc.Scratchpad.get sp i) 0 in
+            seen := row 5;
+            let v = Bytes.create 8 in
+            Bytes.set_int64_le v 0 99L;
+            Soc.Scratchpad.set sp 6 v;
+            respond (row 6))
           ())
   in
   Soc.write_u64 soc (8192 + 40) 4242L;

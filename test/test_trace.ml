@@ -36,7 +36,7 @@ let test_span_basics () =
   T.end_span t ~now:10 root;
   Alcotest.(check (list string)) "clean tree" [] (T.check t);
   check_int "spans" 2 (T.span_count t);
-  check_int "txns" 1 (T.txn_count t);
+  check_int "one txn minted, so the next id is 1" 1 (T.fresh_txn t);
   (* closing again (or an unknown id) is ignored, not an error *)
   T.end_span t ~now:99 child;
   T.end_span t ~now:99 12345;
@@ -106,12 +106,14 @@ let test_registry () =
   T.sample t ~now:0 "q" 1;
   T.sample t ~now:10 "q" 3;
   List.iter (T.observe t "lat") [ 10.; 20.; 30.; 40. ];
-  (match T.series_quantiles t "lat" with
-  | Some (p50, p95, p99) ->
-      check_bool "p50 sane" true (p50 >= 10. && p50 <= 40.);
-      check_bool "quantiles ordered" true (p50 <= p95 && p95 <= p99)
+  (match T.Series.summary t "lat" with
+  | Some su ->
+      check_bool "p50 sane" true
+        (su.T.Series.su_p50 >= 10. && su.su_p50 <= 40.);
+      check_bool "quantiles ordered" true
+        (su.su_p50 <= su.su_p95 && su.su_p95 <= su.su_p99)
   | None -> Alcotest.fail "series should exist");
-  check_bool "absent series" true (T.series_quantiles t "nope" = None)
+  check_bool "absent series" true (T.Series.summary t "nope" = None)
 
 (* ---- full-stack memcpy trace ---- *)
 
@@ -121,7 +123,8 @@ let test_memcpy_trace_clean () =
   Alcotest.(check (list string))
     "well-formed even strictly" [] (T.check ~strict:true tracer);
   check_bool "spans recorded" true (T.span_count tracer > 0);
-  check_int "exactly one host transaction" 1 (T.txn_count tracer);
+  check_int "exactly one host transaction (the next id is 1)" 1
+    (T.fresh_txn tracer);
   check_bool "read traffic counted" true
     (T.counter_value tracer "ddr0.read_bytes" >= 16 * 1024);
   check_bool "core busy time counted" true

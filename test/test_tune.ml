@@ -154,16 +154,7 @@ let test_one_knob_delta () =
       if name = touched then
         check_bool (name ^ " re-analyzed") false hit
       else check_bool (name ^ " cache hit") true hit)
-    (B.Elaborate.Cache.last_lookups cache);
-  (* the key really moved for the touched system only *)
-  List.iter2
-    (fun (a : C.system) (b : C.system) ->
-      let same =
-        B.Elaborate.Cache.system_key a = B.Elaborate.Cache.system_key b
-      in
-      check_bool (a.C.sys_name ^ " key stability") (a.C.sys_name <> touched)
-        same)
-    base.C.systems delta.C.systems
+    (B.Elaborate.Cache.last_lookups cache)
 
 (* ---- the Dse pre-filter shares the cache ---- *)
 
