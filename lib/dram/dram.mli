@@ -3,9 +3,11 @@
     The model is timing-only: data contents live in the host-memory model of
     the {!Runtime} library. Requests are decomposed into bus-width bursts
     (64 B for a x64 DDR4 device at BL8); each burst is scheduled against
-    per-bank row state (activate/precharge/CAS timings), a shared data bus
-    with read/write turnaround penalties, and an FR-FCFS-style preference
-    for row hits. Simulation time is in picoseconds. *)
+    per-bank row state (activate/precharge/CAS timings) and a shared data
+    bus with read/write turnaround penalties. {!submit} reserves every
+    burst when it is called, in arrival order: there is no request queue,
+    so a row hit never overtakes an earlier miss (no FR-FCFS reordering).
+    Simulation time is in picoseconds. *)
 
 module Config : sig
   type t = {
