@@ -829,6 +829,18 @@ let cluster_run seed devices warm duration_us rate kills restores curve =
     Printf.eprintf "cluster: devices and duration must be >= 1\n";
     exit 2
   end;
+  List.iter
+    (fun (flag, args) ->
+      List.iter
+        (fun (dev, us) ->
+          if dev < 0 || dev >= devices || us < 0 then begin
+            Printf.eprintf
+              "cluster: --%s %d:%d: DEV must be in [0, %d) and US >= 0\n" flag
+              dev us devices;
+            exit 2
+          end)
+        args)
+    [ ("kill", kills); ("restore", restores) ];
   let duration_ps = duration_us * 1_000_000 in
   if curve then begin
     let pts =
@@ -951,7 +963,9 @@ let cluster_cmd =
          applies twice. The campaign is run twice in-process; the run \
          exits 1 if the digests differ, any accounting invariant is \
          violated, an acknowledged command was lost, or a scheduled kill \
-         quarantined nothing.";
+         quarantined nothing. It exits 2 on a usage error: fewer than one \
+         device or microsecond, or a $(b,--kill) or $(b,--restore) whose \
+         device is outside the fleet or whose time is negative.";
     ]
   in
   Cmd.v

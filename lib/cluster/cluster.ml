@@ -37,6 +37,7 @@ let config ?(seed = 42) ?(duration_ps = 2_000_000_000) ?(devices = 2)
   if warm < 1 || warm > devices then
     invalid_arg "Cluster.config: warm must be in [1, devices]";
   if heartbeat_ps < 1 then invalid_arg "Cluster.config: heartbeat must be >= 1";
+  if drain_ps < 0 then invalid_arg "Cluster.config: drain must be >= 0";
   {
     cl_seed = seed;
     cl_duration_ps = duration_ps;
@@ -81,7 +82,7 @@ type devstate = {
       (* slot, current handle, outstanding, per-device SFQ clock *)
   dv_platform : Platform.Device.t;
   mutable dv_gen : int;
-  mutable dv_inj : Fault.Injector.t option;
+  mutable dv_inj : Fault.Injector.t;
   mutable dv_tracer : Trace.t option;
   mutable dv_state : Health.state;
   mutable dv_frozen : bool;  (* engine excluded from the lockstep *)
@@ -93,12 +94,6 @@ type devstate = {
   mutable dv_busy_prev : int;  (* server busy accumulated by dead gens *)
   mutable dv_transitions : (int * Health.state) list;  (* reverse *)
 }
-
-(* Coordinator agenda: host-level actions (heartbeats, chaos, drain
-   deadlines, replay backoffs) executed between lockstep rounds, when
-   every live engine clock agrees. A sorted list keyed by (time, seq) —
-   seq keeps same-time actions in insertion order. *)
-type agenda_item = { ag_time : int; ag_seq : int; ag_act : unit -> unit }
 
 type cstate = {
   st_cfg : config;
@@ -117,8 +112,10 @@ type cstate = {
   mutable st_quarantines : int;
   mutable st_promotions : int;
   mutable st_resharded : (string * int * int) list;  (* reverse *)
-  mutable st_agenda : agenda_item list;  (* sorted by (time, seq) *)
-  mutable st_agenda_seq : int;
+  st_agenda : Desim.Engine.t;
+      (* coordinator actions (heartbeats, chaos, drain deadlines, replay
+         backoffs), run between lockstep rounds when every live clock
+         agrees; same-time actions fire in scheduling order *)
   mutable st_dirty : bool;  (* some device may have dispatchable work *)
   mutable st_win_completed : int;  (* completions since the last probe *)
   mutable st_win_viol : int;
@@ -134,18 +131,7 @@ let slot dv = dv.dv_site.D.si_slot
 let handle dv = dv.dv_site.D.si_handle
 
 let schedule_action st ~at act =
-  let it = { ag_time = at; ag_seq = st.st_agenda_seq; ag_act = act } in
-  st.st_agenda_seq <- st.st_agenda_seq + 1;
-  let rec ins = function
-    | [] -> [ it ]
-    | hd :: tl ->
-        if
-          hd.ag_time < it.ag_time
-          || (hd.ag_time = it.ag_time && hd.ag_seq < it.ag_seq)
-        then hd :: ins tl
-        else it :: hd :: tl
-  in
-  st.st_agenda <- ins st.st_agenda
+  Desim.Engine.schedule_at st.st_agenda ~time:at act
 
 let bump st name =
   match st.st_tracer with None -> () | Some tr -> Trace.add tr name 1
@@ -213,7 +199,7 @@ let fresh_device cfg ~plan ~traced ~slot ~state =
     dv_site = site;
     dv_platform = platform;
     dv_gen = 0;
-    dv_inj = Some inj;
+    dv_inj = inj;
     dv_tracer = tracer;
     dv_state = state;
     dv_frozen = false;
@@ -242,7 +228,7 @@ let reboot st dv =
   in
   Desim.Engine.run ~until:(now st) (H.engine site.D.si_handle);
   dv.dv_site <- site;
-  dv.dv_inj <- Some inj;
+  dv.dv_inj <- inj;
   dv.dv_tracer <- tracer;
   dv.dv_frozen <- false;
   dv.dv_misses <- 0;
@@ -279,8 +265,8 @@ let pick_home st =
    bookkeeping, even on a frozen device). *)
 let drop_resident st l =
   (match st.st_resident.(l.D.l_index) with
-  | Some ptr when l.l_site >= 0 -> (
-      try H.mfree (handle st.st_devices.(l.l_site)) ptr with _ -> ())
+  | Some ptr when l.l_site >= 0 ->
+      H.mfree (handle st.st_devices.(l.l_site)) ptr
   | _ -> ());
   st.st_resident.(l.l_index) <- None
 
@@ -338,10 +324,8 @@ let rec submit st (r : D.req) ~core =
          coordinator-driven send); if the generation moved on, the
          registry entry belongs to a newer boot and stays. *)
       let finished = Desim.Engine.now (dev_engine dv) in
-      (try
-         H.mfree h a;
-         H.mfree h b
-       with _ -> ());
+      H.mfree h a;
+      H.mfree h b;
       D.release dv.dv_site r ~core;
       (match Hashtbl.find_opt dv.dv_inflight r.rq_id with
       | Some il when il.il_gen = gen -> Hashtbl.remove dv.dv_inflight r.rq_id
@@ -464,12 +448,9 @@ let quarantine_device st dv ~reason =
   if dv.dv_state <> Health.Quarantined && dv.dv_state <> Health.Dead then begin
     st.st_quarantines <- st.st_quarantines + 1;
     bump st "cluster.quarantine";
-    (match dv.dv_inj with
-    | Some inj ->
-        Fault.Injector.log inj ~now:(now st) ~cls:Fault.Class.Device_offline
-          ~kind:Fault.Log.Quarantined
-          ~site:(Printf.sprintf "dev%d: %s" (slot dv) reason)
-    | None -> ());
+    Fault.Injector.log dv.dv_inj ~now:(now st) ~cls:Fault.Class.Device_offline
+      ~kind:Fault.Log.Quarantined
+      ~site:(Printf.sprintf "dev%d: %s" (slot dv) reason);
     transition st dv Health.Quarantined;
     let victims =
       Array.to_list (tenants st)
@@ -566,38 +547,31 @@ let rec heartbeat st =
           let missed =
             if dv.dv_frozen then true
             else begin
-              (match dv.dv_inj with
-              | Some inj ->
-                  if
-                    dv.dv_brownout = 0
-                    && Fault.Injector.decide inj Fault.Class.Device_brownout
-                  then begin
-                    dv.dv_brownout <-
-                      1 + Fault.Injector.draw_int inj ~bound:quarantine_misses;
-                    Fault.Injector.log inj ~now:(now st)
-                      ~cls:Fault.Class.Device_brownout ~kind:Fault.Log.Injected
-                      ~site:
-                        (Printf.sprintf "dev%d brownout %d probes" (slot dv)
-                           dv.dv_brownout)
-                  end
-              | None -> ());
+              let inj = dv.dv_inj in
+              if
+                dv.dv_brownout = 0
+                && Fault.Injector.decide inj Fault.Class.Device_brownout
+              then begin
+                dv.dv_brownout <-
+                  1 + Fault.Injector.draw_int inj ~bound:quarantine_misses;
+                Fault.Injector.log inj ~now:(now st)
+                  ~cls:Fault.Class.Device_brownout ~kind:Fault.Log.Injected
+                  ~site:
+                    (Printf.sprintf "dev%d brownout %d probes" (slot dv)
+                       dv.dv_brownout)
+              end;
               if dv.dv_brownout > 0 then begin
                 dv.dv_brownout <- dv.dv_brownout - 1;
                 true
               end
-              else
-                match dv.dv_inj with
-                | Some inj ->
-                    if Fault.Injector.decide inj Fault.Class.Heartbeat_loss
-                    then begin
-                      Fault.Injector.log inj ~now:(now st)
-                        ~cls:Fault.Class.Heartbeat_loss
-                        ~kind:Fault.Log.Injected
-                        ~site:(Printf.sprintf "dev%d probe lost" (slot dv));
-                      true
-                    end
-                    else false
-                | None -> false
+              else if Fault.Injector.decide inj Fault.Class.Heartbeat_loss
+              then begin
+                Fault.Injector.log inj ~now:(now st)
+                  ~cls:Fault.Class.Heartbeat_loss ~kind:Fault.Log.Injected
+                  ~site:(Printf.sprintf "dev%d probe lost" (slot dv));
+                true
+              end
+              else false
             end
           in
           if missed then begin
@@ -618,13 +592,9 @@ let rec heartbeat st =
               dv.dv_misses <- 0;
               if dv.dv_state = Health.Suspect then begin
                 transition st dv Health.Healthy;
-                (match dv.dv_inj with
-                | Some inj ->
-                    Fault.Injector.log inj ~now:(now st)
-                      ~cls:Fault.Class.Heartbeat_loss
-                      ~kind:Fault.Log.Recovered
-                      ~site:(Printf.sprintf "dev%d probes resumed" (slot dv))
-                | None -> ())
+                Fault.Injector.log dv.dv_inj ~now:(now st)
+                  ~cls:Fault.Class.Heartbeat_loss ~kind:Fault.Log.Recovered
+                  ~site:(Printf.sprintf "dev%d probes resumed" (slot dv))
               end
             end
           end
@@ -658,12 +628,9 @@ let rec heartbeat st =
 
 let kill_device st dv =
   if not dv.dv_frozen then begin
-    (match dv.dv_inj with
-    | Some inj ->
-        Fault.Injector.log inj ~now:(now st) ~cls:Fault.Class.Device_offline
-          ~kind:Fault.Log.Injected
-          ~site:(Printf.sprintf "dev%d offline" (slot dv))
-    | None -> ());
+    Fault.Injector.log dv.dv_inj ~now:(now st) ~cls:Fault.Class.Device_offline
+      ~kind:Fault.Log.Injected
+      ~site:(Printf.sprintf "dev%d offline" (slot dv));
     bump st "cluster.kill";
     (* the engine freezes: nothing in flight there ever settles; the
        heartbeat monitor notices, quarantines, drains, and re-shards *)
@@ -674,9 +641,13 @@ let kill_device st dv =
 let restore_device st dv =
   if dv.dv_frozen then begin
     bump st "cluster.restore";
-    (* a restore can land before the drain deadline fires; the reboot
-       bumps the generation (making the pending drain a no-op), so
-       replay whatever the dead generation still held first *)
+    (* a restore can land before the monitor quarantined the slot:
+       quarantine it now, the one path that re-homes or degrades its
+       tenants (a no-op once quarantined or dead). It can also land
+       before the drain deadline; the reboot bumps the generation
+       (making the pending drain a no-op), so replay whatever the dead
+       generation still held first. *)
+    quarantine_device st dv ~reason:"restored before quarantine";
     replay_unacked st dv;
     reboot st dv
   end
@@ -693,74 +664,51 @@ let restore_device st dv =
    actions and the dispatch pump run between rounds, when every live
    clock agrees — so cross-engine calls (H.send from the coordinator,
    closed-loop wakeups on the host engine from a device completion) are
-   always made at a single consistent cluster time. *)
-let drive st =
-  let live_engines () =
-    st.st_host
-    :: (Array.to_list st.st_devices
-       |> List.filter (fun dv -> not dv.dv_frozen)
-       |> List.map dev_engine)
-  in
-  let next_min () =
-    let engines = live_engines () in
-    let m =
-      List.fold_left
-        (fun acc e ->
-          match (Desim.Engine.next_time e, acc) with
-          | None, acc -> acc
-          | Some t, None -> Some t
-          | Some t, Some a -> Some (min t a))
-        None engines
-    in
-    match (st.st_agenda, m) with
-    | [], m -> m
-    | it :: _, None -> Some it.ag_time
-    | it :: _, Some a -> Some (min it.ag_time a)
-  in
-  let run_due_agenda () =
-    let rec go () =
-      match st.st_agenda with
-      | it :: tl when it.ag_time <= now st ->
-          st.st_agenda <- tl;
-          it.ag_act ();
-          go ()
-      | _ -> ()
-    in
-    go ()
+   always made at a single consistent cluster time. Only agenda actions
+   and session calls kill or reboot a device, so the live set is fixed
+   within a round. Without [until] the drive runs until nothing is
+   pending; with it, it stops before the first event past [until] and
+   moves every live clock there. *)
+let drive ?until st =
+  let within t = match until with Some u -> t <= u | None -> true in
+  let due t e =
+    match Desim.Engine.next_time e with Some t' -> t' <= t | None -> false
   in
   let rounds = ref 0 in
   let rec loop () =
     incr rounds;
     if !rounds > max_events then
       failwith "Cluster: coordinator livelock (round budget exhausted)";
-    run_due_agenda ();
+    Desim.Engine.run ~until:(now st) st.st_agenda;
     pump_all st;
-    match next_min () with
-    | None -> ()
-    | Some t ->
-        let fire () =
-          List.iter
-            (fun e -> Desim.Engine.run ~until:t ~max_events e)
-            (live_engines ())
-        in
-        fire ();
+    let live =
+      st.st_host
+      :: (Array.to_list st.st_devices
+         |> List.filter (fun dv -> not dv.dv_frozen)
+         |> List.map dev_engine)
+    in
+    let earliest =
+      List.fold_left
+        (fun acc e ->
+          match (Desim.Engine.next_time e, acc) with
+          | None, acc -> acc
+          | Some t, None -> Some t
+          | Some t, Some a -> Some (min t a))
+        (Desim.Engine.next_time st.st_agenda)
+        live
+    in
+    let fire t =
+      List.iter (fun e -> Desim.Engine.run ~until:t ~max_events e) live
+    in
+    match earliest with
+    | Some t when within t ->
+        fire t;
         (* same-time cascades across engines *)
-        let rec settle () =
-          let again =
-            List.exists
-              (fun e ->
-                match Desim.Engine.next_time e with
-                | Some t' -> t' <= t
-                | None -> false)
-              (live_engines ())
-          in
-          if again then begin
-            fire ();
-            settle ()
-          end
-        in
-        settle ();
+        while List.exists (due t) live do
+          fire t
+        done;
         loop ()
+    | _ -> Option.iter fire until
   in
   loop ()
 
@@ -778,7 +726,7 @@ type device_report = {
   dr_busy_ps : int;
   dr_utilization : float;
   dr_transitions : (int * Health.state) list;
-  dr_injector : Fault.Injector.t option;
+  dr_injector : Fault.Injector.t;
 }
 
 type report = {
@@ -831,8 +779,7 @@ let mk_state ?tracer ?plan cfg =
       st_quarantines = 0;
       st_promotions = 0;
       st_resharded = [];
-      st_agenda = [];
-      st_agenda_seq = 0;
+      st_agenda = Desim.Engine.create ();
       st_dirty = false;
       st_win_completed = 0;
       st_win_viol = 0;
@@ -959,8 +906,8 @@ module Session = struct
     let t0 = now st in
     st.st_horizon <- t0 + duration_ps;
     st.st_served_ps <- st.st_served_ps + duration_ps;
-    (* between phases the agenda is empty (drive runs it dry), so the
-       heartbeat chain is always re-armed here *)
+    (* no heartbeat is pending between phases (a phase's drive runs the
+       agenda dry and a sleep arms none), so the chain is re-armed here *)
     schedule_action st ~at:(t0 + st.st_cfg.cl_heartbeat_ps) (fun () ->
         heartbeat st);
     start_clients ~salt:st.st_phases ~t0 ~horizon:(t0 + duration_ps) st;
@@ -968,35 +915,12 @@ module Session = struct
     drive st;
     mk_report st ~duration_ps:(max 1 st.st_served_ps)
 
-  (* Advance cluster time without traffic: host engine plus every live
-     device engine move to [now + delta] in lockstep (pending agenda
-     work — e.g. a drain deadline — fires on the way). *)
+  (* Advance cluster time without traffic: the lockstep drive up to
+     [now + delta]. Work pending past it settles in the next phase. *)
   let sleep st ~delta_ps =
     if delta_ps < 0 then
       invalid_arg "Cluster.Session.sleep: negative delta";
-    let target = now st + delta_ps in
-    let run_live ~until =
-      Desim.Engine.run ~until ~max_events st.st_host;
-      Array.iter
-        (fun dv ->
-          if not dv.dv_frozen then
-            Desim.Engine.run ~until ~max_events (dev_engine dv))
-        st.st_devices
-    in
-    let rec go () =
-      match st.st_agenda with
-      | it :: tl when it.ag_time <= target ->
-          run_live ~until:it.ag_time;
-          st.st_agenda <- tl;
-          it.ag_act ();
-          (* dispatch any work the action freed; completions landing
-             after [target] stay pending and settle in the next phase *)
-          pump_all st;
-          go ()
-      | _ -> ()
-    in
-    go ();
-    run_live ~until:target
+    drive st ~until:(now st + delta_ps)
 
   let snapshot st = mk_report st ~duration_ps:(max 1 st.st_served_ps)
 end
@@ -1015,6 +939,7 @@ let run ?tracer ?plan ?(chaos = []) cfg () =
       in
       if dev < 0 || dev >= cfg.cl_devices then
         invalid_arg "Cluster.run: chaos device out of range";
+      if at < 0 then invalid_arg "Cluster.run: negative chaos time";
       schedule_action st ~at (fun () -> act st st.st_devices.(dev)))
     chaos;
   Session.run_phase st ~duration_ps:cfg.cl_duration_ps

@@ -6,7 +6,9 @@
     {!Runtime.Handle} and one dispatch site with its own SFQ virtual
     clock. A conservative coordinator drives every device's
     {!Desim.Engine} in lockstep (host engine first, then devices in slot
-    order), so cross-device cascades are byte-deterministic.
+    order), so cross-device cascades are byte-deterministic. Its own
+    agenda (heartbeats, chaos, drain deadlines, replay backoffs) is one
+    more {!Desim.Engine}, run between lockstep rounds.
 
     Each tenant's resident working set lives on one home device, where
     all its requests dispatch. A seeded heartbeat monitor drives the
@@ -59,13 +61,13 @@ val config :
   tenants:Serve.Tenant.t list ->
   unit ->
   config
-(** Defaults: seed 42, 2 ms, 2 devices all warm, heartbeat 50 µs, drain
-    150 µs. The rest of the fleet is fixed: platforms
-    [[aws_f1; u200; kria]] cycled over slots, 2 cores per system, core
-    cap 4, suspect after 2 missed probes, quarantine after 4, 3 replay
-    retries at 20 µs base backoff, 64 KB resident set, promotion after 3
-    hot probes at 50% violations, and a 50M-event budget per engine as
-    the livelock guard. *)
+(** Defaults: seed 42, 2 ms, 2 devices all warm, heartbeat 50 µs (at
+    least 1 ps), drain 150 µs (at least 0). The rest of the fleet is
+    fixed: platforms [[aws_f1; u200; kria]] cycled over slots, 2 cores
+    per system, core cap 4, suspect after 2 missed probes, quarantine
+    after 4, 3 replay retries at 20 µs base backoff, 64 KB resident set,
+    promotion after 3 hot probes at 50% violations, and a 50M-event
+    budget per engine as the livelock guard. *)
 
 (** {1 Chaos schedule} *)
 
@@ -75,7 +77,11 @@ type chaos =
           nothing in flight there ever settles *)
   | Restore of { at : int; dev : int }
       (** a fresh SoC is booted into the slot and joins the standby
-          pool (promotion decides when it serves again) *)
+          pool (promotion decides when it serves again). A restore that
+          lands before the monitor quarantined the killed slot
+          quarantines it first, so its tenants re-home or degrade. A
+          restore of a slot that is neither killed nor dead does
+          nothing. *)
 
 (** {1 Results} *)
 
@@ -90,8 +96,9 @@ type device_report = {
   dr_utilization : float;  (** busy / wall *)
   dr_transitions : (int * Health.state) list;
       (** chronological health transitions (time, new state) *)
-  dr_injector : Fault.Injector.t option;
-      (** the slot's current-generation forked injector *)
+  dr_injector : Fault.Injector.t;
+      (** the slot's current-generation forked injector (every boot
+          forks one) *)
 }
 
 type report = {
@@ -137,7 +144,8 @@ val run :
     with the serving device; per-device tracers (device-prefixed
     tracks) ride in the report. This is one {!Session.run_phase} of
     [cl_duration_ps] on a fresh {!Session.create}, with [chaos] put on
-    the agenda first. *)
+    the agenda first. Raises [Invalid_argument] on a chaos device
+    outside [[0, cl_devices)] or a negative chaos time. *)
 
 (** {1 Sessions}
 
@@ -171,16 +179,22 @@ module Session : sig
       Returns the cumulative session report. *)
 
   val sleep : t -> delta_ps:int -> unit
-  (** Advance cluster time without traffic (pending agenda work — e.g.
-      a drain deadline — fires on the way). *)
+  (** Advance cluster time by [delta_ps] without new clients: the same
+      lockstep drive as a phase, stopped at the horizon. Queued work is
+      dispatched, same-time cascades run, and pending agenda work (a
+      drain deadline, a replay backoff) fires on the way; a completion
+      that wakes a closed-loop client schedules the wakeup from its own
+      time. Events past the horizon stay pending for the next phase. *)
 
   val kill : t -> dev:int -> unit
   (** Freeze the slot's engine now — the next phase's heartbeats notice,
       quarantine, drain and re-shard. *)
 
   val restore : t -> dev:int -> unit
-  (** Replay whatever the dead generation still held, then boot a fresh
-      SoC generation into the slot (standby pool). *)
+  (** Quarantine the killed slot if the monitor has not yet (its tenants
+      re-home or degrade), replay whatever the dead generation still
+      held, then boot a fresh SoC generation into the slot (standby
+      pool). Does nothing to a slot that is neither killed nor dead. *)
 
   val promote_standby : t -> bool
   (** Promote the first available standby device into service

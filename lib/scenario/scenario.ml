@@ -51,8 +51,7 @@ let obs_of_serve (r : Serve.report) =
 let obs_of_cluster (r : Cluster.report) =
   let sum f =
     List.fold_left
-      (fun a (d : Cluster.device_report) ->
-        a + match d.Cluster.dr_injector with Some i -> f i | None -> 0)
+      (fun a (d : Cluster.device_report) -> a + f d.Cluster.dr_injector)
       0 r.Cluster.c_devices
   in
   {
@@ -167,6 +166,10 @@ let stat_of_tr (s : stat) (tr : Serve.tenant_report) =
 
 let is_quantile = function P50 | P95 | P99 | Mean -> true | _ -> false
 
+(* An expression that names something the run does not have: the node
+   that evaluates it fails with this message. *)
+exception Unresolved of string
+
 let eval_stat obs s tenant =
   if tenant = "*" then
     List.fold_left
@@ -179,7 +182,11 @@ let eval_stat obs s tenant =
       List.find_opt (fun tr -> tr.Serve.tr_name = tenant) obs.ob_tenants
     with
     | Some tr -> stat_of_tr s tr
-    | None -> 0.
+    | None ->
+        raise
+          (Unresolved
+             (Printf.sprintf "%s(%s): no tenant %S in the last observation"
+                (stat_name s) tenant tenant))
 
 let eval_counter obs = function
   | Quarantines -> float_of_int obs.ob_quarantines
@@ -194,7 +201,11 @@ let eval_counter obs = function
 
 let eval_expr env obs = function
   | Const v -> v
-  | Var name -> ( match List.assoc_opt name env with Some v -> v | None -> 0.)
+  | Var name -> (
+      match List.assoc_opt name env with
+      | Some v -> v
+      | None ->
+          raise (Unresolved (Printf.sprintf "$%s: unbound variable" name)))
   | Stat (s, tenant) -> eval_stat obs s tenant
   | Counter c -> eval_counter obs c
 
@@ -408,7 +419,7 @@ let exec_action ex = function
         | Cl s -> (
             let r = Cluster.Session.snapshot s in
             match List.nth_opt r.Cluster.c_devices ih_dev with
-            | Some d -> d.Cluster.dr_injector
+            | Some d -> Some d.Cluster.dr_injector
             | None -> None)
       in
       match inj with
@@ -461,26 +472,30 @@ let rec exec_node ex node =
   let id = ex.ex_count - 1 in
   let enter = ex_now ex in
   let verdict =
-    match node with
-    | Act a -> exec_action ex a
-    | Let (name, e) ->
-        let v = eval_expr ex.ex_env ex.ex_obs e in
-        ex.ex_env <- (name, v) :: ex.ex_env;
-        Printf.sprintf "ok (%s=%.6f)" name v
-    | If { if_cond; if_then; if_else } ->
-        let taken = eval_cond ex.ex_env ex.ex_obs if_cond in
-        List.iter (exec_node ex) (if taken then if_then else if_else);
-        Printf.sprintf "ok (%s)" (if taken then "then" else "else")
-    | While { w_cond; w_max_trips; w_body } ->
-        let trips = ref 0 in
-        while !trips < w_max_trips && eval_cond ex.ex_env ex.ex_obs w_cond do
-          incr trips;
-          List.iter (exec_node ex) w_body
-        done;
-        Printf.sprintf "ok (%d trips)" !trips
-    | Assert { a_cond; a_msg } ->
-        if eval_cond ex.ex_env ex.ex_obs a_cond then "ok"
-        else fail ex (Printf.sprintf "%s: %s" a_msg (render_cond a_cond))
+    try
+      match node with
+      | Act a -> exec_action ex a
+      | Let (name, e) ->
+          let v = eval_expr ex.ex_env ex.ex_obs e in
+          ex.ex_env <- (name, v) :: ex.ex_env;
+          Printf.sprintf "ok (%s=%.6f)" name v
+      | If { if_cond; if_then; if_else } ->
+          let taken = eval_cond ex.ex_env ex.ex_obs if_cond in
+          List.iter (exec_node ex) (if taken then if_then else if_else);
+          Printf.sprintf "ok (%s)" (if taken then "then" else "else")
+      | While { w_cond; w_max_trips; w_body } ->
+          let trips = ref 0 in
+          while
+            !trips < w_max_trips && eval_cond ex.ex_env ex.ex_obs w_cond
+          do
+            incr trips;
+            List.iter (exec_node ex) w_body
+          done;
+          Printf.sprintf "ok (%d trips)" !trips
+      | Assert { a_cond; a_msg } ->
+          if eval_cond ex.ex_env ex.ex_obs a_cond then "ok"
+          else fail ex (Printf.sprintf "%s: %s" a_msg (render_cond a_cond))
+    with Unresolved msg -> fail ex msg
   in
   let exit_ = ex_now ex in
   (match ex.ex_tracer with

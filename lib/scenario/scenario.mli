@@ -69,9 +69,14 @@ type counter =
   | Faults_unrecovered
   | Wall_us
 
+(** An expression fails loudly: an unbound [Var], or a [Stat] whose
+    tenant is not in the last observation, fails the node that
+    evaluates it with a message naming the variable or tenant. A failed
+    [Let] binds nothing, a failed [If] takes no branch, and a failed
+    [While] condition ends the loop. *)
 type expr =
   | Const of float
-  | Var of string  (** a [Let]-bound variable; unbound reads as 0 *)
+  | Var of string  (** a [Let]-bound variable *)
   | Stat of stat * string
       (** per-tenant stat by tenant name; ["*"] aggregates (sums counts,
           takes the worst quantile) *)

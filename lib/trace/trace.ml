@@ -30,12 +30,10 @@ module S = Desim.Stats
 
 type t = {
   device : string option;
-  mutable spans : span list; (* reverse begin order *)
+  mutable spans : span array; (* slot i holds span id i, i < n_spans *)
   mutable n_spans : int;
-  by_id : (int, span) Hashtbl.t;
   mutable instants : instant list; (* reverse record order *)
   mutable samples : level_sample list; (* reverse record order *)
-  mutable next_span : int;
   mutable next_txn : int;
   counters : (string, S.counter) Hashtbl.t;
   mutable counter_order : string list; (* reverse registration order *)
@@ -48,12 +46,10 @@ type t = {
 let create ?device () =
   {
     device;
-    spans = [];
+    spans = [||];
     n_spans = 0;
-    by_id = Hashtbl.create 256;
     instants = [];
     samples = [];
-    next_span = 0;
     next_txn = 0;
     counters = Hashtbl.create 16;
     counter_order = [];
@@ -77,19 +73,20 @@ let lane t track =
 
 (* -- spans ---------------------------------------------------------- *)
 
+(* A span id is its index in [spans]. *)
+let find_span t id =
+  if id >= 0 && id < t.n_spans then Some t.spans.(id) else None
+
+(* Every span, in begin (= id) order. *)
+let all_spans t = List.init t.n_spans (Array.get t.spans)
+
 let begin_span t ~now ?parent ?txn ~track ~cat ~name () =
-  let id = t.next_span in
-  t.next_span <- id + 1;
+  let id = t.n_spans in
   let txn =
-    match txn with
-    | Some _ as x -> x
-    | None -> (
-        match parent with
-        | None -> None
-        | Some p -> (
-            match Hashtbl.find_opt t.by_id p with
-            | Some sp -> sp.sp_txn
-            | None -> None))
+    match (txn, parent) with
+    | (Some _ as x), _ -> x
+    | None, Some p -> Option.bind (find_span t p) (fun sp -> sp.sp_txn)
+    | None, None -> None
   in
   let sp =
     {
@@ -104,13 +101,17 @@ let begin_span t ~now ?parent ?txn ~track ~cat ~name () =
       sp_args = [];
     }
   in
-  t.spans <- sp :: t.spans;
-  t.n_spans <- t.n_spans + 1;
-  Hashtbl.replace t.by_id id sp;
+  if id = Array.length t.spans then begin
+    let grown = Array.make (max 256 (2 * id)) sp in
+    Array.blit t.spans 0 grown 0 id;
+    t.spans <- grown
+  end;
+  t.spans.(id) <- sp;
+  t.n_spans <- id + 1;
   id
 
 let end_span t ~now id =
-  match Hashtbl.find_opt t.by_id id with
+  match find_span t id with
   | Some sp when sp.sp_stop = None -> sp.sp_stop <- Some now
   | _ -> ()
 
@@ -119,14 +120,12 @@ let end_span t ~now id =
 let complete_span t ~start ~stop ?parent ?txn ~track ~cat ~name ?(args = [])
     () =
   let id = begin_span t ~now:start ?parent ?txn ~track ~cat ~name () in
-  (match Hashtbl.find_opt t.by_id id with
-  | Some sp -> sp.sp_args <- List.rev args
-  | None -> ());
+  t.spans.(id).sp_args <- List.rev args;
   end_span t ~now:stop id;
   id
 
 let add_arg t id key v =
-  match Hashtbl.find_opt t.by_id id with
+  match find_span t id with
   | Some sp -> sp.sp_args <- (key, v) :: sp.sp_args
   | None -> ()
 
@@ -240,13 +239,8 @@ let span_count t = t.n_spans
 let check ?(strict = true) t =
   let problems = ref [] in
   let bad fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let seen = Hashtbl.create 256 in
-  let spans = List.rev t.spans in
   List.iter
     (fun sp ->
-      if Hashtbl.mem seen sp.sp_id then
-        bad "span %d (%s): duplicate id" sp.sp_id sp.sp_name;
-      Hashtbl.replace seen sp.sp_id ();
       (match sp.sp_stop with
       | None -> bad "span %d (%s): never closed" sp.sp_id sp.sp_name
       | Some stop ->
@@ -256,7 +250,7 @@ let check ?(strict = true) t =
       match sp.sp_parent with
       | None -> ()
       | Some p -> (
-          match Hashtbl.find_opt t.by_id p with
+          match find_span t p with
           | None -> bad "span %d (%s): missing parent %d" sp.sp_id sp.sp_name p
           | Some parent -> (
               if sp.sp_start < parent.sp_start then
@@ -270,7 +264,7 @@ let check ?(strict = true) t =
                   bad "span %d (%s): ends %d after parent %d ended %d"
                     sp.sp_id sp.sp_name stop p pstop
               | _ -> ())))
-    spans;
+    (all_spans t);
   List.rev !problems
 
 (* -- Chrome trace-event sink ---------------------------------------- *)
@@ -328,7 +322,7 @@ let to_chrome_json t =
         track_order := track :: !track_order;
         id
   in
-  let spans = List.rev t.spans in
+  let spans = all_spans t in
   let instants = List.rev t.instants in
   List.iter (fun sp -> ignore (tid_of sp.sp_track)) spans;
   List.iter (fun i -> ignore (tid_of i.in_track)) instants;
@@ -390,7 +384,7 @@ let to_chrome_json t =
 let profile t =
   let b = Buffer.create 2048 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let spans = List.rev t.spans in
+  let spans = all_spans t in
   let t0 =
     List.fold_left (fun acc sp -> min acc sp.sp_start) max_int spans
   in
@@ -471,7 +465,7 @@ let profile t =
 
 let axi_timeline ?time_scale t =
   let spans =
-    List.filter (fun sp -> sp.sp_cat = "axi") (List.rev t.spans)
+    List.filter (fun sp -> sp.sp_cat = "axi") (all_spans t)
   in
   let beats =
     List.filter (fun i -> i.in_cat = "axi.beat") (List.rev t.instants)

@@ -153,7 +153,7 @@ end
 (** {1 Well-formedness} *)
 
 val check : ?strict:bool -> t -> string list
-(** Structural validation: every span closed, ids unique, parents exist,
+(** Structural validation: every span closed, parents exist,
     [stop >= start], and children begin within their parent's lifetime.
     With [strict] (default) children must also {e end} within their
     parent; pass [~strict:false] for traces of fault campaigns, where

@@ -119,6 +119,60 @@ let test_warm_pool_promotion () =
   Alcotest.(check bool) "no tenant left degraded at end" true
     (List.for_all (fun (_, s) -> s >= 0) r.Cluster.c_placements)
 
+(* A restore that lands before the monitor quarantined the killed slot
+   must quarantine it first: its tenants re-home (or degrade) instead of
+   staying homed on a standby slot that never dispatches. *)
+let memcpy_tenants () =
+  List.map
+    (fun name ->
+      Serve.Tenant.make ~name ~clients:2
+        ~mix:[ Serve.Mix.memcpy ~bytes:4096 () ]
+        ~load:(Serve.Tenant.open_loop ~rate_rps:20_000. ())
+        ())
+    [ "a"; "b" ]
+
+let check_settled what r =
+  Alcotest.(check (list string)) (what ^ ": conserves") []
+    (Cluster.violations r);
+  Alcotest.(check int) (what ^ ": zero lost acked") 0 r.Cluster.c_lost_acked;
+  Alcotest.(check bool) (what ^ ": quarantined") true
+    (r.Cluster.c_quarantines >= 1)
+
+let test_restore_before_quarantine () =
+  let cfg =
+    Cluster.config ~seed:3 ~devices:3 ~warm:2 ~tenants:(memcpy_tenants ()) ()
+  in
+  let chaos =
+    [
+      Cluster.Kill { at = 150_000_000; dev = 0 };
+      Cluster.Restore { at = 170_000_000; dev = 0 };
+    ]
+  in
+  let r = Cluster.run ~chaos cfg () in
+  check_settled "run" r;
+  Alcotest.(check bool) "dev0 is not a tenant's home" true
+    (List.for_all (fun (_, slot) -> slot <> 0) r.Cluster.c_placements)
+
+let test_session_kill_then_restore () =
+  let cfg =
+    Cluster.config ~seed:3 ~duration_ps:200_000_000 ~devices:2
+      ~tenants:(memcpy_tenants ()) ()
+  in
+  let s = Cluster.Session.create cfg () in
+  ignore (Cluster.Session.run_phase s ~duration_ps:200_000_000);
+  Cluster.Session.kill s ~dev:0;
+  Cluster.Session.restore s ~dev:0;
+  Cluster.Session.run_phase s ~duration_ps:200_000_000
+  |> check_settled "session"
+
+let test_negative_chaos_time () =
+  Alcotest.check_raises "negative chaos time"
+    (Invalid_argument "Cluster.run: negative chaos time") (fun () ->
+      ignore
+        (Cluster.run
+           ~chaos:[ Cluster.Kill { at = -1; dev = 0 } ]
+           (small_cfg ()) ()))
+
 (* ---------------- differential oracle: one device vs serve --------- *)
 
 (* A chaos-free one-device cluster and the single-SoC campaign share the
@@ -177,6 +231,30 @@ let prop_no_lost_acked =
           kills
       in
       let r = Cluster.run ~chaos cfg () in
+      Cluster.violations r = [] && r.Cluster.c_lost_acked = 0)
+
+(* Kill/restore pairs; the first restore lands less than one quarantine
+   window (4 heartbeats = 100 us) after its kill, on a slot that homes a
+   tenant at boot. *)
+let prop_no_lost_acked_restore =
+  QCheck.Test.make ~name:"kill+restore schedules lose no acked, duplicate none"
+    ~count:8
+    QCheck.(
+      triple (int_range 1 1000)
+        (triple (int_range 0 1) (int_range 50 450) (int_range 5 95))
+        (list_of_size Gen.(int_range 0 2)
+           (triple (int_range 0 3) (int_range 50 450) (int_range 5 300))))
+    (fun (seed, early, others) ->
+      let chaos =
+        List.concat_map
+          (fun (dev, at_us, gap_us) ->
+            [
+              Cluster.Kill { at = at_us * 1_000_000; dev };
+              Cluster.Restore { at = (at_us + gap_us) * 1_000_000; dev };
+            ])
+          (early :: others)
+      in
+      let r = Cluster.run ~chaos (small_cfg ~seed ~devices:4 ()) () in
       Cluster.violations r = [] && r.Cluster.c_lost_acked = 0)
 
 let prop_deterministic =
@@ -254,10 +332,17 @@ let () =
             test_kill_all_degrades;
           Alcotest.test_case "warm-pool promotion absorbs a loss" `Quick
             test_warm_pool_promotion;
+          Alcotest.test_case "restore before quarantine re-homes" `Quick
+            test_restore_before_quarantine;
+          Alcotest.test_case "session kill then restore re-homes" `Quick
+            test_session_kill_then_restore;
+          Alcotest.test_case "negative chaos time rejected" `Quick
+            test_negative_chaos_time;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_no_lost_acked;
+          QCheck_alcotest.to_alcotest prop_no_lost_acked_restore;
           QCheck_alcotest.to_alcotest prop_deterministic;
         ] );
       ( "degradation",

@@ -13,6 +13,11 @@ let check_string = Alcotest.(check string)
 let qcheck ?(count = 30) name arb f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb f)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 (* ---- shared fixtures ---- *)
 
 let small_tenant ?(rate = 60_000.) ?curve () =
@@ -124,11 +129,6 @@ let test_trip_bound () =
 let test_budget_exhaustion_is_a_failure () =
   let res = Sc.run (spin_scenario ~max_nodes:4 ~trips:1000) in
   check_bool "budget exhaustion fails the run" false res.Sc.res_ok;
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   check_bool "a failure names the budget" true
     (List.exists (fun m -> contains m "budget") res.Sc.res_failures)
 
@@ -231,6 +231,94 @@ let test_chaos_requires_fleet () =
   check_bool "single-device chaos fails the run" false res.Sc.res_ok;
   check_int "both actions record failures" 2 (List.length res.Sc.res_failures)
 
+(* ---- expressions that name nothing fail the node ---- *)
+
+let test_unresolved_names_fail () =
+  let cfg = small_cfg ~seed:3 () in
+  let sc =
+    Sc.make ~name:"typos" ~seed:3 ~backend:(single ~seed:3 cfg)
+      [
+        phase "p" cfg.S.c_duration_ps;
+        Sc.Assert
+          {
+            a_cond = Sc.Cmp (Sc.Lt, Sc.Stat (Sc.P95, "typo"), Sc.Const 250.);
+            a_msg = "p95 over the bar";
+          };
+        Sc.Let ("y", Sc.Var "nope");
+        Sc.If
+          {
+            if_cond = Sc.Cmp (Sc.Gt, Sc.Var "nope", Sc.Const 0.);
+            if_then = [ Sc.Let ("then_ran", Sc.Const 1.) ];
+            if_else = [ Sc.Let ("else_ran", Sc.Const 1.) ];
+          };
+        Sc.While
+          {
+            w_cond = Sc.Cmp (Sc.Lt, Sc.Stat (Sc.Completed, "typo"), Sc.Const 1.);
+            w_max_trips = 3;
+            w_body = [ Sc.Let ("trip", Sc.Const 1.) ];
+          };
+      ]
+  in
+  let res = Sc.run sc in
+  check_bool "the run fails" false res.Sc.res_ok;
+  let failures = res.Sc.res_failures in
+  check_int "assert, let, if and while each fail" 4 (List.length failures);
+  check_bool "the assert names the tenant" true
+    (contains (List.nth failures 0) "typo");
+  List.iter
+    (fun i ->
+      check_bool "the node names the variable" true
+        (contains (List.nth failures i) "nope"))
+    [ 1; 2 ];
+  check_bool "the while names the tenant" true
+    (contains (List.nth failures 3) "typo");
+  check_int "no branch and no loop trip ran" 5 (List.length res.Sc.res_entries);
+  List.iter
+    (fun en -> check_int "nothing was bound" 0 (List.length en.Sc.en_bindings))
+    res.Sc.res_entries
+
+(* ---- fleet: kill, restore before quarantine, sleep, serve again ---- *)
+
+let test_fleet_kill_restore_sleep () =
+  let phase_ps = 100_000_000 and sleep_ps = 50_000_000 in
+  let tenants =
+    List.map
+      (fun name ->
+        S.Tenant.make ~name ~clients:2
+          ~mix:[ S.Mix.memcpy ~bytes:4096 () ]
+          ~load:(S.Tenant.open_loop ~rate_rps:20_000. ())
+          ())
+      [ "a"; "b" ]
+  in
+  let cfg =
+    Cluster.config ~seed:3 ~duration_ps:phase_ps ~devices:2 ~tenants ()
+  in
+  let sc =
+    Sc.make ~name:"kill-restore-sleep" ~seed:3
+      ~backend:(Sc.Fleet { fl_cfg = cfg; fl_plan = None })
+      [
+        phase "before" phase_ps;
+        Sc.Act (Sc.Kill 0);
+        Sc.Act (Sc.Restore 0);
+        Sc.Act (Sc.Sleep sleep_ps);
+        phase "after" phase_ps;
+        Sc.Assert
+          {
+            a_cond = Sc.Cmp (Sc.Eq, Sc.Counter Sc.Lost_acked, Sc.Const 0.);
+            a_msg = "acked commands were lost";
+          };
+      ]
+  in
+  let res = Sc.run sc in
+  check_bool "scenario ok" true res.Sc.res_ok;
+  let sleep = List.nth res.Sc.res_entries 3 in
+  check_string "the fourth entry is the sleep" "sleep:50000000"
+    sleep.Sc.en_node;
+  check_int "the sleep spans exactly its delta" sleep_ps
+    (sleep.Sc.en_exit_ps - sleep.Sc.en_enter_ps);
+  check_bool "the restore quarantined the slot" true
+    (res.Sc.res_obs.Sc.ob_quarantines >= 1)
+
 let () =
   Alcotest.run "scenario"
     [
@@ -245,6 +333,13 @@ let () =
             test_conditions_see_the_phase;
           Alcotest.test_case "chaos requires a fleet" `Quick
             test_chaos_requires_fleet;
+          Alcotest.test_case "unresolved names fail the node" `Quick
+            test_unresolved_names_fail;
+        ] );
+      ( "fleet-integration",
+        [
+          Alcotest.test_case "kill, restore, sleep, serve" `Quick
+            test_fleet_kill_restore_sleep;
         ] );
       ( "serve-integration",
         [
