@@ -1121,9 +1121,11 @@ let tune_cmd =
         "Runs the seeded $(b,Tune) search: one-knob proposals over the \
          serving SoC's memory channels, prefetch depth, core count, \
          batching cap and per-core bound. Each candidate is pre-filtered \
-         by the full composer DRC through a content-hashed elaboration \
-         cache ($(b,Beethoven.Elaborate.Cache)) — a one-knob delta only \
-         re-elaborates the systems it actually changed — then measured \
+         by the full composer DRC through an elaboration cache \
+         ($(b,Beethoven.Elaborate.Cache)) keyed on each system's name \
+         and kernel circuit, the only inputs of the per-system kernel \
+         analysis (the serving systems have no kernel circuit, so every \
+         candidate after the first is all hits) — then measured \
          live against the incumbent over interleaved paired serving \
          phases under byte-identical offered load; promotion requires a \
          statistically-ordered win (more paired phases won than lost, \

@@ -341,8 +341,8 @@ let default_sta_budget = 256
 
 (* The placement-independent per-system analysis: the lint pass, the
    STA report and the circuit stats of one kernel circuit. This is the
-   unit {!Elaborate.Cache} memoizes, so it must depend on nothing but
-   the system record itself. *)
+   unit {!Elaborate.Cache} memoizes under the system's name and kernel
+   circuit, so it must read nothing else. *)
 type kernel_analysis = {
   ka_lint : Diag.t list;
   ka_sta : Hw.Sta.report option;
@@ -436,8 +436,7 @@ let sta_paths ?(budget = default_sta_budget) ~analyses (config : Config.t)
                 else [ warn ~loc ~hint "drc-sta-slr-path" msg ])
         config.Config.systems
 
-let run ?(lint_kernels = true) ?sta_budget ?analyses (config : Config.t)
-    (p : D.t) =
+let run ?sta_budget ?analyses (config : Config.t) (p : D.t) =
   let analyses = analyses_of ?analyses config in
   let structural = structure config in
   let mapping =
@@ -449,8 +448,5 @@ let run ?(lint_kernels = true) ?sta_budget ?analyses (config : Config.t)
       @ floorplan_feasibility config p
       @ sta_paths ?budget:sta_budget ~analyses config p
   in
-  let lint =
-    if lint_kernels then List.concat_map (fun (_, a) -> a.ka_lint) analyses
-    else []
-  in
+  let lint = List.concat_map (fun (_, a) -> a.ka_lint) analyses in
   structural @ mapping @ lint

@@ -55,10 +55,11 @@ val default_sta_budget : int
 
     The expensive, placement-independent slice of the DRC: the netlist
     lint, the {!Hw.Sta} report and the circuit statistics of one system's
-    kernel circuit. It depends only on the system record itself, which is
-    what makes it the unit of reuse for {!Elaborate.Cache} — a config
-    delta that leaves a system untouched can replay its analysis instead
-    of re-linting and re-timing the kernel. *)
+    kernel circuit. It reads only the system's name (which prefixes the
+    lint locations) and its kernel circuit, and those two are the key
+    {!Elaborate.Cache} reuses it under: a config delta that keeps a
+    system's name and circuit replays its analysis instead of re-linting
+    and re-timing the kernel. *)
 
 type kernel_analysis = {
   ka_lint : Hw.Diag.t list;
@@ -71,8 +72,8 @@ type kernel_analysis = {
 }
 
 val analyze_kernel : Config.system -> kernel_analysis
-(** Lint + STA + stats of one system's kernel circuit. Pure function of
-    the system record. *)
+(** Lint + STA + stats of one system's kernel circuit. A pure function
+    of the system's name and kernel circuit. *)
 
 val analyses_of :
   ?analyses:(string * kernel_analysis) list ->
@@ -90,16 +91,14 @@ val sta :
     kernel circuit (the [beethoven_gen sta] backend). *)
 
 val run :
-  ?lint_kernels:bool ->
   ?sta_budget:int ->
   ?analyses:(string * kernel_analysis) list ->
   Config.t ->
   Platform.Device.t ->
   Hw.Diag.t list
-(** Run every design rule. [lint_kernels] (default [true]) controls the
-    per-system netlist lint pass; [sta_budget] overrides
-    {!default_sta_budget}; [analyses] supplies precomputed (typically
-    cached) per-system kernel analyses — the result is identical to a
-    fresh run as long as each entry matches {!analyze_kernel} of the
-    same-named system. The result is unfiltered: apply
+(** Run every design rule, the per-system netlist lint pass included.
+    [sta_budget] overrides {!default_sta_budget}; [analyses] supplies
+    precomputed (typically cached) per-system kernel analyses — the
+    result is identical to a fresh run as long as each entry matches
+    {!analyze_kernel} of the same-named system. The result is unfiltered: apply
     {!Hw.Diag.waive} / {!Hw.Diag.promote_warnings} for policy. *)

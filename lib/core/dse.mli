@@ -11,8 +11,9 @@
     ([Tune]): before spending a live serving phase on a candidate, the
     tuner calls {!fit} through a shared {!Elaborate.Cache} — an
     infeasible knob combination is rejected by the elaboration-time DRC
-    (floorplan, scratchpad capacity, timing budget) at cache-hit cost for
-    every system the candidate left untouched. *)
+    (floorplan, scratchpad capacity, timing budget), and every system
+    whose name and kernel circuit an earlier candidate already had is a
+    cache hit. *)
 
 type point = {
   pt_cores : int;
@@ -35,15 +36,12 @@ val sweep_cores :
   config_of:(n_cores:int -> Config.t) ->
   ?max_cores:int ->
   ?metric:(n_cores:int -> float) ->
-  ?cache:Elaborate.Cache.cache ->
   Platform.Device.t ->
   point list
-(** Evaluate 1..[max_cores] (default 48). [metric] is only invoked for
-    points that fit. Without [cache] the fit oracle is the historical
-    floorplan-only placement check; with [cache] each point runs the full
-    {!fit} through the elaboration cache, so repeated sweeps (and the
-    tuner's follow-on evaluations of the same systems) reuse the
-    per-system kernel analyses. *)
+(** Evaluate 1..[max_cores] (default 48). The fit oracle is the
+    floorplan-only placement check, which accepts configs the full DRC
+    ({!fit}) would only warn about. [metric] is only invoked for points
+    that fit. *)
 
 val best : point list -> point option
 (** Highest metric among fitting points (falls back to the largest

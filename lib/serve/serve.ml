@@ -992,8 +992,8 @@ module Session = struct
     mutable se_last : report option;
   }
 
-  let create ?tracer ?plan ?(platform = Platform.Device.aws_f1) ?systems
-      ?cache cfg () =
+  let create ?tracer ?plan ?(platform = Platform.Device.aws_f1) ?systems cfg
+      () =
     let kinds = kinds_used cfg.c_tenants in
     let system_of =
       match systems with None -> system_of_kind | Some f -> f
@@ -1003,13 +1003,9 @@ module Session = struct
     in
     let inj = Option.map Fault.Injector.create plan in
     let config = B.Config.make ~name:"serve" systems in
-    let design =
-      match cache with
-      | Some c -> B.Elaborate.Cache.elaborate c config platform
-      | None -> B.Elaborate.elaborate config platform
-    in
     let soc =
-      Soc.create ?tracer ?fault:inj design
+      Soc.create ?tracer ?fault:inj
+        (B.Elaborate.elaborate config platform)
         ~behaviors:behavior_of_system
     in
     let handle = H.create soc in

@@ -372,17 +372,16 @@ let run ?(seed = 42) ?(budget = 6) ?(axes = all_axes)
   let memo : (string, evaluation) Hashtbl.t = Hashtbl.create 16 in
   let phases_run = ref 0 in
   let violations = ref [] in
-  (* one candidate's serving evaluation: a fresh session over the shared
-     elaboration cache; phase i uses client-stream salt i, so every
-     candidate sees byte-identical offered load *)
+  (* one candidate's serving evaluation: a fresh session; phase i uses
+     client-stream salt i, so every candidate sees byte-identical offered
+     load *)
   let fresh_session k =
     let tracer = Trace.create () in
     let cfg =
       Serve.config ~seed ~duration_ps:phase_ps ~batch_max:k.Knobs.kn_batch
         ~core_cap:k.Knobs.kn_core_cap ~n_cores:k.Knobs.kn_cores ~tenants ()
     in
-    (tracer, Serve.Session.create ~tracer ~platform ~cache
-               ~systems:(deploy k) cfg ())
+    (tracer, Serve.Session.create ~tracer ~platform ~systems:(deploy k) cfg ())
   in
   let seal k tracer reports =
     let qdepth =

@@ -13,11 +13,12 @@
     + {b pre-filter} — the candidate config is elaborated through a
       shared {!Beethoven.Elaborate.Cache} via {!Beethoven.Dse.fit}; the
       full DRC (floorplan, capacity, timing) rejects infeasible knob
-      combinations at cache-hit cost before any serving phase is spent,
-      and the fit's peak per-SLR utilization becomes the candidate's
-      resource axis;
+      combinations before any serving phase is spent, and the fit's peak
+      per-SLR utilization becomes the candidate's resource axis. The
+      serving systems carry no kernel circuit, so after the seed
+      candidate every system lookup is a cache hit;
     + {b live evaluation} — a fresh {!Serve.Session} deploys the
-      candidate's systems (same elaboration cache) and serves the fixed
+      candidate's systems and serves the fixed
       closed-loop tuning workload for [ab_rounds] phases; phase [i] of
       every candidate uses client-stream salt [i], so all candidates are
       measured under byte-identical offered load;
