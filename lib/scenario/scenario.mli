@@ -26,7 +26,8 @@ module Curve = Serve.Curve
     What conditions see: a distilled view of the most recent phase
     report (single-device) or cumulative cluster report (fleet),
     refreshed after every [Serve_phase] / [Checkpoint]. Before the first
-    phase everything reads as zero. *)
+    phase every count reads as zero, and quantiles and health have
+    nothing to read (see {!expr} and {!cond}). *)
 
 type obs = {
   ob_tenants : Serve.tenant_report list;
@@ -39,7 +40,8 @@ type obs = {
   ob_recovered : int;
   ob_unrecovered : int;
   ob_wall_us : float;
-  ob_health : (int * string) list;  (** device slot → health name; fleet only *)
+  ob_health : (int * Cluster.Health.state) list;
+      (** device slot → health; fleet only *)
 }
 
 val obs_of_serve : Serve.report -> obs
@@ -69,8 +71,9 @@ type counter =
   | Faults_unrecovered
   | Wall_us
 
-(** An expression fails loudly: an unbound [Var], or a [Stat] whose
-    tenant is not in the last observation, fails the node that
+(** An expression fails loudly: an unbound [Var], a [Stat] whose tenant
+    is not in the last observation, or a quantile ([P50], [P95], [P99],
+    [Mean]) of a tenant that completed nothing fails the node that
     evaluates it with a message naming the variable or tenant. A failed
     [Let] binds nothing, a failed [If] takes no branch, and a failed
     [While] condition ends the loop. *)
@@ -79,15 +82,18 @@ type expr =
   | Var of string  (** a [Let]-bound variable *)
   | Stat of stat * string
       (** per-tenant stat by tenant name; ["*"] aggregates (sums counts,
-          takes the worst quantile) *)
+          takes the worst quantile among the tenants that completed
+          something, and fails only when none did) *)
   | Counter of counter
 
 type cmp = Lt | Le | Gt | Ge | Eq
 
 type cond =
   | Cmp of cmp * expr * expr
-  | Health_is of int * string
-      (** device slot's health name (fleet backends; false on single) *)
+  | Health_is of int * Cluster.Health.state
+      (** a device slot's health. A slot absent from the last
+          observation (out of range, a single-device backend, or no
+          observation yet) fails the node with a message naming it. *)
   | All of cond list
   | Any of cond list
   | Not of cond

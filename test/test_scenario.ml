@@ -277,6 +277,102 @@ let test_unresolved_names_fail () =
     (fun en -> check_int "nothing was bound" 0 (List.length en.Sc.en_bindings))
     res.Sc.res_entries
 
+(* ---- a quantile with no samples fails the node ---- *)
+
+let test_quantile_without_samples_fails () =
+  (* at 1 rps the idle tenant's first arrival lands after the phase *)
+  let idle =
+    S.Tenant.make ~name:"idle" ~weight:1.0 ~clients:1
+      ~mix:[ S.Mix.memcpy ~bytes:4096 () ]
+      ~load:(S.Tenant.open_loop ~rate_rps:1. ())
+      ()
+  in
+  let cfg = small_cfg ~seed:3 ~tenants:[ small_tenant (); idle ] () in
+  let sc =
+    Sc.make ~name:"no-samples" ~seed:3 ~backend:(single ~seed:3 cfg)
+      [
+        Sc.Let ("before", Sc.Stat (Sc.P99, "*"));
+        phase "p" cfg.S.c_duration_ps;
+        Sc.Assert
+          {
+            a_cond = Sc.Cmp (Sc.Eq, Sc.Stat (Sc.Completed, "idle"), Sc.Const 0.);
+            a_msg = "the idle tenant completed a request";
+          };
+        Sc.Assert
+          {
+            a_cond = Sc.Cmp (Sc.Lt, Sc.Stat (Sc.P99, "idle"), Sc.Const 1.);
+            a_msg = "p99 under 1 us";
+          };
+        Sc.Let ("worst", Sc.Stat (Sc.P99, "*"));
+        Sc.Let ("t_p99", Sc.Stat (Sc.P99, "t"));
+      ]
+  in
+  let res = Sc.run sc in
+  check_bool "the run fails" false res.Sc.res_ok;
+  (match res.Sc.res_failures with
+  | [ before; p99 ] ->
+      check_bool "\"*\" with no tenant fails" true (contains before "p99(*)");
+      check_bool "the assert names the idle tenant" true
+        (contains p99 "p99(idle)")
+  | fs -> Alcotest.failf "expected 2 failures, got %d" (List.length fs));
+  let last = List.nth res.Sc.res_entries 5 in
+  let bound name = List.assoc name last.Sc.en_bindings in
+  check_bool "t completed requests" true (bound "t_p99" > 0.);
+  check_bool "\"*\" is the worst tenant with samples" true
+    (bound "worst" = bound "t_p99")
+
+(* ---- a health condition on a slot the observation lacks fails ---- *)
+
+let test_health_of_missing_slot_fails () =
+  let tenants =
+    [
+      S.Tenant.make ~name:"a" ~clients:1
+        ~mix:[ S.Mix.memcpy ~bytes:4096 () ]
+        ~load:(S.Tenant.open_loop ~rate_rps:20_000. ())
+        ();
+    ]
+  in
+  let fleet_cfg = Cluster.config ~seed:3 ~devices:2 ~tenants () in
+  let fleet =
+    Sc.make ~name:"health-fleet" ~seed:3
+      ~backend:(Sc.Fleet { fl_cfg = fleet_cfg; fl_plan = None })
+      [
+        Sc.Act (Sc.Checkpoint "boot");
+        Sc.Assert
+          {
+            a_cond = Sc.Health_is (0, Cluster.Health.Healthy);
+            a_msg = "slot 0 is not healthy";
+          };
+        Sc.Assert
+          {
+            a_cond = Sc.Not (Sc.Health_is (9, Cluster.Health.Dead));
+            a_msg = "slot 9 is dead";
+          };
+      ]
+  in
+  let res = Sc.run fleet in
+  (match res.Sc.res_failures with
+  | [ f ] -> check_bool "the failure names slot 9" true (contains f "dev9")
+  | fs -> Alcotest.failf "fleet: expected 1 failure, got %d" (List.length fs));
+  check_string "the node label names the state"
+    "assert:not health(dev9) is dead"
+    (List.nth res.Sc.res_entries 2).Sc.en_node;
+  let cfg = small_cfg ~seed:3 () in
+  let single_sc =
+    Sc.make ~name:"health-single" ~seed:3 ~backend:(single ~seed:3 cfg)
+      [
+        phase "p" cfg.S.c_duration_ps;
+        Sc.Assert
+          {
+            a_cond = Sc.Health_is (0, Cluster.Health.Dead);
+            a_msg = "slot 0 is not dead";
+          };
+      ]
+  in
+  match (Sc.run single_sc).Sc.res_failures with
+  | [ f ] -> check_bool "the failure names slot 0" true (contains f "dev0")
+  | fs -> Alcotest.failf "single: expected 1 failure, got %d" (List.length fs)
+
 (* ---- fleet: kill, restore before quarantine, sleep, serve again ---- *)
 
 let test_fleet_kill_restore_sleep () =
@@ -335,6 +431,10 @@ let () =
             test_chaos_requires_fleet;
           Alcotest.test_case "unresolved names fail the node" `Quick
             test_unresolved_names_fail;
+          Alcotest.test_case "a quantile with no samples fails" `Quick
+            test_quantile_without_samples_fails;
+          Alcotest.test_case "health of a missing slot fails" `Quick
+            test_health_of_missing_slot_fails;
         ] );
       ( "fleet-integration",
         [
