@@ -720,9 +720,9 @@ let sim_speed () =
 let tune () =
   header "tune"
     "Closed-loop autotuning: a measured one-knob search over the serving\n\
-     SoC (memory channels, prefetch depth, cores, batching, per-core cap),\n\
-     pre-filtered through the elaboration cache (keyed on each system's\n\
-     name and kernel circuit), A/B-promoting only on paired wins under\n\
+     SoC (prefetch depth, cores, batching, per-core cap), pre-filtered\n\
+     through the elaboration cache (keyed on each system's name and\n\
+     kernel circuit), A/B-promoting only on paired rps wins under\n\
      byte-identical offered load.";
   let r = Tune.run ~seed:42 ~budget:6 () in
   print_string (Tune.render r);

@@ -1091,8 +1091,8 @@ let tune_budget_arg =
 
 let tune_knobs_arg =
   let doc =
-    "Comma-separated knob axes to search ($(b,cores), $(b,channels), \
-     $(b,prefetch), $(b,batch), $(b,core-cap)), or $(b,all)."
+    "Comma-separated knob axes to search ($(b,cores), $(b,prefetch), \
+     $(b,batch), $(b,core-cap)), or $(b,all)."
   in
   Arg.(value & opt string "all" & info [ "knobs" ] ~docv:"LIST" ~doc)
 
@@ -1119,17 +1119,19 @@ let tune_cmd =
       `S Manpage.s_description;
       `P
         "Runs the seeded $(b,Tune) search: one-knob proposals over the \
-         serving SoC's memory channels, prefetch depth, core count, \
-         batching cap and per-core bound. Each candidate is pre-filtered \
+         serving SoC's prefetch depth, core count, batching cap and \
+         per-core bound. Each candidate is pre-filtered \
          by the full composer DRC through an elaboration cache \
          ($(b,Beethoven.Elaborate.Cache)) keyed on each system's name \
          and kernel circuit, the only inputs of the per-system kernel \
          analysis (the serving systems have no kernel circuit, so every \
          candidate after the first is all hits) — then measured \
-         live against the incumbent over interleaved paired serving \
-         phases under byte-identical offered load; promotion requires a \
-         statistically-ordered win (more paired phases won than lost, \
-         p99 not regressed beyond 10%). Prints the candidate table or, \
+         live, once per candidate, over serving phases under \
+         byte-identical offered load and compared phase by phase with \
+         the incumbent; promotion requires a statistically-ordered win \
+         (more paired phases won than lost on achieved rps, p99 as the \
+         tiebreak, mean p99 not regressed beyond 10%). Prints the \
+         candidate table or, \
          with $(b,--format json), the byte-deterministic Pareto front \
          (throughput vs p99 vs peak SLR utilization) plus cache hit/miss \
          counts. The search runs twice in-process; the run exits 1 if \

@@ -186,10 +186,8 @@ let structure (config : Config.t) =
 
 (* memory channel instances a system contributes per core *)
 let mem_channels_per_core (sys : Config.system) =
-  List.fold_left (fun a rc -> a + rc.Config.rc_n_channels) 0
-    sys.Config.read_channels
-  + List.fold_left (fun a wc -> a + wc.Config.wc_n_channels) 0
-      sys.Config.write_channels
+  List.length sys.Config.read_channels
+  + List.length sys.Config.write_channels
   + List.length
       (List.filter (fun sp -> sp.Config.sp_init_from_memory)
          sys.Config.scratchpads)

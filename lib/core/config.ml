@@ -1,7 +1,6 @@
 type read_channel = {
   rc_name : string;
   rc_data_bytes : int;
-  rc_n_channels : int;
   rc_burst_beats : int;
   rc_max_in_flight : int;
   rc_use_tlp : bool;
@@ -11,7 +10,6 @@ type read_channel = {
 type write_channel = {
   wc_name : string;
   wc_data_bytes : int;
-  wc_n_channels : int;
   wc_burst_beats : int;
   wc_max_in_flight : int;
   wc_use_tlp : bool;
@@ -22,8 +20,6 @@ type scratchpad = {
   sp_name : string;
   sp_data_bits : int;
   sp_n_datas : int;
-  sp_n_ports : int;
-  sp_latency : int;
   sp_init_from_memory : bool;
 }
 
@@ -31,7 +27,6 @@ type intra_core_port = {
   ic_name : string;
   ic_to_system : string;
   ic_to_scratchpad : string;
-  ic_n_channels : int;
 }
 
 type system = {
@@ -50,10 +45,9 @@ type t = { acc_name : string; systems : system list }
 
 let positive what v = if v < 1 then invalid_arg ("Config: " ^ what ^ " must be positive")
 
-let read_channel ?(n_channels = 1) ?(burst_beats = 64) ?(max_in_flight = 4)
+let read_channel ?(burst_beats = 64) ?(max_in_flight = 4)
     ?(use_tlp = true) ?(buffer_beats = 256) ~name ~data_bytes () =
   positive "data_bytes" data_bytes;
-  positive "n_channels" n_channels;
   positive "burst_beats" burst_beats;
   positive "max_in_flight" max_in_flight;
   if buffer_beats < burst_beats then
@@ -61,17 +55,15 @@ let read_channel ?(n_channels = 1) ?(burst_beats = 64) ?(max_in_flight = 4)
   {
     rc_name = name;
     rc_data_bytes = data_bytes;
-    rc_n_channels = n_channels;
     rc_burst_beats = burst_beats;
     rc_max_in_flight = max_in_flight;
     rc_use_tlp = use_tlp;
     rc_buffer_beats = buffer_beats;
   }
 
-let write_channel ?(n_channels = 1) ?(burst_beats = 64) ?(max_in_flight = 4)
+let write_channel ?(burst_beats = 64) ?(max_in_flight = 4)
     ?(use_tlp = true) ?(buffer_beats = 256) ~name ~data_bytes () =
   positive "data_bytes" data_bytes;
-  positive "n_channels" n_channels;
   positive "burst_beats" burst_beats;
   positive "max_in_flight" max_in_flight;
   if buffer_beats < burst_beats then
@@ -79,25 +71,19 @@ let write_channel ?(n_channels = 1) ?(burst_beats = 64) ?(max_in_flight = 4)
   {
     wc_name = name;
     wc_data_bytes = data_bytes;
-    wc_n_channels = n_channels;
     wc_burst_beats = burst_beats;
     wc_max_in_flight = max_in_flight;
     wc_use_tlp = use_tlp;
     wc_buffer_beats = buffer_beats;
   }
 
-let scratchpad ?(n_ports = 1) ?(latency = 1) ?(init_from_memory = false) ~name
-    ~data_bits ~n_datas () =
+let scratchpad ?(init_from_memory = false) ~name ~data_bits ~n_datas () =
   positive "data_bits" data_bits;
   positive "n_datas" n_datas;
-  positive "n_ports" n_ports;
-  positive "latency" latency;
   {
     sp_name = name;
     sp_data_bits = data_bits;
     sp_n_datas = n_datas;
-    sp_n_ports = n_ports;
-    sp_latency = latency;
     sp_init_from_memory = init_from_memory;
   }
 

@@ -10,7 +10,6 @@
 type read_channel = {
   rc_name : string;
   rc_data_bytes : int;  (** port width the core consumes, e.g. 4 *)
-  rc_n_channels : int;
   rc_burst_beats : int;  (** AXI beats per emitted transaction *)
   rc_max_in_flight : int;  (** concurrent transactions (prefetch depth) *)
   rc_use_tlp : bool;  (** distinct AXI IDs per transaction *)
@@ -20,7 +19,6 @@ type read_channel = {
 type write_channel = {
   wc_name : string;
   wc_data_bytes : int;
-  wc_n_channels : int;
   wc_burst_beats : int;
   wc_max_in_flight : int;
   wc_use_tlp : bool;
@@ -31,8 +29,6 @@ type scratchpad = {
   sp_name : string;
   sp_data_bits : int;
   sp_n_datas : int;
-  sp_n_ports : int;
-  sp_latency : int;
   sp_init_from_memory : bool;  (** fill via a built-in Reader on command *)
 }
 
@@ -40,7 +36,6 @@ type intra_core_port = {
   ic_name : string;
   ic_to_system : string;
   ic_to_scratchpad : string;
-  ic_n_channels : int;
 }
 
 type system = {
@@ -60,7 +55,6 @@ type system = {
 type t = { acc_name : string; systems : system list }
 
 val read_channel :
-  ?n_channels:int ->
   ?burst_beats:int ->
   ?max_in_flight:int ->
   ?use_tlp:bool ->
@@ -69,11 +63,12 @@ val read_channel :
   data_bytes:int ->
   unit ->
   read_channel
-(** Defaults: 1 channel, 64-beat bursts, 4 in flight, TLP on, 256-beat
-    buffer — the platform tuning the paper describes for the F1 target. *)
+(** Defaults: 64-beat bursts, 4 in flight, TLP on, 256-beat buffer — the
+    platform tuning the paper describes for the F1 target. Each named
+    channel is one Reader (or Writer) instance per core; a core that
+    wants two streams declares two names. *)
 
 val write_channel :
-  ?n_channels:int ->
   ?burst_beats:int ->
   ?max_in_flight:int ->
   ?use_tlp:bool ->
@@ -84,8 +79,6 @@ val write_channel :
   write_channel
 
 val scratchpad :
-  ?n_ports:int ->
-  ?latency:int ->
   ?init_from_memory:bool ->
   name:string ->
   data_bits:int ->

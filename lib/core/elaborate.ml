@@ -24,17 +24,13 @@ let all_cores (config : Config.t) =
       List.init sys.Config.n_cores (fun core -> (sys, core)))
     config.Config.systems
 
-(* Memory channel instances of one core: (channel-name, index). *)
+let channel_instance name = name ^ "[0]"
+
+(* Memory channel instances of one core, by instance name. *)
 let mem_channels (sys : Config.system) =
-  List.concat_map
-    (fun rc ->
-      List.init rc.Config.rc_n_channels (fun i ->
-          Printf.sprintf "%s[%d]" rc.Config.rc_name i))
+  List.map (fun rc -> channel_instance rc.Config.rc_name)
     sys.Config.read_channels
-  @ List.concat_map
-      (fun wc ->
-        List.init wc.Config.wc_n_channels (fun i ->
-            Printf.sprintf "%s[%d]" wc.Config.wc_name i))
+  @ List.map (fun wc -> channel_instance wc.Config.wc_name)
       sys.Config.write_channels
   @ List.filter_map
       (fun sp ->
@@ -60,16 +56,10 @@ let cmd_ep_id config ~system ~core =
    analyses so {!Cache.elaborate} can substitute memoized ones. With
    matching analyses the result is identical to a fresh run — the
    cache-equivalence property test/test_tune.ml pins. *)
-let elaborate_with ?(checks = true) ~analyses (config : Config.t)
+let elaborate_with ~analyses (config : Config.t)
     (platform : Platform.Device.t) =
-  let diagnostics =
-    if checks then begin
-      let diags = Check.run ~analyses config platform in
-      Hw.Diag.raise_if_errors ~what:"design-rule check" diags;
-      diags
-    end
-    else []
-  in
+  let diagnostics = Check.run ~analyses config platform in
+  Hw.Diag.raise_if_errors ~what:"design-rule check" diagnostics;
   let floorplan = Floorplan.place config platform in
   let cores = all_cores config in
   (* command NoC: one endpoint per core *)
@@ -164,8 +154,8 @@ let elaborate_with ?(checks = true) ~analyses (config : Config.t)
         analyses;
   }
 
-let elaborate ?checks (config : Config.t) (platform : Platform.Device.t) =
-  elaborate_with ?checks ~analyses:(Check.analyses_of config) config platform
+let elaborate (config : Config.t) (platform : Platform.Device.t) =
+  elaborate_with ~analyses:(Check.analyses_of config) config platform
 
 (* ------------------------------------------------------------------ *)
 (* Elaboration cache                                                  *)
@@ -206,15 +196,14 @@ module Cache = struct
         t.c_misses <- t.c_misses + 1;
         a
 
-  let elaborate ?checks t (config : Config.t) (platform : Platform.Device.t)
-      =
+  let elaborate t (config : Config.t) (platform : Platform.Device.t) =
     t.c_last <- [];
     let analyses =
       List.map
         (fun (sys : Config.system) -> (sys.Config.sys_name, lookup t sys))
         config.Config.systems
     in
-    elaborate_with ?checks ~analyses config platform
+    elaborate_with ~analyses config platform
 
   let hits t = t.c_hits
   let misses t = t.c_misses

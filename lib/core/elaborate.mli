@@ -10,8 +10,8 @@ type t = {
   config : Config.t;
   platform : Platform.Device.t;
   diagnostics : Hw.Diag.t list;
-      (** everything {!Check.run} reported (errors only ever appear here
-          when elaboration was forced with [~checks:false]) *)
+      (** the warnings and infos {!Check.run} reported (a design with
+          errors does not elaborate) *)
   floorplan : Floorplan.t;
   cmd_noc : Noc.t;
   mem_noc : Noc.t;
@@ -29,12 +29,11 @@ type t = {
       (** per-system {!Hw.Circuit.stats} of RTL-DSL kernels *)
 }
 
-val elaborate : ?checks:bool -> Config.t -> Platform.Device.t -> t
-(** Runs {!Check.run} first (unless [~checks:false]) and raises [Failure]
-    with the rendered error diagnostics when any rule at error severity
-    fires — a configuration that cannot map to the platform never reaches
-    the downstream flow. Warnings and infos are retained in
-    [diagnostics]. *)
+val elaborate : Config.t -> Platform.Device.t -> t
+(** Runs {!Check.run} first and raises [Failure] with the rendered error
+    diagnostics when any rule at error severity fires — a configuration
+    that cannot map to the platform never reaches the downstream flow.
+    Warnings and infos are retained in [diagnostics]. *)
 
 (** Elaboration cache.
 
@@ -62,7 +61,7 @@ module Cache : sig
 
   val create : unit -> cache
 
-  val elaborate : ?checks:bool -> cache -> Config.t -> Platform.Device.t -> t
+  val elaborate : cache -> Config.t -> Platform.Device.t -> t
   (** Like {!Elaborate.elaborate}, but per-system kernel analyses are
       looked up by (system name, kernel circuit) and memoized.
       Raises exactly when the fresh elaboration would. *)
@@ -78,6 +77,11 @@ module Cache : sig
 end
 
 val cmd_endpoint : t -> system:string -> core:int -> int
+
+val channel_instance : string -> string
+(** The instance name of a named Reader or Writer, [name[0]]: its
+    memory-NoC endpoint key and its trace track suffix. *)
+
 val mem_endpoint : t -> system:string -> core:int -> channel:string -> int
 
 val resource_table : t -> string

@@ -29,21 +29,15 @@ let memory_requests (sys : Config.system) (p : Platform.Device.t) =
   in
   let beat_bits = p.Platform.Device.axi.Axi.Params.data_bytes * 8 in
   let readers =
-    List.concat_map
+    List.map
       (fun rc ->
-        List.init rc.Config.rc_n_channels (fun i ->
-            ( Printf.sprintf "%s.buf%d" rc.Config.rc_name i,
-              beat_bits,
-              rc.Config.rc_buffer_beats )))
+        (rc.Config.rc_name ^ ".buf0", beat_bits, rc.Config.rc_buffer_beats))
       sys.Config.read_channels
   in
   let writers =
-    List.concat_map
+    List.map
       (fun wc ->
-        List.init wc.Config.wc_n_channels (fun i ->
-            ( Printf.sprintf "%s.buf%d" wc.Config.wc_name i,
-              beat_bits,
-              wc.Config.wc_buffer_beats )))
+        (wc.Config.wc_name ^ ".buf0", beat_bits, wc.Config.wc_buffer_beats))
       sys.Config.write_channels
   in
   spads @ readers @ writers

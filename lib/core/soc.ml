@@ -33,8 +33,8 @@ and ctx = {
 
 and core_inst = {
   ci_ctx : ctx;
-  ci_readers : (string, reader array) Hashtbl.t;
-  ci_writers : (string, writer array) Hashtbl.t;
+  ci_readers : (string, reader) Hashtbl.t;
+  ci_writers : (string, writer) Hashtbl.t;
   ci_spads : (string, spad) Hashtbl.t;
   ci_behavior : behavior;
   ci_queue : (Rocc.t list * int option * (int64 -> unit)) Queue.t;
@@ -593,7 +593,6 @@ module Scratchpad = struct
   type sp = spad
 
   let depth (sp : sp) = sp.sp_cfg.Config.sp_n_datas
-  let latency (sp : sp) = sp.sp_cfg.Config.sp_latency
 
   let init_from_memory (sp : sp) ~addr ?bytes ~on_done () =
     let total = sp.sp_row_bytes * depth sp in
@@ -761,34 +760,27 @@ let create ?(memory_bytes = 64 * 1024 * 1024) ?tracer ?fault
         let readers = Hashtbl.create 4 in
         List.iter
           (fun rc ->
-            let arr =
-              Array.init rc.Config.rc_n_channels (fun i ->
-                  let chan = Printf.sprintf "%s[%d]" rc.Config.rc_name i in
-                  make_reader t ~cfg:rc ~ep:(mem_ep chan)
-                    ~noc_ps:(mem_noc_ps chan) ~track:(chan_track chan)
-                    ~parent)
-            in
-            Hashtbl.add readers rc.Config.rc_name arr)
+            let chan = Elaborate.channel_instance rc.Config.rc_name in
+            Hashtbl.add readers rc.Config.rc_name
+              (make_reader t ~cfg:rc ~ep:(mem_ep chan)
+                 ~noc_ps:(mem_noc_ps chan) ~track:(chan_track chan) ~parent))
           sys.Config.read_channels;
         let writers = Hashtbl.create 4 in
         List.iter
           (fun wc ->
-            let arr =
-              Array.init wc.Config.wc_n_channels (fun i ->
-                  let chan = Printf.sprintf "%s[%d]" wc.Config.wc_name i in
-                  {
-                    w_soc = t;
-                    w_axi = port_for t (mem_ep chan);
-                    w_cfg = wc;
-                    w_base_id = fresh_axi_id t;
-                    w_noc_ps = mem_noc_ps chan;
-                    w_busy = false;
-                    w_txn = None;
-                    w_track = chan_track chan;
-                    w_parent = parent;
-                  })
-            in
-            Hashtbl.add writers wc.Config.wc_name arr)
+            let chan = Elaborate.channel_instance wc.Config.wc_name in
+            Hashtbl.add writers wc.Config.wc_name
+              {
+                w_soc = t;
+                w_axi = port_for t (mem_ep chan);
+                w_cfg = wc;
+                w_base_id = fresh_axi_id t;
+                w_noc_ps = mem_noc_ps chan;
+                w_busy = false;
+                w_txn = None;
+                w_track = chan_track chan;
+                w_parent = parent;
+              })
           sys.Config.write_channels;
         let spads = Hashtbl.create 4 in
         List.iter
@@ -1053,15 +1045,15 @@ let send_command ?span t (cmd : Rocc.t) ~on_response =
 let core_of_ctx (ctx : ctx) =
   find_core ctx.soc ~system:ctx.system.Config.sys_name ~core:ctx.core_id
 
-let reader ctx ?(idx = 0) name =
+let reader ctx name =
   match Hashtbl.find_opt (core_of_ctx ctx).ci_readers name with
-  | Some arr when idx < Array.length arr -> arr.(idx)
-  | _ -> invalid_arg ("Soc.reader: no channel " ^ name)
+  | Some r -> r
+  | None -> invalid_arg ("Soc.reader: no channel " ^ name)
 
-let writer ctx ?(idx = 0) name =
+let writer ctx name =
   match Hashtbl.find_opt (core_of_ctx ctx).ci_writers name with
-  | Some arr when idx < Array.length arr -> arr.(idx)
-  | _ -> invalid_arg ("Soc.writer: no channel " ^ name)
+  | Some w -> w
+  | None -> invalid_arg ("Soc.writer: no channel " ^ name)
 
 let scratchpad ctx name =
   match Hashtbl.find_opt (core_of_ctx ctx).ci_spads name with
@@ -1096,7 +1088,7 @@ module Intercore = struct
     if row < 0 || row >= sp.sp_cfg.Config.sp_n_datas then
       invalid_arg "Intercore.write: row out of range";
     (* route: source core -> fabric root -> target core, one write per
-       cycle per channel *)
+       fabric cycle *)
     let src_ep =
       Elaborate.cmd_endpoint t.design ~system:ctx.system.Config.sys_name
         ~core:ctx.core_id

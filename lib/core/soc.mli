@@ -86,7 +86,6 @@ module Scratchpad : sig
 
   val set : sp -> int -> Bytes.t -> unit
   val depth : sp -> int
-  val latency : sp -> int
 end
 
 (** Execution context handed to a core behavior. *)
@@ -98,8 +97,11 @@ type ctx = {
   soc : t;
 }
 
-val reader : ctx -> ?idx:int -> string -> Reader.r
-val writer : ctx -> ?idx:int -> string -> Writer.w
+val reader : ctx -> string -> Reader.r
+val writer : ctx -> string -> Writer.w
+(** The core's Reader or Writer declared under that name. Raises
+    [Invalid_argument] when the system declares none. *)
+
 val scratchpad : ctx -> string -> Scratchpad.sp
 
 module Intercore : sig
@@ -107,7 +109,7 @@ module Intercore : sig
   (** An [IntraCoreMemoryPortOut]: a write port into a scratchpad that
       lives in another System's cores (§II-B, appendix A). Writes route
       over the command fabric with the corresponding NoC latency, at most
-      one per fabric cycle per channel. *)
+      one per fabric cycle. *)
 
   val write :
     port ->

@@ -131,7 +131,9 @@ module Cpu = struct
     on_rocc : (rocc_request -> (int32 -> unit) -> unit) option;
   }
 
-  let create ?(mem_bytes = 1 lsl 20) ?on_rocc ~program () =
+  let mem_bytes = 1 lsl 20
+
+  let create ?on_rocc ~program () =
     let mem = Bytes.make mem_bytes '\000' in
     List.iteri
       (fun i insn -> Bytes.set_int32_le mem (4 * i) (Asm.encode insn))
@@ -316,7 +318,9 @@ module Cpu = struct
       true
     end
 
-  let run ?(max_steps = 10_000_000) t =
+  let max_steps = 10_000_000
+
+  let run t =
     let retired = ref 0 in
     while step t do
       incr retired;

@@ -86,7 +86,6 @@ module Cpu : sig
   }
 
   val create :
-    ?mem_bytes:int ->
     ?on_rocc:(rocc_request -> (int32 -> unit) -> unit) ->
     program:Asm.insn list ->
     unit ->
@@ -94,14 +93,14 @@ module Cpu : sig
   (** Load the program at address 0, PC = 0, SP (x2) at the top of memory.
       [on_rocc] receives each custom-0/1 instruction; when the instruction
       expects a result ([xd]), the CPU *blocks* until the callback supplies
-      it — the RoCC response interlock. Default memory: 1 MB. *)
+      it — the RoCC response interlock. Memory: 1 MB. *)
 
   val step : t -> bool
   (** Execute one instruction; [false] once halted ([ecall]) or blocked on
       an outstanding RoCC result that has not been supplied. *)
 
-  val run : ?max_steps:int -> t -> int
-  (** Run until halt/block (default ceiling 10M steps, then [Failure]).
+  val run : t -> int
+  (** Run until halt/block (ceiling 10M steps, then [Failure]).
       Returns instructions retired. *)
 
   val halted : t -> bool

@@ -12,9 +12,11 @@ let () =
              | Never_allocated -> "was never allocated"))
     | _ -> None)
 
+(* one hugepage-ish granule / AXI burst window *)
+let alignment = 4096
+
 type t = {
   size : int;
-  alignment : int;
   (* live allocations: base -> length (aligned) *)
   live : (int, int) Hashtbl.t;
   (* bases freed and not reallocated since — distinguishes a double-free
@@ -24,23 +26,20 @@ type t = {
   mutable free_list : (int * int) list;
 }
 
-let create ~size ?(alignment = 4096) () =
+let create ~size () =
   if size <= 0 then invalid_arg "Alloc.create: size";
-  if alignment <= 0 || alignment land (alignment - 1) <> 0 then
-    invalid_arg "Alloc.create: alignment must be a power of two";
   {
     size;
-    alignment;
     live = Hashtbl.create 64;
     freed = Hashtbl.create 64;
     free_list = [ (0, size) ];
   }
 
-let round_up t n = (n + t.alignment - 1) / t.alignment * t.alignment
+let round_up n = (n + alignment - 1) / alignment * alignment
 
 let alloc t n =
   if n <= 0 then invalid_arg "Alloc.alloc: size";
-  let n = round_up t n in
+  let n = round_up n in
   let rec go acc = function
     | [] -> None
     | (base, len) :: rest ->
@@ -97,7 +96,7 @@ let check_invariants t =
     | _ -> true
   in
   let aligned =
-    Hashtbl.fold (fun b _ acc -> acc && b mod t.alignment = 0) t.live true
+    Hashtbl.fold (fun b _ acc -> acc && b mod alignment = 0) t.live true
   in
   let total =
     List.fold_left (fun acc (_, l) -> acc + l) 0 blocks = t.size

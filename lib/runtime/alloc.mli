@@ -15,8 +15,9 @@ type free_error =
 exception Invalid_free of { addr : int; reason : free_error }
 (** Raised by {!free} with the offending base address. *)
 
-val create : size:int -> ?alignment:int -> unit -> t
-(** Default alignment 4096 (one hugepage-ish granule / AXI burst window). *)
+val create : size:int -> unit -> t
+(** Allocations are aligned to 4096 bytes (one hugepage-ish granule / AXI
+    burst window). *)
 
 val alloc : t -> int -> int option
 (** First-fit allocation; [None] when no region fits. Returned addresses

@@ -13,14 +13,13 @@
 type t
 
 val create :
-  ?cpi_ps:int ->
   ?system:string ->
   ?core:int ->
   Beethoven.Soc.t ->
   program:Riscv.Asm.insn list ->
   t
-(** [cpi_ps] — host cycle time (default: the platform's fabric clock).
-    [system]/[core] — the fixed routing for this hart's custom
+(** The hart retires one instruction per cycle of the platform's fabric
+    clock. [system]/[core] — the fixed routing for this hart's custom
     instructions (default: first system, core 0). *)
 
 val start : t -> on_halt:(unit -> unit) -> unit

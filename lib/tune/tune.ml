@@ -3,37 +3,33 @@ module B = Beethoven
 module Knobs = struct
   type t = {
     kn_cores : int;
-    kn_channels : int;
     kn_in_flight : int;
     kn_batch : int;
     kn_core_cap : int;
   }
 
   let default =
-    { kn_cores = 2; kn_channels = 1; kn_in_flight = 1; kn_batch = 1;
-      kn_core_cap = 2 }
+    { kn_cores = 2; kn_in_flight = 1; kn_batch = 1; kn_core_cap = 2 }
 
   let render k =
-    Printf.sprintf "cores=%d ch=%d inflight=%d batch=%d cap=%d" k.kn_cores
-      k.kn_channels k.kn_in_flight k.kn_batch k.kn_core_cap
+    Printf.sprintf "cores=%d inflight=%d batch=%d cap=%d" k.kn_cores
+      k.kn_in_flight k.kn_batch k.kn_core_cap
 
   let key = render
 end
 
-type axis = Cores | Channels | In_flight | Batch | Core_cap
+type axis = Cores | In_flight | Batch | Core_cap
 
-let all_axes = [ Cores; Channels; In_flight; Batch; Core_cap ]
+let all_axes = [ Cores; In_flight; Batch; Core_cap ]
 
 let axis_name = function
   | Cores -> "cores"
-  | Channels -> "channels"
   | In_flight -> "prefetch"
   | Batch -> "batch"
   | Core_cap -> "core-cap"
 
 let axis_of_name = function
   | "cores" -> Some Cores
-  | "channels" -> Some Channels
   | "prefetch" | "in-flight" -> Some In_flight
   | "batch" -> Some Batch
   | "core-cap" | "cap" -> Some Core_cap
@@ -41,14 +37,12 @@ let axis_of_name = function
 
 let axis_values = function
   | Cores -> [ 1; 2; 3; 4; 6; 8 ]
-  | Channels -> [ 1; 2 ]
   | In_flight -> [ 1; 2; 4; 8 ]
   | Batch -> [ 1; 2; 4; 8; 16 ]
   | Core_cap -> [ 1; 2; 4; 8 ]
 
 let axis_get (k : Knobs.t) = function
   | Cores -> k.Knobs.kn_cores
-  | Channels -> k.Knobs.kn_channels
   | In_flight -> k.Knobs.kn_in_flight
   | Batch -> k.Knobs.kn_batch
   | Core_cap -> k.Knobs.kn_core_cap
@@ -56,7 +50,6 @@ let axis_get (k : Knobs.t) = function
 let axis_set (k : Knobs.t) ax v =
   match ax with
   | Cores -> { k with Knobs.kn_cores = v }
-  | Channels -> { k with Knobs.kn_channels = v }
   | In_flight -> { k with Knobs.kn_in_flight = v }
   | Batch -> { k with Knobs.kn_batch = v }
   | Core_cap -> { k with Knobs.kn_core_cap = v }
@@ -116,16 +109,15 @@ let tenants () =
       ();
   ]
 
-(* Deploy a candidate: the canonical serving systems with the
-   channel/prefetch knobs rewritten (names are preserved, so dispatch
-   and behaviors still resolve). *)
+(* Deploy a candidate: the canonical serving systems with the prefetch
+   knob rewritten (names are preserved, so dispatch and behaviors still
+   resolve). *)
 let deploy (k : Knobs.t) kind ~n_cores =
   let sys = Serve.system_of_kind kind ~n_cores in
   let rd (rc : B.Config.read_channel) =
     {
       rc with
-      B.Config.rc_n_channels = k.Knobs.kn_channels;
-      rc_max_in_flight = k.Knobs.kn_in_flight;
+      B.Config.rc_max_in_flight = k.Knobs.kn_in_flight;
       rc_buffer_beats =
         max rc.B.Config.rc_buffer_beats
           (rc.B.Config.rc_burst_beats * k.Knobs.kn_in_flight);
@@ -134,8 +126,7 @@ let deploy (k : Knobs.t) kind ~n_cores =
   let wr (wc : B.Config.write_channel) =
     {
       wc with
-      B.Config.wc_n_channels = k.Knobs.kn_channels;
-      wc_max_in_flight = k.Knobs.kn_in_flight;
+      B.Config.wc_max_in_flight = k.Knobs.kn_in_flight;
       wc_buffer_beats =
         max wc.B.Config.wc_buffer_beats
           (wc.B.Config.wc_burst_beats * k.Knobs.kn_in_flight);
@@ -200,13 +191,14 @@ let mean_score (ev : evaluation) ~util =
     sc_completed = completed;
   }
 
-(* Paired sign test over phase i of each side: completions first, p99 as
-   the tiebreak. Returns (challenger wins, losses). *)
+(* Paired sign test over phase i of each side: achieved rps (the
+   statistic the score and the Pareto front rank by) first, p99 as the
+   tiebreak. Returns (challenger wins, losses). *)
 let ab_compare (inc : evaluation) (ch : evaluation) =
   List.fold_left2
-    (fun (w, l) (ci, _, pi) (cc, _, pc) ->
-      if cc > ci then (w + 1, l)
-      else if cc < ci then (w, l + 1)
+    (fun (w, l) (_, ri, pi) (_, rc, pc) ->
+      if rc > ri +. 1e-9 then (w + 1, l)
+      else if rc < ri -. 1e-9 then (w, l + 1)
       else if pc < pi -. 1e-9 then (w + 1, l)
       else if pc > pi +. 1e-9 then (w, l + 1)
       else (w, l))
@@ -221,22 +213,10 @@ let promotes ~(inc : score) ~(ch : score) ~wins ~losses =
 (* JSON / rendering helpers                                           *)
 (* ------------------------------------------------------------------ *)
 
-let fnv1a64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun ch ->
-      h :=
-        Int64.mul
-          (Int64.logxor !h (Int64.of_int (Char.code ch)))
-          0x100000001b3L)
-    s;
-  Printf.sprintf "%016Lx" !h
-
 let knobs_json (k : Knobs.t) =
   Printf.sprintf
-    "{\"cores\":%d,\"channels\":%d,\"prefetch\":%d,\"batch\":%d,\"core_cap\":%d}"
-    k.Knobs.kn_cores k.Knobs.kn_channels k.Knobs.kn_in_flight k.Knobs.kn_batch
-    k.Knobs.kn_core_cap
+    "{\"cores\":%d,\"prefetch\":%d,\"batch\":%d,\"core_cap\":%d}"
+    k.Knobs.kn_cores k.Knobs.kn_in_flight k.Knobs.kn_batch k.Knobs.kn_core_cap
 
 let candidate_json (c : candidate) =
   match c.ca_outcome with
@@ -318,8 +298,6 @@ let pareto_json (r : result) =
   pf "\"pareto\":[%s]}}\n"
     (String.concat "," (List.map candidate_json (pareto r)));
   Buffer.contents b
-
-let digest r = fnv1a64 (pareto_json r)
 
 let render (r : result) =
   let b = Buffer.create 1024 in
@@ -412,35 +390,18 @@ let run ?(seed = 42) ?(budget = 6) ?(axes = all_axes)
     Hashtbl.replace memo (Knobs.key k) ev;
     ev
   in
-  let run_phases sess =
-    List.init ab_rounds (fun _ ->
-        incr phases_run;
-        Serve.Session.run_phase sess ~duration_ps:phase_ps)
-  in
-  (* evaluate a pair with temporally interleaved phases when both sides
-     are fresh; a memoized side is replayed (deterministic simulation
-     makes the replay exact), leaving only the other to simulate *)
-  let eval_pair inc ch =
-    match
-      (Hashtbl.find_opt memo (Knobs.key inc), Hashtbl.find_opt memo (Knobs.key ch))
-    with
-    | Some a, Some b -> (a, b)
-    | Some a, None ->
-        let tb, sb = fresh_session ch in
-        (a, seal ch tb (run_phases sb))
-    | None, Some b ->
-        let ta, sa = fresh_session inc in
-        (seal inc ta (run_phases sa), b)
-    | None, None ->
-        let ta, sa = fresh_session inc and tb, sb = fresh_session ch in
-        let ra = ref [] and rb = ref [] in
-        for _ = 1 to ab_rounds do
-          incr phases_run;
-          ra := Serve.Session.run_phase sa ~duration_ps:phase_ps :: !ra;
-          incr phases_run;
-          rb := Serve.Session.run_phase sb ~duration_ps:phase_ps :: !rb
-        done;
-        (seal inc ta (List.rev !ra), seal ch tb (List.rev !rb))
+  (* a candidate's evaluation, simulated once and then replayed from the
+     memo: each session owns its SoC, engine and tracer, so a result does
+     not depend on when it is simulated *)
+  let evaluate k =
+    match Hashtbl.find_opt memo (Knobs.key k) with
+    | Some ev -> ev
+    | None ->
+        let tracer, sess = fresh_session k in
+        seal k tracer
+          (List.init ab_rounds (fun _ ->
+               incr phases_run;
+               Serve.Session.run_phase sess ~duration_ps:phase_ps))
   in
   let fit k = B.Dse.fit ~cache (config_of ~tenants k) platform in
   let seed_util =
@@ -494,7 +455,8 @@ let run ?(seed = 42) ?(budget = 6) ?(axes = all_axes)
           { ca_id = id; ca_knobs = knobs; ca_outcome = Infeasible m }
           :: !candidates
     | Ok util ->
-        let inc_ev, ch_ev = eval_pair (!incumbent).ca_knobs knobs in
+        let inc_ev = evaluate (!incumbent).ca_knobs in
+        let ch_ev = evaluate knobs in
         let inc_score = mean_score inc_ev ~util:!incumbent_util in
         let ch_score = mean_score ch_ev ~util in
         let wins, losses = ab_compare inc_ev ch_ev in
@@ -522,16 +484,7 @@ let run ?(seed = 42) ?(budget = 6) ?(axes = all_axes)
           incumbent_util := util
         end
   done;
-  (* the seed candidate's record: its evaluation is memoized from the
-     first A/B round (or simulated here if every proposal was
-     prefiltered) *)
-  let seed_ev =
-    match Hashtbl.find_opt memo (Knobs.key start) with
-    | Some ev -> ev
-    | None ->
-        let t, s = fresh_session start in
-        seal start t (run_phases s)
-  in
+  let seed_ev = evaluate start in
   let seed_cand =
     {
       ca_id = 0;

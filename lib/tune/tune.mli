@@ -1,14 +1,13 @@
 (** Closed-loop autotuner over the composer's knobs.
 
     The COSMOS observation (PAPERS.md) is that synthesis-side knobs and
-    memory-system knobs must be searched {e together}: the best memory
-    channel count depends on the core count that competes for the same
-    SLRs, and both trade against latency under live load. This module
-    closes that loop: a seeded, deterministic search proposes one-knob
-    deltas over the deployed serving SoC — memory channels per port,
-    prefetch (in-flight) depth, cores per system, server batching cap,
-    per-core outstanding bound — and measures each candidate instead of
-    modeling it:
+    memory-system knobs must be searched {e together}: the best prefetch
+    depth depends on the core count that competes for the same memory,
+    and both trade against latency under live load. This module closes
+    that loop: a seeded, deterministic search proposes one-knob deltas
+    over the deployed serving SoC — prefetch (in-flight) depth, cores
+    per system, server batching cap, per-core outstanding bound — and
+    measures each candidate instead of modeling it:
 
     + {b pre-filter} — the candidate config is elaborated through a
       shared {!Beethoven.Elaborate.Cache} via {!Beethoven.Dse.fit}; the
@@ -21,14 +20,15 @@
       candidate's systems and serves the fixed
       closed-loop tuning workload for [ab_rounds] phases; phase [i] of
       every candidate uses client-stream salt [i], so all candidates are
-      measured under byte-identical offered load;
-    + {b A/B promotion} — incumbent and challenger run interleaved
-      paired phases; the challenger is promoted only on a
+      measured under byte-identical offered load. Each candidate is
+      simulated once and its evaluation replayed from a memo on later
+      comparisons — the serving analogue of the elaboration cache;
+    + {b A/B promotion} — phase [i] of the challenger is paired with
+      phase [i] of the incumbent; the challenger is promoted only on a
       statistically-ordered win: it must win strictly more paired phases
-      than it loses (completions first, p99 as the tiebreak) without
-      regressing mean p99 by more than 10%. Deterministic evaluations
-      are replayed from a memo rather than re-simulated — the serving
-      analogue of the elaboration cache.
+      than it loses (achieved rps first, the statistic the score and the
+      front rank by; p99 as the tiebreak) without regressing mean p99 by
+      more than 10%.
 
     The search emits a byte-deterministic Pareto front (throughput vs.
     p99 vs. resource utilization) as JSON: same seed ⇒ byte-identical
@@ -37,22 +37,21 @@
 module Knobs : sig
   type t = {
     kn_cores : int;  (** cores per deployed system *)
-    kn_channels : int;  (** memory channels per Reader/Writer port *)
     kn_in_flight : int;  (** prefetch depth (concurrent transactions) *)
     kn_batch : int;  (** commands coalesced per server occupancy *)
     kn_core_cap : int;  (** per-core outstanding-command bound *)
   }
 
   val default : t
-  (** The conservative baseline the search starts from: 2 cores, 1
-      channel, no prefetch overlap, no batching. *)
+  (** The conservative baseline the search starts from: 2 cores, no
+      prefetch overlap, no batching. *)
 
   val render : t -> string
   val key : t -> string
   (** Canonical one-line form; equal keys ⇔ equal knobs. *)
 end
 
-type axis = Cores | Channels | In_flight | Batch | Core_cap
+type axis = Cores | In_flight | Batch | Core_cap
 
 val all_axes : axis list
 val axis_name : axis -> string
@@ -111,8 +110,8 @@ val run :
   result
 (** Run the search: [budget] proposals (default 6) of seeded one-knob
     mutations restricted to [axes] (default {!all_axes}), each A/B-tested
-    against the incumbent over [ab_rounds] (default 2) interleaved phases
-    of [phase_ps] (default 100 µs) simulated serving. Deterministic:
+    against the incumbent over [ab_rounds] (default 2) paired phases of
+    [phase_ps] (default 100 µs) simulated serving. Deterministic:
     equal arguments ⇒ identical result, byte-identical
     {!pareto_json}. *)
 
@@ -128,6 +127,3 @@ val pareto_json : result -> string
 val render : result -> string
 (** Human-readable search log: every candidate with its knobs, score,
     A/B record and Pareto membership, plus the cache stats line. *)
-
-val digest : result -> string
-(** Content hash of {!pareto_json} (for determinism checks). *)

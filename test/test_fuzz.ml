@@ -81,12 +81,8 @@ let elaboration_invariants platform config =
           (fun acc sys ->
             acc
             + sys.C.n_cores
-              * (List.fold_left
-                   (fun a rc -> a + rc.C.rc_n_channels)
-                   0 sys.C.read_channels
-                + List.fold_left
-                    (fun a wc -> a + wc.C.wc_n_channels)
-                    0 sys.C.write_channels
+              * (List.length sys.C.read_channels
+                + List.length sys.C.write_channels
                 + List.length
                     (List.filter
                        (fun sp -> sp.C.sp_init_from_memory)

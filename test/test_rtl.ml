@@ -230,7 +230,6 @@ let intercore_config () =
                 B.Config.ic_name = "to_consumer";
                 ic_to_system = "Consumer";
                 ic_to_scratchpad = "inbox";
-                ic_n_channels = 1;
               };
             ]
           ~commands:[ producer_cmd ] ();

@@ -124,7 +124,7 @@ let test_cache_warm_hits () =
 (* ---- cache hit-rate regression: one-knob delta ---- *)
 
 (* The key is what the cached analysis reads, a system's name and its
-   kernel circuit: a memory-channel delta on a multi-system config hits
+   kernel circuit: a prefetch-depth delta on a multi-system config hits
    for every system, and a freshly built kernel circuit misses for its
    own system only. *)
 let test_one_knob_delta () =
@@ -147,20 +147,20 @@ let test_one_knob_delta () =
           base.C.systems;
     }
   in
-  let more_channels (sys : C.system) =
+  let deeper_prefetch (sys : C.system) =
     {
       sys with
       C.read_channels =
         List.map
           (fun (rc : C.read_channel) ->
-            { rc with C.rc_n_channels = rc.C.rc_n_channels + 1 })
+            { rc with C.rc_max_in_flight = rc.C.rc_max_in_flight + 1 })
           sys.C.read_channels;
     }
   in
-  ignore (B.Elaborate.Cache.elaborate cache (edit more_channels) D.aws_f1);
+  ignore (B.Elaborate.Cache.elaborate cache (edit deeper_prefetch) D.aws_f1);
   List.iter
     (fun (name, hit) ->
-      check_bool (name ^ " hit after a channel delta") true hit)
+      check_bool (name ^ " hit after a prefetch delta") true hit)
     (B.Elaborate.Cache.last_lookups cache);
   let fresh_circuit (sys : C.system) =
     { sys with C.kernel_circuit = Some (Kernels.Vecadd_rtl.circuit ()) }
@@ -199,8 +199,7 @@ let small_run () =
 let test_tune_deterministic () =
   let r1 = small_run () and r2 = small_run () in
   check_string "pareto JSON byte-identical" (Tune.pareto_json r1)
-    (Tune.pareto_json r2);
-  check_string "digest agrees" (Tune.digest r1) (Tune.digest r2)
+    (Tune.pareto_json r2)
 
 let test_tune_result_shape () =
   let r = small_run () in
