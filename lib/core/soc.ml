@@ -13,7 +13,8 @@ type t = {
   platform : Platform.Device.t;
   dram : Dram.t;
   axi_ports : Axi.t array; (* one per DDR controller *)
-  memory : Bytes.t;
+  mem_bytes : int;
+  pages : Bytes.t array; (* device memory, [page_bytes] per slot *)
   ace_snoop_ps : int;
       (* embedded platforms: per-transaction AXI-ACE coherence cost *)
   mutable coherent_txns : int;
@@ -103,21 +104,131 @@ and spad = {
 (* Device memory contents                                              *)
 (* ------------------------------------------------------------------ *)
 
-let mem_size t = Bytes.length t.memory
-let read_u8 t a = Char.code (Bytes.get t.memory a)
-let write_u8 t a v = Bytes.set t.memory a (Char.chr (v land 0xff))
-let read_u32 t a = Bytes.get_int32_le t.memory a
-let write_u32 t a v = Bytes.set_int32_le t.memory a v
-let read_u64 t a = Bytes.get_int64_le t.memory a
-let write_u64 t a v = Bytes.set_int64_le t.memory a v
+(* Device memory is an array of 4 KB pages, the frame size
+   [Runtime.Pagemap] models. Every slot starts out holding [zero_page],
+   which all SoCs share and nothing writes: a read never allocates, and
+   the first write to a slot gives it a page of its own. Host memory so
+   follows the bytes a run writes, not [mem_size]. *)
+let page_bits = 12
+let page_bytes = 1 lsl page_bits
+let page_mask = page_bytes - 1
+let zero_page = Bytes.make page_bytes '\000'
 
-let blit_in t ~src ~dst_addr =
-  Bytes.blit src 0 t.memory dst_addr (Bytes.length src)
+let mem_size t = t.mem_bytes
+
+let check_range t what addr len =
+  if addr < 0 || len < 0 || addr > t.mem_bytes - len then
+    invalid_arg
+      (Printf.sprintf "Soc.%s: %d B at 0x%x outside %d B of device memory"
+         what len addr t.mem_bytes)
+
+(* The page holding address [a], which the caller has checked is in
+   range: to read, or ([own_page]) to write. *)
+let[@inline] page t a = Array.unsafe_get t.pages (a lsr page_bits)
+
+let fresh_page t a =
+  let pg = Bytes.make page_bytes '\000' in
+  t.pages.(a lsr page_bits) <- pg;
+  pg
+
+let[@inline] own_page t a =
+  let pg = page t a in
+  if pg != zero_page then pg else fresh_page t a
+
+(* [len] bytes at [addr], cut where they cross a page *)
+let rec read_pages t addr dst pos len =
+  if len > 0 then begin
+    let off = addr land page_mask in
+    let n = min len (page_bytes - off) in
+    Bytes.blit (page t addr) off dst pos n;
+    read_pages t (addr + n) dst (pos + n) (len - n)
+  end
+
+let rec write_pages t addr src pos len =
+  if len > 0 then begin
+    let off = addr land page_mask in
+    let n = min len (page_bytes - off) in
+    Bytes.blit src pos (own_page t addr) off n;
+    write_pages t (addr + n) src (pos + n) (len - n)
+  end
+
+let read_into t what addr dst pos len =
+  check_range t what addr len;
+  read_pages t addr dst pos len
+
+let write_from t what addr src =
+  check_range t what addr (Bytes.length src);
+  write_pages t addr src 0 (Bytes.length src)
+
+(* The word accessors' fast path: the [n] bytes at [a] are in range and
+   on one page. A word that straddles two pages, or an address out of
+   range, takes the slow path through a scratch buffer. *)
+let[@inline] on_one_page t a n =
+  a >= 0 && a <= t.mem_bytes - n && a land page_mask <= page_bytes - n
+
+let read_slow t what a n =
+  let b = Bytes.create n in
+  read_into t what a b 0 n;
+  b
+
+let word n set v =
+  let b = Bytes.create n in
+  set b 0 v;
+  b
+
+let read_u8 t a =
+  if on_one_page t a 1 then Char.code (Bytes.get (page t a) (a land page_mask))
+  else Char.code (Bytes.get (read_slow t "read_u8" a 1) 0)
+
+let write_u8 t a v =
+  let c = Char.chr (v land 0xff) in
+  if on_one_page t a 1 then Bytes.set (own_page t a) (a land page_mask) c
+  else write_from t "write_u8" a (Bytes.make 1 c)
+
+let read_u32 t a =
+  if on_one_page t a 4 then Bytes.get_int32_le (page t a) (a land page_mask)
+  else Bytes.get_int32_le (read_slow t "read_u32" a 4) 0
+
+let write_u32 t a v =
+  if on_one_page t a 4 then
+    Bytes.set_int32_le (own_page t a) (a land page_mask) v
+  else write_from t "write_u32" a (word 4 Bytes.set_int32_le v)
+
+let read_u64 t a =
+  if on_one_page t a 8 then Bytes.get_int64_le (page t a) (a land page_mask)
+  else Bytes.get_int64_le (read_slow t "read_u64" a 8) 0
+
+let write_u64 t a v =
+  if on_one_page t a 8 then
+    Bytes.set_int64_le (own_page t a) (a land page_mask) v
+  else write_from t "write_u64" a (word 8 Bytes.set_int64_le v)
+
+let blit_in t ~src ~dst_addr = write_from t "blit_in" dst_addr src
 
 let blit_out t ~src_addr ~dst =
-  Bytes.blit t.memory src_addr dst 0 (Bytes.length dst)
+  read_into t "blit_out" src_addr dst 0 (Bytes.length dst)
 
-let copy_within t ~src ~dst ~bytes = Bytes.blit t.memory src t.memory dst bytes
+(* [len] bytes from [s] to [d], in chunks that stay on one page at each
+   end; where both ends share a page, [Bytes.blit] handles the overlap.
+   Going up, no source byte is overwritten before it is read unless [d]
+   lies inside the source. *)
+let rec copy_pages t s d len =
+  if len > 0 then begin
+    let n = min len (page_bytes - max (s land page_mask) (d land page_mask)) in
+    Bytes.blit (page t s) (s land page_mask) (own_page t d) (d land page_mask)
+      n;
+    copy_pages t (s + n) (d + n) (len - n)
+  end
+
+let copy_within t ~src ~dst ~bytes =
+  check_range t "copy_within" src bytes;
+  check_range t "copy_within" dst bytes;
+  if dst > src && dst < src + bytes then begin
+    let b = Bytes.create bytes in
+    read_pages t src b 0 bytes;
+    write_pages t dst b 0 bytes
+  end
+  else copy_pages t src dst bytes
 
 (* On embedded platforms every fabric access is marked coherent over
    AXI-ACE (§II-C2); the snoop adds a couple of interconnect cycles and is
@@ -600,7 +711,8 @@ module Scratchpad = struct
     if bytes > total then invalid_arg "Scratchpad.init: larger than capacity";
     Reader.bulk sp.sp_reader ~addr ~bytes ~on_done:(fun () ->
         (* contents land as the fill completes *)
-        Bytes.blit sp.sp_soc.memory addr sp.sp_data 0 bytes;
+        read_into sp.sp_soc "Scratchpad.init_from_memory" addr sp.sp_data 0
+          bytes;
         on_done ())
 
   let get (sp : sp) row =
@@ -641,6 +753,10 @@ let next_soc_uid = ref 0
 
 let create ?(memory_bytes = 64 * 1024 * 1024) ?tracer ?fault
     (design : Elaborate.t) ~behaviors =
+  if memory_bytes <= 0 then
+    invalid_arg
+      (Printf.sprintf "Soc.create: memory_bytes = %d, must be positive"
+         memory_bytes);
   incr next_soc_uid;
   let engine = Desim.Engine.create () in
   let platform = design.Elaborate.platform in
@@ -662,7 +778,8 @@ let create ?(memory_bytes = 64 * 1024 * 1024) ?tracer ?fault
       design;
       platform;
       dram;
-      memory = Bytes.make memory_bytes '\000';
+      mem_bytes = memory_bytes;
+      pages = Array.make ((memory_bytes + page_mask) lsr page_bits) zero_page;
       ace_snoop_ps =
         (if platform.Platform.Device.host.Platform.Device.shared_address_space
          then 2 * platform.Platform.Device.fabric_clock_ps
@@ -682,28 +799,29 @@ let create ?(memory_bytes = 64 * 1024 * 1024) ?tracer ?fault
   | None -> ()
   | Some inj ->
       let ecc = Fault.Injector.ecc inj in
+      let get = read_u64 t and set = write_u64 t in
       Dram.set_burst_hook dram (fun ~addr ~bytes ~dir ->
           match dir with
           | Dram.Write ->
-              if addr < Bytes.length t.memory then
+              if addr < mem_size t then
                 Fault.Ecc.note_write ecc ~addr
-                  ~bytes:(min bytes (Bytes.length t.memory - addr))
+                  ~bytes:(min bytes (mem_size t - addr))
           | Dram.Read ->
-              if addr + bytes <= Bytes.length t.memory then begin
+              if addr + bytes <= mem_size t then begin
                 let now = Desim.Engine.now engine in
                 let flip ~cls ~bits =
                   let words = max 1 (bytes / 8) in
                   let word_addr =
                     addr + (8 * Fault.Injector.draw_int inj ~bound:words)
                   in
-                  if word_addr + 8 <= Bytes.length t.memory then begin
+                  if word_addr + 8 <= mem_size t then begin
                     let b1 = Fault.Injector.draw_int inj ~bound:64 in
-                    Fault.Ecc.inject_flip ecc ~mem:t.memory ~word_addr ~bit:b1;
+                    Fault.Ecc.inject_flip ecc ~get ~set ~word_addr ~bit:b1;
                     if bits > 1 then begin
                       let b2 =
                         (b1 + 1 + Fault.Injector.draw_int inj ~bound:63) mod 64
                       in
-                      Fault.Ecc.inject_flip ecc ~mem:t.memory ~word_addr ~bit:b2
+                      Fault.Ecc.inject_flip ecc ~get ~set ~word_addr ~bit:b2
                     end;
                     Fault.Injector.log inj ~now ~cls ~kind:Fault.Log.Injected
                       ~site:
@@ -717,7 +835,7 @@ let create ?(memory_bytes = 64 * 1024 * 1024) ?tracer ?fault
                   flip ~cls:Fault.Class.Dram_double_flip ~bits:2;
                 (* the controller checks ECC on every read burst *)
                 let corrected, uncorrectable =
-                  Fault.Ecc.scrub ecc ~mem:t.memory ~addr ~bytes
+                  Fault.Ecc.scrub ecc ~get ~set ~addr ~bytes
                 in
                 for _ = 1 to corrected do
                   Fault.Injector.log inj ~now ~cls:Fault.Class.Dram_flip

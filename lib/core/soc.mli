@@ -141,7 +141,8 @@ val create :
   behaviors:(string -> behavior) ->
   t
 (** [behaviors] maps a system name to its core behavior. Default device
-    memory: 64 MB. With [fault], the injector is threaded through the
+    memory: 64 MB; a non-positive [memory_bytes] raises
+    [Invalid_argument]. With [fault], the injector is threaded through the
     whole stack: DRAM read bursts may flip bits (caught by the SECDED
     scrub-on-read path), AXI bursts may error (retried with exponential
     backoff up to {!Fault.Policy.default}'s [axi_max_retries]),
@@ -188,7 +189,15 @@ val send_command :
     command's trace span: NoC hops and the core's execution span parent
     under it. *)
 
-(** {1 Device memory contents} *)
+(** {1 Device memory contents}
+
+    Device memory is [mem_size] bytes held as 4 KB pages, each allocated
+    on the first write that touches it. Memory that was never written
+    reads as zero, and reading allocates nothing, so host memory follows
+    the bytes a run writes, not [mem_size]. Words are little-endian and
+    may straddle pages. An access that reaches below address 0 or at or
+    past [mem_size], or has a negative length, raises [Invalid_argument],
+    as a [Bytes.t] of that size would. *)
 
 val coherent_transactions : t -> int
 (** Embedded platforms: memory transactions issued with AXI-ACE coherence
@@ -199,6 +208,8 @@ val stats_report : t -> string
     counts and latencies, fabric message counts. *)
 
 val mem_size : t -> int
+(** The [memory_bytes] the SoC was created with. *)
+
 val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit
 val read_u32 : t -> int -> int32
@@ -207,4 +218,7 @@ val read_u64 : t -> int -> int64
 val write_u64 : t -> int -> int64 -> unit
 val blit_in : t -> src:Bytes.t -> dst_addr:int -> unit
 val blit_out : t -> src_addr:int -> dst:Bytes.t -> unit
+
 val copy_within : t -> src:int -> dst:int -> bytes:int -> unit
+(** Like [Bytes.blit] within one buffer: correct when the two ranges
+    overlap. *)

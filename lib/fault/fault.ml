@@ -139,54 +139,57 @@ module Ecc = struct
   let create () =
     { latched = Hashtbl.create 64; n_corrected = 0; n_uncorrectable = 0 }
 
-  let get_word mem addr = Bytes.get_int64_le mem addr
-  let set_word mem addr v = Bytes.set_int64_le mem addr v
-
-  let inject_flip t ~mem ~word_addr ~bit =
+  let inject_flip t ~get ~set ~word_addr ~bit =
     if bit < 0 || bit > 63 then invalid_arg "Ecc.inject_flip: bit";
     let word_addr = word_addr land lnot 7 in
-    if word_addr + 8 > Bytes.length mem then
-      invalid_arg "Ecc.inject_flip: address out of range";
-    let w = get_word mem word_addr in
+    let w = get word_addr in
     if not (Hashtbl.mem t.latched word_addr) then
       (* first corruption since the word was last rewritten: the cells
          held a valid codeword until now *)
       Hashtbl.replace t.latched word_addr (encode w);
-    set_word mem word_addr (Int64.logxor w (Int64.shift_left 1L bit))
+    set word_addr (Int64.logxor w (Int64.shift_left 1L bit))
 
+  (* Both walks below cost one lookup per word of the burst; with nothing
+     latched (no flip injected, or every one already scrubbed) there is
+     nothing for them to find. *)
   let note_write t ~addr ~bytes =
-    let first = addr land lnot 7 in
-    let last = (addr + bytes - 1) land lnot 7 in
-    let a = ref first in
-    while !a <= last do
-      Hashtbl.remove t.latched !a;
-      a := !a + 8
-    done
+    if Hashtbl.length t.latched > 0 then begin
+      let first = addr land lnot 7 in
+      let last = (addr + bytes - 1) land lnot 7 in
+      let a = ref first in
+      while !a <= last do
+        Hashtbl.remove t.latched !a;
+        a := !a + 8
+      done
+    end
 
-  let scrub t ~mem ~addr ~bytes =
-    let first = addr land lnot 7 in
-    let last = min ((addr + bytes - 1) land lnot 7) (Bytes.length mem - 8) in
-    let corrected = ref 0 and uncorrectable = ref 0 in
-    let a = ref first in
-    while !a <= last do
-      (match Hashtbl.find_opt t.latched !a with
-      | None -> ()
-      | Some check -> (
-          match decode ~data:(get_word mem !a) ~check with
-          | Ok -> Hashtbl.remove t.latched !a
-          | Corrected w ->
-              set_word mem !a w;
-              Hashtbl.remove t.latched !a;
-              incr corrected;
-              t.n_corrected <- t.n_corrected + 1
-          | Uncorrectable ->
-              (* detected, flagged, but the data is gone *)
-              Hashtbl.remove t.latched !a;
-              incr uncorrectable;
-              t.n_uncorrectable <- t.n_uncorrectable + 1));
-      a := !a + 8
-    done;
-    (!corrected, !uncorrectable)
+  let scrub t ~get ~set ~addr ~bytes =
+    if Hashtbl.length t.latched = 0 then (0, 0)
+    else begin
+      let first = addr land lnot 7 in
+      let last = (addr + bytes - 1) land lnot 7 in
+      let corrected = ref 0 and uncorrectable = ref 0 in
+      let a = ref first in
+      while !a <= last do
+        (match Hashtbl.find_opt t.latched !a with
+        | None -> ()
+        | Some check -> (
+            match decode ~data:(get !a) ~check with
+            | Ok -> Hashtbl.remove t.latched !a
+            | Corrected w ->
+                set !a w;
+                Hashtbl.remove t.latched !a;
+                incr corrected;
+                t.n_corrected <- t.n_corrected + 1
+            | Uncorrectable ->
+                (* detected, flagged, but the data is gone *)
+                Hashtbl.remove t.latched !a;
+                incr uncorrectable;
+                t.n_uncorrectable <- t.n_uncorrectable + 1));
+        a := !a + 8
+      done;
+      (!corrected, !uncorrectable)
+    end
 
   let corrected t = t.n_corrected
   let uncorrectable t = t.n_uncorrectable

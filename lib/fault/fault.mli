@@ -58,19 +58,38 @@ module Ecc : sig
 
   val create : unit -> t
 
-  val inject_flip : t -> mem:Bytes.t -> word_addr:int -> bit:int -> unit
+  (** The functions below reach memory only through [get] and [set],
+      which read and write the aligned little-endian 64-bit word at an
+      address; [Soc] passes its device-memory accessors. *)
+
+  val inject_flip :
+    t ->
+    get:(int -> int64) ->
+    set:(int -> int64 -> unit) ->
+    word_addr:int ->
+    bit:int ->
+    unit
   (** Corrupt bit [bit] (0..63) of the aligned 8-byte word at
-      [word_addr] in [mem], first latching the word's check bits if this
-      is the first corruption since the word was last rewritten. *)
+      [word_addr], first latching the word's check bits if this is the
+      first corruption since the word was last rewritten. An address out
+      of range raises whatever [get] raises. *)
 
   val note_write : t -> addr:int -> bytes:int -> unit
   (** A write burst landed over [addr, addr+bytes): any latched
-      codewords there are stale (the cells hold fresh data). *)
+      codewords there are stale (the cells hold fresh data). Returns at
+      once when nothing is latched. *)
 
-  val scrub : t -> mem:Bytes.t -> addr:int -> bytes:int -> int * int
+  val scrub :
+    t ->
+    get:(int -> int64) ->
+    set:(int -> int64 -> unit) ->
+    addr:int ->
+    bytes:int ->
+    int * int
   (** Scrub-on-read over a burst window: decode every latched codeword
-      in range, repairing single-bit errors in place. Returns
-      [(corrected, uncorrectable)] counts for the window. *)
+      in range, repairing single-bit errors in place through [set].
+      Returns [(corrected, uncorrectable)] counts for the window, and
+      [(0, 0)] at once when nothing is latched. *)
 
   val corrected : t -> int
   val uncorrectable : t -> int

@@ -46,6 +46,10 @@ let prop_ecc_double_bit =
       in
       F.Ecc.decode ~data:corrupted ~check:(F.Ecc.encode w) = F.Ecc.Uncorrectable)
 
+(* the ECC model reaches memory through word accessors; here they are
+   over a small buffer *)
+let word_accessors mem = (Bytes.get_int64_le mem, Bytes.set_int64_le mem)
+
 let test_ecc_scrub_repairs_memory () =
   let ecc = F.Ecc.create () in
   let mem = Bytes.create 64 in
@@ -53,23 +57,25 @@ let test_ecc_scrub_repairs_memory () =
     Bytes.set_int64_le mem (i * 8) (Int64.of_int ((i * 2654435761) lor 1))
   done;
   let orig = Bytes.copy mem in
-  F.Ecc.inject_flip ecc ~mem ~word_addr:16 ~bit:5;
+  let get, set = word_accessors mem in
+  F.Ecc.inject_flip ecc ~get ~set ~word_addr:16 ~bit:5;
   check_bool "memory corrupted" true (not (Bytes.equal mem orig));
-  let corrected, uncorrectable = F.Ecc.scrub ecc ~mem ~addr:0 ~bytes:64 in
+  let corrected, uncorrectable = F.Ecc.scrub ecc ~get ~set ~addr:0 ~bytes:64 in
   check_int "one word repaired" 1 corrected;
   check_int "no uncorrectable" 0 uncorrectable;
   check_bool "memory restored in place" true (Bytes.equal mem orig);
   (* a second scrub finds nothing: the latch was consumed by the repair *)
-  let c2, u2 = F.Ecc.scrub ecc ~mem ~addr:0 ~bytes:64 in
+  let c2, u2 = F.Ecc.scrub ecc ~get ~set ~addr:0 ~bytes:64 in
   check_int "idempotent" 0 (c2 + u2)
 
 let test_ecc_double_flip_detected () =
   let ecc = F.Ecc.create () in
   let mem = Bytes.create 32 in
   Bytes.set_int64_le mem 8 0x1234_5678_9abc_def0L;
-  F.Ecc.inject_flip ecc ~mem ~word_addr:8 ~bit:3;
-  F.Ecc.inject_flip ecc ~mem ~word_addr:8 ~bit:40;
-  let corrected, uncorrectable = F.Ecc.scrub ecc ~mem ~addr:0 ~bytes:32 in
+  let get, set = word_accessors mem in
+  F.Ecc.inject_flip ecc ~get ~set ~word_addr:8 ~bit:3;
+  F.Ecc.inject_flip ecc ~get ~set ~word_addr:8 ~bit:40;
+  let corrected, uncorrectable = F.Ecc.scrub ecc ~get ~set ~addr:0 ~bytes:32 in
   check_int "nothing correctable" 0 corrected;
   check_int "flagged uncorrectable" 1 uncorrectable;
   check_bool "corruption stands" true
@@ -80,12 +86,13 @@ let test_ecc_write_clears_latch () =
   let ecc = F.Ecc.create () in
   let mem = Bytes.create 16 in
   Bytes.set_int64_le mem 0 99L;
-  F.Ecc.inject_flip ecc ~mem ~word_addr:0 ~bit:0;
+  let get, set = word_accessors mem in
+  F.Ecc.inject_flip ecc ~get ~set ~word_addr:0 ~bit:0;
   (* fresh data lands over the corrupted word: the latched codeword is
      stale and must not "repair" the new contents *)
   Bytes.set_int64_le mem 0 77L;
   F.Ecc.note_write ecc ~addr:0 ~bytes:8;
-  let corrected, uncorrectable = F.Ecc.scrub ecc ~mem ~addr:0 ~bytes:16 in
+  let corrected, uncorrectable = F.Ecc.scrub ecc ~get ~set ~addr:0 ~bytes:16 in
   check_int "nothing to scrub" 0 (corrected + uncorrectable);
   check_string "fresh data intact" "77"
     (Int64.to_string (Bytes.get_int64_le mem 0))

@@ -9,8 +9,16 @@ module D = Platform.Device
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let contains s needle =
+  let k = String.length needle in
+  let rec go i =
+    i + k <= String.length s && (String.sub s i k = needle || go (i + 1))
+  in
+  go 0
+
 (* a single-core SoC whose behavior is injected per test *)
-let mk_soc ?(read_channels = [ C.read_channel ~name:"in" ~data_bytes:4 () ])
+let mk_soc ?memory_bytes
+    ?(read_channels = [ C.read_channel ~name:"in" ~data_bytes:4 () ])
     ?(write_channels = [ C.write_channel ~name:"out" ~data_bytes:4 () ])
     ?(scratchpads = []) behavior =
   let cfg =
@@ -24,7 +32,7 @@ let mk_soc ?(read_channels = [ C.read_channel ~name:"in" ~data_bytes:4 () ])
       ]
   in
   let design = B.Elaborate.elaborate cfg D.aws_f1 in
-  Soc.create design ~behaviors:(fun _ -> behavior)
+  Soc.create ?memory_bytes design ~behaviors:(fun _ -> behavior)
 
 let go_cmd soc k =
   Soc.send_command soc
@@ -246,16 +254,223 @@ let test_stats_latency_all_ports () =
       (total /. float_of_int n /. 1000.)
       (max_ps /. 1000.)
   in
-  let report = Soc.stats_report soc in
-  let has needle =
-    let k = String.length needle in
-    let rec go i =
-      i + k <= String.length report
-      && (String.sub report i k = needle || go (i + 1))
-    in
-    go 0
+  check_bool ("report says: " ^ expected) true
+    (contains (Soc.stats_report soc) expected)
+
+(* ---- device memory: a page store that behaves like flat bytes ---- *)
+
+let idle _ _ ~respond = respond 0L
+
+(* not a whole number of 4 KB pages, so the last page is partial *)
+let odd_bytes = (3 * 4096) + 100
+
+let raises f = try f (); false with Invalid_argument _ -> true
+
+let test_memory_out_of_range () =
+  let soc = mk_soc ~memory_bytes:odd_bytes idle in
+  let n = odd_bytes in
+  let cases =
+    [
+      ("read_u8 at end", fun () -> ignore (Soc.read_u8 soc n));
+      ("read_u32 across end", fun () -> ignore (Soc.read_u32 soc (n - 2)));
+      ("read_u64 negative", fun () -> ignore (Soc.read_u64 soc (-8)));
+      ("write_u8 negative", fun () -> Soc.write_u8 soc (-1) 1);
+      ("write_u32 across end", fun () -> Soc.write_u32 soc (n - 3) 1l);
+      ("write_u64 at end", fun () -> Soc.write_u64 soc n 1L);
+      ( "blit_in across end",
+        fun () -> Soc.blit_in soc ~src:(Bytes.make 8 'x') ~dst_addr:(n - 4) );
+      ( "blit_out negative",
+        fun () -> Soc.blit_out soc ~src_addr:(-1) ~dst:(Bytes.create 4) );
+      ( "blit_out across end",
+        fun () -> Soc.blit_out soc ~src_addr:(n - 1) ~dst:(Bytes.create 2) );
+      ( "copy_within source across end",
+        fun () -> Soc.copy_within soc ~src:(n - 10) ~dst:0 ~bytes:20 );
+      ( "copy_within destination across end",
+        fun () -> Soc.copy_within soc ~src:0 ~dst:(n - 10) ~bytes:20 );
+      ( "copy_within negative length",
+        fun () -> Soc.copy_within soc ~src:0 ~dst:64 ~bytes:(-1) );
+    ]
   in
-  check_bool ("report says: " ^ expected) true (has expected)
+  List.iter (fun (name, f) -> check_bool name true (raises f)) cases;
+  (* a refused access writes nothing, not even its in-range part *)
+  let written = ref 0 in
+  for a = n - 16 to n - 1 do
+    written := !written + Soc.read_u8 soc a
+  done;
+  check_int "no partial writes" 0 !written;
+  check_bool "last byte in range" false
+    (raises (fun () -> Soc.write_u8 soc (n - 1) 7));
+  check_int "last byte holds" 7 (Soc.read_u8 soc (n - 1))
+
+let test_memory_fresh_socs_independent () =
+  (* every untouched page of every SoC shares one zero page: a write must
+     not land in it *)
+  let a = mk_soc idle in
+  Soc.write_u32 a 4100 0xdeadbeefl;
+  Soc.blit_in a ~src:(Bytes.make 64 'z') ~dst_addr:8190;
+  Soc.copy_within a ~src:4100 ~dst:20_000 ~bytes:4;
+  let b = mk_soc idle in
+  check_int "fresh SoC reads zero" 0 (Int32.to_int (Soc.read_u32 b 4100));
+  check_int "nor the blit" 0 (Soc.read_u8 b 8191);
+  check_int "nor the copy" 0 (Int32.to_int (Soc.read_u32 b 20_000));
+  check_int "untouched neighbour in the written SoC" 0 (Soc.read_u8 a 4099);
+  check_bool "write landed" true (Soc.read_u32 a 20_000 = 0xdeadbeefl)
+
+let test_scratchpad_init_untouched () =
+  let spads =
+    [
+      C.scratchpad ~name:"sp" ~data_bits:64 ~n_datas:64 ~init_from_memory:true
+        ();
+    ]
+  in
+  let nonzero = ref (-1) in
+  let soc =
+    mk_soc ~scratchpads:spads (fun ctx _ ~respond ->
+        let sp = Soc.scratchpad ctx "sp" in
+        for row = 0 to 63 do
+          Soc.Scratchpad.set sp row (Bytes.make 8 '\255')
+        done;
+        Soc.Scratchpad.init_from_memory sp ~addr:(4096 - 256)
+          ~on_done:(fun () ->
+            nonzero := 0;
+            for row = 0 to 63 do
+              if Bytes.exists (( <> ) '\000') (Soc.Scratchpad.get sp row) then
+                incr nonzero
+            done;
+            respond 0L)
+          ())
+  in
+  go_cmd soc ignore;
+  Desim.Engine.run (Soc.engine soc);
+  check_int "every row filled with zeros" 0 !nonzero
+
+let test_memory_bytes_must_be_positive () =
+  List.iter
+    (fun memory_bytes ->
+      match mk_soc ~memory_bytes idle with
+      | _ -> Alcotest.failf "memory_bytes = %d accepted" memory_bytes
+      | exception Invalid_argument msg ->
+          check_bool ("message names the size: " ^ msg) true
+            (contains msg "memory_bytes"))
+    [ 0; -4096 ]
+
+let test_boot_allocates_no_device_memory () =
+  (* four 128 MB devices, as a cluster boots them; a flat buffer would
+     add 16.8 M heap words each *)
+  let heap () = (Gc.quick_stat ()).Gc.heap_words in
+  let before = heap () in
+  let socs =
+    List.init 4 (fun _ -> mk_soc ~memory_bytes:(128 * 1024 * 1024) idle)
+  in
+  let grown = heap () - before in
+  check_bool
+    (Printf.sprintf "heap grew by %d words (< 1 M)" grown)
+    true (grown < 1_000_000);
+  check_int "all four live" 4 (List.length (Sys.opaque_identity socs))
+
+type mem_op =
+  | W8 of int * int
+  | W32 of int * int32
+  | W64 of int * int64
+  | R8 of int
+  | R32 of int
+  | R64 of int
+  | Blit_in of int * string
+  | Blit_out of int * int
+  | Copy of int * int * int
+
+let show_op = function
+  | W8 (a, v) -> Printf.sprintf "write_u8 %d %d" a v
+  | W32 (a, v) -> Printf.sprintf "write_u32 %d %ld" a v
+  | W64 (a, v) -> Printf.sprintf "write_u64 %d %Ld" a v
+  | R8 a -> Printf.sprintf "read_u8 %d" a
+  | R32 a -> Printf.sprintf "read_u32 %d" a
+  | R64 a -> Printf.sprintf "read_u64 %d" a
+  | Blit_in (a, s) -> Printf.sprintf "blit_in %d (%d B)" a (String.length s)
+  | Blit_out (a, n) -> Printf.sprintf "blit_out %d (%d B)" a n
+  | Copy (s, d, n) -> Printf.sprintf "copy_within %d -> %d (%d B)" s d n
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  (* a few bytes either side of a page boundary or of the end *)
+  let addr =
+    map2 ( + )
+      (oneofl [ 0; 4096; 8192; 12288; odd_bytes ])
+      (int_range (-12) 12)
+  in
+  let len = frequency [ (4, int_range 0 72); (1, int_range 0 6000) ] in
+  let byte = int_bound 255 in
+  frequency
+    [
+      (2, map2 (fun a v -> W8 (a, v)) addr byte);
+      (3, map2 (fun a v -> W32 (a, Int32.of_int v)) addr int);
+      (3, map2 (fun a v -> W64 (a, Int64.of_int v)) addr int);
+      (1, map (fun a -> R8 a) addr);
+      (2, map (fun a -> R32 a) addr);
+      (2, map (fun a -> R64 a) addr);
+      (2, map2 (fun a s -> Blit_in (a, s)) addr (string_size ~gen:char len));
+      (2, map2 (fun a n -> Blit_out (a, n)) addr len);
+      (2, map3 (fun s d n -> Copy (s, d, n)) addr addr len);
+      (* overlapping copies, the destination below or above the source *)
+      ( 3,
+        map3
+          (fun s d n -> Copy (s, s + d, n))
+          addr (int_range (-100) 100) len );
+    ]
+
+(* the outcome of one op: what it read, or that it raised *)
+let outcome f = try f () with Invalid_argument _ -> "Invalid_argument"
+
+let on_soc soc = function
+  | W8 (a, v) -> outcome (fun () -> Soc.write_u8 soc a v; "")
+  | W32 (a, v) -> outcome (fun () -> Soc.write_u32 soc a v; "")
+  | W64 (a, v) -> outcome (fun () -> Soc.write_u64 soc a v; "")
+  | R8 a -> outcome (fun () -> string_of_int (Soc.read_u8 soc a))
+  | R32 a -> outcome (fun () -> Int32.to_string (Soc.read_u32 soc a))
+  | R64 a -> outcome (fun () -> Int64.to_string (Soc.read_u64 soc a))
+  | Blit_in (a, s) ->
+      outcome (fun () ->
+          Soc.blit_in soc ~src:(Bytes.of_string s) ~dst_addr:a;
+          "")
+  | Blit_out (a, n) ->
+      outcome (fun () ->
+          let b = Bytes.create n in
+          Soc.blit_out soc ~src_addr:a ~dst:b;
+          Bytes.to_string b)
+  | Copy (s, d, n) ->
+      outcome (fun () ->
+          Soc.copy_within soc ~src:s ~dst:d ~bytes:n;
+          "")
+
+(* the reference: one flat buffer *)
+let on_bytes m = function
+  | W8 (a, v) -> outcome (fun () -> Bytes.set m a (Char.chr v); "")
+  | W32 (a, v) -> outcome (fun () -> Bytes.set_int32_le m a v; "")
+  | W64 (a, v) -> outcome (fun () -> Bytes.set_int64_le m a v; "")
+  | R8 a -> outcome (fun () -> string_of_int (Char.code (Bytes.get m a)))
+  | R32 a -> outcome (fun () -> Int32.to_string (Bytes.get_int32_le m a))
+  | R64 a -> outcome (fun () -> Int64.to_string (Bytes.get_int64_le m a))
+  | Blit_in (a, s) ->
+      outcome (fun () ->
+          Bytes.blit_string s 0 m a (String.length s);
+          "")
+  | Blit_out (a, n) -> outcome (fun () -> Bytes.sub_string m a n)
+  | Copy (s, d, n) -> outcome (fun () -> Bytes.blit m s m d n; "")
+
+let prop_pages_match_flat_bytes =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"page store agrees with flat bytes"
+       (QCheck.make
+          ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+          QCheck.Gen.(list_size (int_range 1 40) gen_mem_op))
+       (fun ops ->
+         let soc = mk_soc ~memory_bytes:odd_bytes idle in
+         let m = Bytes.make odd_bytes '\000' in
+         List.for_all (fun op -> on_soc soc op = on_bytes m op) ops
+         &&
+         let all = Bytes.create odd_bytes in
+         Soc.blit_out soc ~src_addr:0 ~dst:all;
+         Bytes.equal all m))
 
 let () =
   Alcotest.run "soc"
@@ -269,7 +484,24 @@ let () =
       ( "writer",
         [ Alcotest.test_case "push/complete" `Quick test_writer_counts_and_completion ] );
       ( "scratchpad",
-        [ Alcotest.test_case "init/access" `Quick test_scratchpad_init_and_access ] );
+        [
+          Alcotest.test_case "init/access" `Quick
+            test_scratchpad_init_and_access;
+          Alcotest.test_case "init from untouched memory" `Quick
+            test_scratchpad_init_untouched;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "out of range raises" `Quick
+            test_memory_out_of_range;
+          Alcotest.test_case "fresh SoCs share no writes" `Quick
+            test_memory_fresh_socs_independent;
+          Alcotest.test_case "memory_bytes must be positive" `Quick
+            test_memory_bytes_must_be_positive;
+          Alcotest.test_case "boot allocates no device memory" `Quick
+            test_boot_allocates_no_device_memory;
+          prop_pages_match_flat_bytes;
+        ] );
       ( "commands",
         [
           Alcotest.test_case "queueing" `Quick test_core_queues_commands;
