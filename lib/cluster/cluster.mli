@@ -4,11 +4,12 @@
     and its {!Serve.Dispatch} core: N simulated devices (cycled
     {!Platform.Device} flavors), each a full SoC behind a
     {!Runtime.Handle} and one dispatch site with its own SFQ virtual
-    clock. A conservative coordinator drives every device's
-    {!Desim.Engine} in lockstep (host engine first, then devices in slot
-    order), so cross-device cascades are byte-deterministic. Its own
-    agenda (heartbeats, chaos, drain deadlines, replay backoffs) is one
-    more {!Desim.Engine}, run between lockstep rounds.
+    clock. The whole fleet runs on one event queue, where each device's
+    {!Desim.Engine} is a lane ({!Desim.Engine.join}): at each instant
+    the host's events fire first, then each device's in slot order,
+    then the agenda's (heartbeats, chaos, drain deadlines, replay
+    backoffs), then the dispatch pump's, so cross-device cascades are
+    byte-deterministic.
 
     Each tenant's resident working set lives on one home device, where
     all its requests dispatch. A seeded heartbeat monitor drives the
@@ -33,7 +34,7 @@ module Health : sig
     | Healthy
     | Suspect  (** missed probes, still serving — may recover *)
     | Quarantined  (** written off: draining, then frozen *)
-    | Dead  (** killed or frozen; engine excluded from the lockstep *)
+    | Dead  (** killed or frozen; its lane is halted *)
     | Standby  (** warm pool: booted but not serving *)
 
   val name : state -> string
@@ -66,15 +67,15 @@ val config :
     fixed: platforms [[aws_f1; u200; kria]] cycled over slots, 2 cores
     per system, core cap 4, suspect after 2 missed probes, quarantine
     after 4, 3 replay retries at 20 µs base backoff, 64 KB resident set,
-    promotion after 3 hot probes at 50% violations, and a 50M-event
-    budget per engine as the livelock guard. *)
+    promotion after 3 hot probes at 50% violations, and a 500M-event
+    budget per drive as the livelock guard. *)
 
 (** {1 Chaos schedule} *)
 
 type chaos =
   | Kill of { at : int; dev : int }
-      (** the device drops off the host link: its engine freezes, so
-          nothing in flight there ever settles *)
+      (** the device drops off the host link: its lane halts
+          ({!Desim.Engine.halt}), so nothing in flight there settles *)
   | Restore of { at : int; dev : int }
       (** a fresh SoC is booted into the slot and joins the standby
           pool (promotion decides when it serves again). A restore that
@@ -133,8 +134,8 @@ val run :
   config ->
   unit ->
   report
-(** Boot the fleet, place the tenants, start the clients, and drive the
-    lockstep until the horizon passed and every admitted request
+(** Boot the fleet, place the tenants, start the clients, and run the
+    event queue until the horizon passed and every admitted request
     settled (completed, shed with a reason, or failed). [plan] is the
     root fault plan: each device generation gets a forked child
     injector ({!Fault.Injector.fork}, scope = slot + devices ×
@@ -174,20 +175,19 @@ module Session : sig
   val run_phase : t -> duration_ps:int -> report
   (** One traffic phase from the current cluster time: re-arm the
       heartbeat chain, spawn this phase's clients (open-loop rate curves
-      are anchored at the phase start), and drive the lockstep until
-      every admitted request settled and all drains/replays resolved.
-      Returns the cumulative session report. *)
+      are anchored at the phase start), and run the event queue until
+      it is empty: every admitted request settled and all drains and
+      replays resolved. Returns the cumulative session report. *)
 
   val sleep : t -> delta_ps:int -> unit
-  (** Advance cluster time by [delta_ps] without new clients: the same
-      lockstep drive as a phase, stopped at the horizon. Queued work is
-      dispatched, same-time cascades run, and pending agenda work (a
-      drain deadline, a replay backoff) fires on the way; a completion
-      that wakes a closed-loop client schedules the wakeup from its own
-      time. Events past the horizon stay pending for the next phase. *)
+  (** Advance cluster time by [delta_ps] without new clients: the
+      phase's event queue, run up to the horizon. Every event due by
+      then fires (queued work dispatches, pending agenda work such as a
+      drain deadline or a replay backoff runs); events past it stay
+      pending for the next phase. *)
 
   val kill : t -> dev:int -> unit
-  (** Freeze the slot's engine now — the next phase's heartbeats notice,
+  (** Halt the slot's lane now — the next phase's heartbeats notice,
       quarantine, drain and re-shard. *)
 
   val restore : t -> dev:int -> unit

@@ -1,54 +1,68 @@
-type event = { time : int; seq : int; action : unit -> unit }
+(* Every engine schedules into a queue, its own or the one it joined:
+   one clock, one sequence counter and a binary min-heap ordered by
+   (time, key). A key is the lane's rank above [seq_bits] and the
+   sequence number below, so one compare orders a tie by (rank, seq)
+   for a queue's first 2^48 events. *)
+type event = { time : int; key : int; lane : t; action : unit -> unit }
 
-(* Binary min-heap ordered by (time, seq). *)
-type t = {
+and queue = {
   mutable heap : event array;
   mutable size : int;
   mutable clock : int;
   mutable next_seq : int;
 }
 
-let dummy = { time = 0; seq = 0; action = ignore }
-let create () = { heap = Array.make 64 dummy; size = 0; clock = 0; next_seq = 0 }
-let now t = t.clock
-let pending t = t.size
+and t = { mutable q : queue; mutable rank_key : int; mutable halted : bool }
 
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+let seq_bits = 48
+let max_rank = (1 lsl (62 - seq_bits)) - 1
 
-let grow t =
-  let heap = Array.make (2 * Array.length t.heap) dummy in
-  Array.blit t.heap 0 heap 0 t.size;
-  t.heap <- heap
+let queue heap = { heap; size = 0; clock = 0; next_seq = 0 }
 
-let push t ev =
-  if t.size = Array.length t.heap then grow t;
-  t.heap.(t.size) <- ev;
-  t.size <- t.size + 1;
-  let i = ref (t.size - 1) in
-  while !i > 0 && before t.heap.(!i) t.heap.((!i - 1) / 2) do
+let nowhere = { q = queue [||]; rank_key = 0; halted = true }
+let dummy = { time = 0; key = 0; lane = nowhere; action = ignore }
+
+let create () =
+  { q = queue (Array.make 64 dummy); rank_key = 0; halted = false }
+
+let now t = t.q.clock
+
+let before a b = a.time < b.time || (a.time = b.time && a.key < b.key)
+
+let grow q =
+  let heap = Array.make (2 * Array.length q.heap) dummy in
+  Array.blit q.heap 0 heap 0 q.size;
+  q.heap <- heap
+
+let push q ev =
+  if q.size = Array.length q.heap then grow q;
+  q.heap.(q.size) <- ev;
+  q.size <- q.size + 1;
+  let i = ref (q.size - 1) in
+  while !i > 0 && before q.heap.(!i) q.heap.((!i - 1) / 2) do
     let parent = (!i - 1) / 2 in
-    let tmp = t.heap.(parent) in
-    t.heap.(parent) <- t.heap.(!i);
-    t.heap.(!i) <- tmp;
+    let tmp = q.heap.(parent) in
+    q.heap.(parent) <- q.heap.(!i);
+    q.heap.(!i) <- tmp;
     i := parent
   done
 
-let pop t =
-  let top = t.heap.(0) in
-  t.size <- t.size - 1;
-  t.heap.(0) <- t.heap.(t.size);
-  t.heap.(t.size) <- dummy;
+let pop q =
+  let top = q.heap.(0) in
+  q.size <- q.size - 1;
+  q.heap.(0) <- q.heap.(q.size);
+  q.heap.(q.size) <- dummy;
   let i = ref 0 in
   let continue = ref true in
   while !continue do
     let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
     let smallest = ref !i in
-    if l < t.size && before t.heap.(l) t.heap.(!smallest) then smallest := l;
-    if r < t.size && before t.heap.(r) t.heap.(!smallest) then smallest := r;
+    if l < q.size && before q.heap.(l) q.heap.(!smallest) then smallest := l;
+    if r < q.size && before q.heap.(r) q.heap.(!smallest) then smallest := r;
     if !smallest <> !i then begin
-      let tmp = t.heap.(!smallest) in
-      t.heap.(!smallest) <- t.heap.(!i);
-      t.heap.(!i) <- tmp;
+      let tmp = q.heap.(!smallest) in
+      q.heap.(!smallest) <- q.heap.(!i);
+      q.heap.(!i) <- tmp;
       i := !smallest
     end
     else continue := false
@@ -56,26 +70,47 @@ let pop t =
   top
 
 let schedule_at t ~time action =
-  if time < t.clock then
+  let q = t.q in
+  if time < q.clock then
     invalid_arg
       (Printf.sprintf
          "Engine.schedule_at: time %d is in the past (clock is at %d)" time
-         t.clock);
-  let ev = { time; seq = t.next_seq; action } in
-  t.next_seq <- t.next_seq + 1;
-  push t ev
+         q.clock);
+  if not t.halted then begin
+    push q { time; key = t.rank_key lor q.next_seq; lane = t; action };
+    q.next_seq <- q.next_seq + 1
+  end
 
 let schedule t ~delay action =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
-  schedule_at t ~time:(t.clock + delay) action
+  schedule_at t ~time:(t.q.clock + delay) action
 
-let next_time t = if t.size = 0 then None else Some t.heap.(0).time
+let join t ~into ~rank =
+  if rank < 0 || rank > max_rank then
+    invalid_arg "Engine.join: rank out of range";
+  if t.q.size > 0 then
+    invalid_arg "Engine.join: the engine has pending events";
+  if t.q.clock > into.q.clock then
+    invalid_arg "Engine.join: the engine's clock is ahead of the target's";
+  t.q <- into.q;
+  t.rank_key <- rank lsl seq_bits
+
+(* Halting is rare (a device dies), so the heap is rebuilt without the
+   lane's events rather than paying a check on every pop. *)
+let halt t =
+  t.halted <- true;
+  let q = t.q in
+  let kept = Array.sub q.heap 0 q.size in
+  Array.fill q.heap 0 q.size dummy;
+  q.size <- 0;
+  Array.iter (fun ev -> if ev.lane != t then push q ev) kept
 
 let step t =
-  if t.size = 0 then false
+  let q = t.q in
+  if q.size = 0 then false
   else begin
-    let ev = pop t in
-    t.clock <- max t.clock ev.time;
+    let ev = pop q in
+    q.clock <- max q.clock ev.time;
     ev.action ();
     true
   end
@@ -93,34 +128,17 @@ let () =
     | _ -> None)
 
 let run ?until ?max_events t =
+  let q = t.q in
+  let limit = Option.value until ~default:max_int in
+  let budget = Option.value max_events ~default:max_int in
   let fired = ref 0 in
-  let guard () =
-    match max_events with
-    | Some limit when !fired >= limit ->
-        raise (Livelock { fired = !fired; pending = t.size; clock = t.clock })
-    | _ -> ()
-  in
-  match until with
-  | None ->
-      while
-        guard ();
-        step t
-      do
-        incr fired
-      done
-  | Some limit ->
-      let continue = ref true in
-      while !continue do
-        if t.size = 0 || t.heap.(0).time > limit then begin
-          t.clock <- max t.clock limit;
-          continue := false
-        end
-        else begin
-          guard ();
-          ignore (step t);
-          incr fired
-        end
-      done
+  while q.size > 0 && q.heap.(0).time <= limit do
+    if !fired >= budget then
+      raise (Livelock { fired = !fired; pending = q.size; clock = q.clock });
+    ignore (step t);
+    incr fired
+  done;
+  Option.iter (fun u -> q.clock <- max q.clock u) until
 
 let drain_or_fail ?(max_events = 10_000_000) t =
   try run ~max_events t

@@ -2,7 +2,18 @@
 
     Time is a dimensionless integer tick; the SoC models interpret it as a
     clock cycle of the accelerator fabric clock. Events scheduled for the
-    same tick fire in scheduling order (deterministic). *)
+    same tick fire in scheduling order (deterministic).
+
+    {2 Lanes}
+
+    One simulation can be built from several engines that share one event
+    queue: {!join} makes an empty engine a {e lane} of another engine's
+    queue. Every lane of a queue reads the same clock, and events due at
+    the same tick fire by lane rank, then in scheduling order, so a lane
+    of lower rank drains the tick before a lane of higher rank sees it. A
+    never-joined engine is a lane of rank 0 in its own queue, with the
+    plain (time, scheduling order) rule above. Running or stepping any
+    lane runs the whole queue. *)
 
 type t
 
@@ -14,6 +25,16 @@ val schedule : t -> delay:int -> (unit -> unit) -> unit
 
 val schedule_at : t -> time:int -> (unit -> unit) -> unit
 (** Schedule at an absolute time [>= now]. *)
+
+val join : t -> into:t -> rank:int -> unit
+(** [join e ~into ~rank] makes [e] a lane of [into]'s queue: from now on
+    [e] schedules there with rank [rank] and reads [into]'s clock.
+    Raises [Invalid_argument] if [rank] is outside [[0, 16383]], [e]'s
+    queue holds events or its clock is ahead of [into]'s. *)
+
+val halt : t -> unit
+(** Drop the lane's pending events and every event it schedules from now
+    on; other lanes' events and the clock are untouched. *)
 
 exception Livelock of { fired : int; pending : int; clock : int }
 (** Raised by {!run} when [max_events] fire without draining the queue. *)
@@ -31,11 +52,3 @@ val drain_or_fail : ?max_events:int -> t -> unit
 
 val step : t -> bool
 (** Fire the single next event. Returns [false] when the queue is empty. *)
-
-val next_time : t -> int option
-(** Timestamp of the next queued event, [None] when the queue is empty —
-    the lookahead a conservative multi-engine coordinator (one engine per
-    simulated device) needs to pick which engine fires next. *)
-
-val pending : t -> int
-(** Number of queued events. *)
