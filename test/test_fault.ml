@@ -212,7 +212,12 @@ let test_axi_errors_every_burst_path () =
       (F.Class.Axi_write_error, [ " wr burst@"; " wr-bulk seg@" ]);
     ]
 
-let read_file path =
+(* dune copies the golden next to the test executable, so the suite
+   finds it from any working directory *)
+let read_golden name =
+  let path =
+    Filename.concat (Filename.dirname Sys.executable_name) ("golden/" ^ name)
+  in
   let ic = open_in_bin path in
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
@@ -231,7 +236,7 @@ let test_axi_fault_log_golden () =
   in
   let _, inj = serve_axi_campaign ~plan in
   check_string "fault log matches golden/serve-axi-faults.txt"
-    (read_file "golden/serve-axi-faults.txt")
+    (read_golden "serve-axi-faults.txt")
     (F.Log.render (F.Injector.entries inj))
 
 let test_dma_failure_surfaces_as_corruption () =
