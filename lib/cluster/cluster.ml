@@ -62,9 +62,6 @@ let replay_backoff_ps = 20_000_000 (* base; attempt k waits base*2^k *)
 let resident_bytes = 64 * 1024 (* per-tenant resident working set *)
 let promote_strikes = 3 (* consecutive hot probes before a promotion *)
 let slo_hot_frac = 0.5 (* hot window: violations/completions above this *)
-(* per-drive event budget, the livelock guard: the @cluster gate's fleet
-   fires ~135 events per simulated us, so a drive may span ~3.7 s *)
-let max_events = 500_000_000
 
 type chaos =
   | Kill of { at : int; dev : int }
@@ -126,6 +123,8 @@ type cstate = {
   mutable st_win_viol : int;
   mutable st_strikes : int;  (* consecutive hot probe windows *)
   mutable st_horizon : int;  (* heartbeats self-reschedule until then *)
+  mutable st_settled : int;  (* requests settled at the last progress *)
+  mutable st_progress_at : int;  (* when [st_settled] last moved *)
   mutable st_served_ps : int;  (* accumulated traffic-phase time *)
   mutable st_phases : int;  (* phases started (next phase's salt) *)
 }
@@ -304,26 +303,22 @@ let ack st (r : D.req) rh ~replayed ~submitted ~finished ~ok =
    Runs from the pump, an agenda action or a session call. *)
 let rec submit st (r : D.req) ~core =
   let dv = st.st_devices.((D.ledger st.st_d r).l_site) in
-  let h = handle dv and gen = dv.dv_gen in
+  let gen = dv.dv_gen in
   D.reserve dv.dv_site r ~core;
   dv.dv_dispatched <- dv.dv_dispatched + 1;
   let submitted = now st in
   let replayed = r.rq_attempts > 0 in
-  let a, b, rh, expect = D.send dv.dv_site r ~core in
   Hashtbl.replace dv.dv_inflight r.rq_id { il_req = r; il_gen = gen };
-  H.on_settled rh (fun res ->
+  D.send dv.dv_site r ~core (fun rh res ->
       (* Fires in this device's lane (or synchronously from the send);
          if the generation moved on, the registry entry belongs to a
          newer boot and stays. *)
       let finished = now st in
-      H.mfree h a;
-      H.mfree h b;
-      D.release dv.dv_site r ~core;
       (match Hashtbl.find_opt dv.dv_inflight r.rq_id with
       | Some il when il.il_gen = gen -> Hashtbl.remove dv.dv_inflight r.rq_id
       | _ -> ());
       (match res with
-      | Ok v ->
+      | Ok ok ->
           dv.dv_completed <- dv.dv_completed + 1;
           (match st.st_tracer with
           | None -> ()
@@ -340,7 +335,7 @@ let rec submit st (r : D.req) ~core =
                        ("txn", Trace.Int r.rq_id);
                      ]
                    ()));
-          ack st r rh ~replayed ~submitted ~finished ~ok:(Int64.equal v expect)
+          ack st r rh ~replayed ~submitted ~finished ~ok
       | Error _ ->
           (* The device-local watchdog exhausted recovery (every
              core quarantined). Retry elsewhere with backoff while
@@ -549,6 +544,67 @@ let cluster_busy st =
   D.queued st.st_d > 0
   || Array.exists (fun dv -> Hashtbl.length dv.dv_inflight > 0) st.st_devices
 
+(* The stall guard. The heartbeat chain is the one event chain that
+   re-arms on a fleet-wide condition ([cluster_busy]), so a request that
+   can never settle (a tenant homed on a device nothing pumps) would keep
+   it beating forever. Past the horizon, a drive fails once no request
+   has settled (completed, failed or shed) for longer than a request's
+   longest legitimate journey: it waits out its deadline in the queue,
+   then each of its [replay_max_retries + 1] attempts may run the device
+   watchdog over every resend and core, wait for the monitor to
+   quarantine the device and for its drain deadline, and the replays
+   back off in between (about 38 ms at the defaults). *)
+let stall_bound st =
+  let p = Fault.Policy.default and cfg = st.st_cfg in
+  let watchdog =
+    n_cores * p.Fault.Policy.cmd_timeout_ps
+    * ((1 lsl (p.Fault.Policy.cmd_max_retries + 1)) - 1)
+  in
+  Array.fold_left
+    (fun m l -> max m l.D.l_t.Tenant.t_deadline_ps)
+    0 (tenants st)
+  + (replay_max_retries + 1)
+    * (watchdog + (quarantine_misses * cfg.cl_heartbeat_ps) + cfg.cl_drain_ps)
+  + (replay_backoff_ps * ((1 lsl replay_max_retries) - 1))
+
+let settled st =
+  Array.fold_left
+    (fun a l ->
+      a + l.D.l_completed + l.l_failed + l.l_shed_queue + l.l_shed_deadline
+      + l.l_shed_degraded)
+    0 (tenants st)
+
+let stall_report st =
+  let b = Buffer.create 256 in
+  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let dev i =
+    let dv = st.st_devices.(i) in
+    Printf.sprintf "dev%d(%s)" i (Health.name dv.dv_state)
+  in
+  pf "Cluster: no request settled for %d ps past the horizon (t=%d ps):"
+    (now st - st.st_progress_at) (now st);
+  Array.iter
+    (fun l ->
+      if not (Queue.is_empty l.D.l_queue) then
+        pf " tenant %s queued=%d home=%s;" l.l_t.Tenant.t_name
+          (Queue.length l.l_queue)
+          (if l.l_site < 0 then "degraded" else dev l.l_site))
+    (tenants st);
+  Array.iteri
+    (fun i dv -> pf " %s inflight=%d" (dev i) (Hashtbl.length dv.dv_inflight))
+    st.st_devices;
+  Buffer.contents b
+
+let check_progress st =
+  let n = settled st in
+  if n <> st.st_settled then begin
+    st.st_settled <- n;
+    st.st_progress_at <- now st
+  end
+  else if
+    now st >= st.st_horizon && now st - st.st_progress_at > stall_bound st
+  then failwith (stall_report st)
+
 (* One heartbeat round: probe every serving device, advance the health
    state machine, then evaluate elastic promotion on the cluster-wide
    SLO window. All decisions draw from each device's forked stream, so
@@ -633,9 +689,11 @@ let rec heartbeat st =
         st.st_strikes <- 0
     | None -> ()
   end;
-  if now st < st.st_horizon || cluster_busy st then
+  if now st < st.st_horizon || cluster_busy st then begin
+    check_progress st;
     schedule_action st ~at:(now st + cfg.cl_heartbeat_ps) (fun () ->
         heartbeat st)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Chaos                                                              *)
@@ -669,7 +727,7 @@ let restore_device st dv =
 
 (* Run the fleet's one event queue until it is empty, or up to [until]
    (events past it stay pending and the clock stops there). *)
-let drive ?until st = Desim.Engine.run ?until ~max_events st.st_host
+let drive ?until st = Desim.Engine.run ?until st.st_host
 
 (* ------------------------------------------------------------------ *)
 (* Run + report                                                       *)
@@ -752,6 +810,8 @@ let mk_state ?tracer ?plan cfg =
       st_win_viol = 0;
       st_strikes = 0;
       st_horizon = 0;
+      st_settled = 0;
+      st_progress_at = 0;
       st_served_ps = 0;
       st_phases = 0;
     }
@@ -872,6 +932,7 @@ module Session = struct
       invalid_arg "Cluster.Session.run_phase: duration must be >= 1";
     let t0 = now st in
     st.st_horizon <- t0 + duration_ps;
+    st.st_progress_at <- t0;
     st.st_served_ps <- st.st_served_ps + duration_ps;
     (* no heartbeat is pending between phases (a phase's drive runs the
        agenda dry and a sleep arms none), so the chain is re-armed here *)

@@ -67,8 +67,15 @@ val config :
     fixed: platforms [[aws_f1; u200; kria]] cycled over slots, 2 cores
     per system, core cap 4, suspect after 2 missed probes, quarantine
     after 4, 3 replay retries at 20 µs base backoff, 64 KB resident set,
-    promotion after 3 hot probes at 50% violations, and a 500M-event
-    budget per drive as the livelock guard. *)
+    promotion after 3 hot probes at 50% violations. A drive runs as long
+    as its events do. Past the phase's horizon the heartbeat monitor
+    fails it ([Failure], naming each tenant with queued requests, its
+    queue length and home, and each device's in-flight count) once no
+    request has settled for a bound derived from the config and these
+    constants: the largest tenant deadline, plus 4 attempts of the
+    device watchdog over every resend and core, 4 missed probes and the
+    drain deadline, plus the replay backoffs (about 38 ms at the
+    defaults). *)
 
 (** {1 Chaos schedule} *)
 

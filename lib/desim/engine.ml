@@ -10,14 +10,16 @@ and queue = {
   mutable size : int;
   mutable clock : int;
   mutable next_seq : int;
+  mutable stalled : int;  (* events fired since the clock last moved *)
 }
 
 and t = { mutable q : queue; mutable rank_key : int; mutable halted : bool }
 
 let seq_bits = 48
+let stall_limit = 10_000_000
 let max_rank = (1 lsl (62 - seq_bits)) - 1
 
-let queue heap = { heap; size = 0; clock = 0; next_seq = 0 }
+let queue heap = { heap; size = 0; clock = 0; next_seq = 0; stalled = 0 }
 
 let nowhere = { q = queue [||]; rank_key = 0; halted = true }
 let dummy = { time = 0; key = 0; lane = nowhere; action = ignore }
@@ -105,46 +107,43 @@ let halt t =
   q.size <- 0;
   Array.iter (fun ev -> if ev.lane != t then push q ev) kept
 
+exception Livelock of { clock : int; pending : int }
+
+let () =
+  Printexc.register_printer (function
+    | Livelock { clock; pending } ->
+        Some
+          (Printf.sprintf
+             "Desim.Engine.Livelock: %d events fired at t=%d ps without the \
+              clock moving (%d still pending)"
+             stall_limit clock pending)
+    | _ -> None)
+
+(* The one livelock rule: no run is too long, but a run whose clock
+   stops moving is stuck. Every event due at the current clock counts;
+   the next event that moves the clock resets the count. *)
 let step t =
   let q = t.q in
   if q.size = 0 then false
   else begin
+    if q.heap.(0).time > q.clock then q.stalled <- 0
+    else if q.stalled >= stall_limit then
+      raise (Livelock { clock = q.clock; pending = q.size })
+    else q.stalled <- q.stalled + 1;
     let ev = pop q in
-    q.clock <- max q.clock ev.time;
+    q.clock <- ev.time;
     ev.action ();
     true
   end
 
-exception Livelock of { fired : int; pending : int; clock : int }
-
-let () =
-  Printexc.register_printer (function
-    | Livelock { fired; pending; clock } ->
-        Some
-          (Printf.sprintf
-             "Desim.Engine.Livelock: fired %d events without draining (%d \
-              still pending at t=%d ps)"
-             fired pending clock)
-    | _ -> None)
-
-let run ?until ?max_events t =
+let run ?until t =
   let q = t.q in
   let limit = Option.value until ~default:max_int in
-  let budget = Option.value max_events ~default:max_int in
-  let fired = ref 0 in
   while q.size > 0 && q.heap.(0).time <= limit do
-    if !fired >= budget then
-      raise (Livelock { fired = !fired; pending = q.size; clock = q.clock });
-    ignore (step t);
-    incr fired
+    ignore (step t)
   done;
-  Option.iter (fun u -> q.clock <- max q.clock u) until
-
-let drain_or_fail ?(max_events = 10_000_000) t =
-  try run ~max_events t
-  with Livelock { fired; pending; clock } ->
-    failwith
-      (Printf.sprintf
-         "Engine.drain_or_fail: still %d pending event(s) after %d fired \
-          (t=%d ps) — likely a deadlocked or livelocked test"
-         pending fired clock)
+  match until with
+  | Some u when u > q.clock ->
+      q.clock <- u;
+      q.stalled <- 0
+  | _ -> ()

@@ -36,19 +36,17 @@ val halt : t -> unit
 (** Drop the lane's pending events and every event it schedules from now
     on; other lanes' events and the clock are untouched. *)
 
-exception Livelock of { fired : int; pending : int; clock : int }
-(** Raised by {!run} when [max_events] fire without draining the queue. *)
+exception Livelock of { clock : int; pending : int }
+(** Raised by {!step} (and so by {!run} and every step loop) when 10M
+    consecutive events have fired without the clock moving: a zero-time
+    cycle. [clock] is the stuck time; [pending] counts the queued events,
+    the one that would have fired next included. It is the engine's only
+    livelock guard: no run fails for being long, and a positive-delay
+    cycle that never settles is for its owner to catch. *)
 
-val run : ?until:int -> ?max_events:int -> t -> unit
-(** Drain the event queue. With [until], stop once the next event would fire
-    after [until] (the clock is left at [until]). With [max_events], raise
-    {!Livelock} once that many events have fired without the queue draining
-    — the guard that keeps a fault campaign from wedging the simulator. *)
-
-val drain_or_fail : ?max_events:int -> t -> unit
-(** [run] with a default 10M-event budget that converts {!Livelock} into
-    [Failure] carrying the pending-event count — use in tests so a
-    deadlocked simulation reports instead of hanging [dune runtest]. *)
+val run : ?until:int -> t -> unit
+(** Drain the event queue. With [until], stop once the next event would
+    fire after [until] (the clock is left at [until]). *)
 
 val step : t -> bool
 (** Fire the single next event. Returns [false] when the queue is empty. *)

@@ -44,9 +44,9 @@ val run :
   unit ->
   result
 (** Run [iters] (default 4) round-trips of [bytes] (default 64 KB) under
-    [plan]. Never hangs: the driver runs under a hard event budget and
-    the queue is drained (with {!Desim.Engine.drain_or_fail}) before the
-    result is assembled. [tracer] records the whole campaign as spans;
+    [plan]. Never hangs: the watchdog's retries are bounded, a zero-time
+    cycle raises {!Desim.Engine.Livelock}, and the queue is drained
+    before the result is assembled. [tracer] records the whole campaign as spans;
     note at-least-once delivery means duplicate responses can outlive
     their root command span, so validate such traces with
     [Trace.check ~strict:false]. *)

@@ -273,7 +273,6 @@ module Launch = struct
     in1_bytes : int;
     in2_bytes : int;
     out_bytes : int;
-    compute : Soc.t -> in1:int -> in2:int -> out:int -> unit;
     fill : seed:int -> Bytes.t -> Bytes.t -> unit;
     expected : Bytes.t -> Bytes.t -> Bytes.t;
   }
@@ -292,7 +291,15 @@ module Launch = struct
     let in1 = arg "in1" and in2 = arg "in2" and out = arg "out" in
     let compute_and_write () =
       Soc.after_cycles ctx k.cycles (fun () ->
-          k.compute ctx.Soc.soc ~in1 ~in2 ~out;
+          let soc = ctx.Soc.soc in
+          let image addr bytes =
+            let b = Bytes.create bytes in
+            Soc.blit_out soc ~src_addr:addr ~dst:b;
+            b
+          in
+          Soc.blit_in soc
+            ~src:(k.expected (image in1 k.in1_bytes) (image in2 k.in2_bytes))
+            ~dst_addr:out;
           let writer = Soc.writer ctx "out" in
           Soc.Writer.bulk writer ~addr:out ~bytes:k.out_bytes
             ~on_done:(fun () -> respond 1L))
@@ -428,49 +435,6 @@ let auto_cores k platform =
   if fits 1 then grow 1 else 0
 
 (* ------------------------------------------------------------------ *)
-(* Behaviors                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let read_i32_array soc addr n =
-  Array.init n (fun i -> Int32.to_int (Soc.read_u32 soc (addr + (4 * i))) land 0xFFFFFFFF)
-
-let write_i32_array soc addr a =
-  Array.iteri (fun i v -> Soc.write_u32 soc (addr + (4 * i)) (Int32.of_int v)) a
-
-let read_f64_array soc addr n =
-  Array.init n (fun i -> Int64.float_of_bits (Soc.read_u64 soc (addr + (8 * i))))
-
-let write_f64_array soc addr a =
-  Array.iteri
-    (fun i v -> Soc.write_u64 soc (addr + (8 * i)) (Int64.bits_of_float v))
-    a
-
-let compute k soc ~in1 ~in2 ~out =
-  let n = data_size k in
-  match k with
-  | Gemm ->
-      let a = read_i32_array soc in1 (n * n) in
-      let b = read_i32_array soc in2 (n * n) in
-      write_i32_array soc out (Ref.gemm n a b)
-  | Nw ->
-      let seqa = Bytes.create n and seqb = Bytes.create n in
-      Soc.blit_out soc ~src_addr:in1 ~dst:seqa;
-      Soc.blit_out soc ~src_addr:in2 ~dst:seqb;
-      let la, lb = Ref.nw n seqa seqb in
-      Soc.blit_in soc ~src:la ~dst_addr:out;
-      Soc.blit_in soc ~src:lb ~dst_addr:(out + (2 * n))
-  | Stencil2d ->
-      let g = read_i32_array soc in1 (n * n) in
-      write_i32_array soc out (Ref.stencil2d n g)
-  | Stencil3d ->
-      let g = read_i32_array soc in1 (n * n * n) in
-      write_i32_array soc out (Ref.stencil3d n g)
-  | Md_knn ->
-      let pos = read_f64_array soc in1 (3 * n) in
-      let nl = read_i32_array soc in2 (n * knn_k) in
-      write_f64_array soc out (Ref.md_knn n knn_k pos nl)
-
-(* ------------------------------------------------------------------ *)
 (* Workload generation + verification                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -539,7 +503,6 @@ let launch k =
     in1_bytes = in1_bytes k;
     in2_bytes = in2_bytes k;
     out_bytes = out_bytes k;
-    compute = compute k;
     fill = fill_inputs k;
     expected = expected_output k;
   }

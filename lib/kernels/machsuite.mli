@@ -39,8 +39,8 @@ val auto_cores : kernel -> Platform.Device.t -> int
 (** {1 The launch path}
 
     Everything a MachSuite kernel here shares, so that a kernel module
-    keeps only its sizes, cycle model, compute, reference and input
-    fill. {!Machsuite_extra} launches through it too. *)
+    keeps only its sizes, cycle model, reference and input fill.
+    {!Machsuite_extra} launches through it too. *)
 module Launch : sig
   type kernel = {
     system : string;  (** the system a launch is sent to *)
@@ -48,13 +48,11 @@ module Launch : sig
     in1_bytes : int;
     in2_bytes : int;  (** [0]: the kernel reads no second input *)
     out_bytes : int;
-    compute : Beethoven.Soc.t -> in1:int -> in2:int -> out:int -> unit;
-        (** the functional result, read from and written to device
-            memory *)
     fill : seed:int -> Bytes.t -> Bytes.t -> unit;
         (** seeded host fill of one core's in1/in2 buffers *)
     expected : Bytes.t -> Bytes.t -> Bytes.t;
-        (** the reference out image for given in1/in2 images *)
+        (** the reference out image for given in1/in2 images: the host
+            checks with it, and the core computes with it *)
   }
 
   val command : Beethoven.Cmd_spec.command
@@ -62,8 +60,9 @@ module Launch : sig
 
   val behavior : kernel -> Beethoven.Soc.behavior
   (** The core side: bulk-read [in1] (and [in2] when [in2_bytes > 0]),
-      model [cycles] of compute, run [compute], bulk-write [out], then
-      respond [1L]. *)
+      model [cycles] of compute, copy the in1/in2 images out of device
+      memory and write their [expected] image to [out], bulk-write
+      [out], then respond [1L]. *)
 
   type host = {
     handle : Runtime.Handle.t;

@@ -1,5 +1,4 @@
 module B = Beethoven
-module Soc = B.Soc
 module R = Platform.Resources
 module L = Machsuite.Launch
 
@@ -217,50 +216,6 @@ let config k ~n_cores =
   B.Config.make ~name:("machsuite_extra_" ^ name k) [ system k ~n_cores ]
 
 (* ------------------------------------------------------------------ *)
-(* Compute                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let read_f64 soc addr i = Int64.float_of_bits (Soc.read_u64 soc (addr + (8 * i)))
-let write_f64 soc addr i v = Soc.write_u64 soc (addr + (8 * i)) (Int64.bits_of_float v)
-let read_i32 soc addr i = Int32.to_int (Soc.read_u32 soc (addr + (4 * i)))
-
-let compute k soc ~in1 ~in2 ~out =
-  let n = data_size k in
-  match k with
-  | Fft ->
-      let re = Array.init n (read_f64 soc in1) in
-      let im = Array.init n (fun i -> read_f64 soc in1 (n + i)) in
-      Ref.fft re im;
-      Array.iteri (write_f64 soc out) re;
-      Array.iteri (fun i v -> write_f64 soc out (n + i) v) im
-  | Spmv ->
-      let row_ptr = Array.init (n + 1) (read_i32 soc in1) in
-      let nnz = row_ptr.(n) in
-      let col_base = in1 + ((n + 1) * 4) in
-      let col_idx = Array.init nnz (read_i32 soc col_base) in
-      let val_base = in1 + (((n + 1) * 4) + (nnz * 4) + 7) / 8 * 8 in
-      let values = Array.init nnz (read_f64 soc val_base) in
-      let x = Array.init n (read_f64 soc in2) in
-      let y = Ref.spmv ~values ~col_idx ~row_ptr ~x in
-      Array.iteri (write_f64 soc out) y
-  | Kmp ->
-      let text = Bytes.create n in
-      Soc.blit_out soc ~src_addr:in1 ~dst:text;
-      let plen = read_i32 soc in2 0 in
-      let pattern = Bytes.create plen in
-      for i = 0 to plen - 1 do
-        Bytes.set pattern i (Char.chr (Soc.read_u8 soc (in2 + 4 + i)))
-      done;
-      let matches = Ref.kmp ~pattern ~text in
-      Soc.write_u64 soc out (Int64.of_int matches)
-  | Merge_sort ->
-      let a = Array.init n (read_i32 soc in1) in
-      let sorted = Ref.merge_sort a in
-      Array.iteri
-        (fun i v -> Soc.write_u32 soc (out + (4 * i)) (Int32.of_int v))
-        sorted
-
-(* ------------------------------------------------------------------ *)
 (* Workloads + verification                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -357,7 +312,6 @@ let launch k =
     in1_bytes = in1_bytes k;
     in2_bytes = in2_bytes k;
     out_bytes = out_bytes k;
-    compute = compute k;
     fill = fill_inputs k;
     expected = expected_output k;
   }

@@ -3,8 +3,7 @@
     butterflies), SpMV (data-dependent irregular reads), KMP string
     search (pure streaming over a long text), and merge sort
     (read-modify-write passes). This module holds only what is specific
-    to them: sizes, cycle model, compute, functional reference and input
-    fill. The launch command, the core-side skeleton and the host
+    to them: sizes, cycle model, functional reference and input fill. The launch command, the core-side skeleton and the host
     harness are {!Machsuite.Launch}'s. These extend the framework's
     application set; they are not part of the paper's evaluation and the
     benches label them as extensions. *)

@@ -210,9 +210,6 @@ type config = {
   c_n_cores : int;
 }
 
-(* simulation event budget per phase: the livelock guard *)
-let max_events = 50_000_000
-
 let config ?(seed = 42) ?(duration_ps = 2_000_000_000) ?(policy = Wfq)
     ?(batch_max = 8) ?(core_cap = 4) ?(n_cores = 4) ~tenants () =
   if tenants = [] then invalid_arg "Serve.config: no tenants";
@@ -668,7 +665,10 @@ module Dispatch = struct
       Some (r, !best_core)
     end
 
-  let send ?batch s r ~core =
+  (* The request's two buffers and its core slot are freed before [k]
+     runs: a resumed closed-loop client mallocs at once, and buffer
+     addresses set DRAM timing. *)
+  let send ?batch s r ~core k =
     let h = s.si_handle and bytes = r.rq_class.Mix.k_bytes in
     let a = H.malloc h bytes and b = H.malloc h bytes in
     let src = Int64.of_int a.H.rp_addr and dst = Int64.of_int b.H.rp_addr in
@@ -699,7 +699,11 @@ module Dispatch = struct
         ~system:(Mix.kind_system r.rq_class.Mix.k_kind)
         ~core ~cmd ~args
     in
-    (a, b, rh, expect)
+    H.on_settled rh (fun res ->
+        H.mfree h a;
+        H.mfree h b;
+        release s r ~core;
+        k rh (Result.map (Int64.equal expect) res))
 
   let us ps = float_of_int ps /. 1e6
 
@@ -899,21 +903,16 @@ and dispatch_all st =
       dispatch_all st
 
 and submit st ~batch (r, core) =
-  let h = st.st_site.D.si_handle in
   let now = Desim.Engine.now st.st_engine in
   let disp = st.st_disp.(r.D.rq_sys) in
   disp.(core) <- disp.(core) + 1;
-  let a, b, rh, expect = D.send ~batch st.st_site r ~core in
-  H.on_settled rh (fun res ->
-      H.mfree h a;
-      H.mfree h b;
-      D.release st.st_site r ~core;
+  D.send ~batch st.st_site r ~core (fun rh res ->
       (match res with
-      | Ok v ->
+      | Ok ok ->
           ignore
             (D.complete st.st_d r rh ~submitted:now
                ~finished:(Desim.Engine.now st.st_engine)
-               ~ok:(Int64.equal v expect))
+               ~ok)
       | Error _ -> D.fail st.st_d r);
       arm_dispatch st)
 
@@ -1078,8 +1077,7 @@ module Session = struct
       ~horizon:(t0 + duration_ps) (offer st);
     s.se_phases <- s.se_phases + 1
 
-  let advance s ~until =
-    Desim.Engine.run ~until ~max_events s.se_engine
+  let advance s ~until = Desim.Engine.run ~until s.se_engine
 
   let sleep s ~delta_ps =
     if delta_ps < 0 then invalid_arg "Serve.Session.sleep: negative delta";
@@ -1104,8 +1102,7 @@ module Session = struct
     match s.se_cur with
     | None -> invalid_arg "Serve.Session.finish_phase: no phase running"
     | Some (st, t0, duration_ps) ->
-        Desim.Engine.drain_or_fail ~max_events
-          s.se_engine;
+        Desim.Engine.run s.se_engine;
         let r =
           mk_report st ~inj:s.se_inj ~baseline_free:s.se_baseline_free
             ~duration_ps ~t0

@@ -63,38 +63,58 @@ let test_schedule_past_rejected () =
        "Engine.schedule_at: time 5 is in the past (clock is at 10)")
     (fun () -> E.schedule_at e ~time:5 (fun () -> ()))
 
+(* A delay-0 self-rescheduler never lets the clock move: once 10M
+   events have fired at one instant, the engine raises from [run] and
+   from a [step] loop alike, naming the stuck clock. The event that
+   would have fired next is still queued. A run is never too long: a
+   positive-delay self-rescheduler fires more events than that under
+   [run ~until] and stops at [until]. *)
 let test_livelock_guard () =
-  let e = E.create () in
-  (* a self-rescheduling event never drains: the guard must trip *)
-  let rec again () = E.schedule e ~delay:1 again in
-  again ();
-  (match E.run ~max_events:1000 e with
-  | () -> Alcotest.fail "expected Livelock"
-  | exception E.Livelock { fired; pending; _ } ->
-      check_int "fired the budget" 1000 fired;
-      check_bool "work still pending" true (pending > 0));
-  (* drain_or_fail converts it into a Failure naming the pending count *)
-  let e2 = E.create () in
-  let rec again2 () = E.schedule e2 ~delay:1 again2 in
-  again2 ();
-  (match E.drain_or_fail ~max_events:100 e2 with
-  | () -> Alcotest.fail "expected Failure"
-  | exception Failure msg ->
-      let contains s sub =
-        let n = String.length s and m = String.length sub in
-        let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-        go 0
-      in
-      check_bool "message reports pending events" true
-        (contains msg "pending event(s)"))
+  let spin e fired =
+    let rec again () =
+      incr fired;
+      E.schedule e ~delay:0 again
+    in
+    E.schedule e ~delay:7 again
+  in
+  let e = E.create () and fired = ref 0 in
+  spin e fired;
+  (match E.run e with
+  | () -> Alcotest.fail "expected Livelock from run"
+  | exception E.Livelock { clock; pending } ->
+      check_int "run: stuck clock" 7 clock;
+      check_int "run: next event still queued" 1 pending;
+      check_int "run: the clock-moving event, then 10M at one instant"
+        10_000_001 !fired);
+  let e = E.create () and fired = ref 0 in
+  spin e fired;
+  (match
+     while E.step e do
+       ()
+     done
+   with
+  | () -> Alcotest.fail "expected Livelock from step"
+  | exception E.Livelock { clock; pending } ->
+      check_int "step: stuck clock" 7 clock;
+      check_int "step: next event still queued" 1 pending;
+      check_int "step: fired as many as run" 10_000_001 !fired);
+  let e = E.create () and fired = ref 0 in
+  let rec tick () =
+    incr fired;
+    E.schedule e ~delay:1 tick
+  in
+  E.schedule e ~delay:1 tick;
+  E.run ~until:12_000_000 e;
+  check_int "long run: clock parked at until" 12_000_000 (E.now e);
+  check_int "long run: one event per tick" 12_000_000 !fired
 
-let test_drain_or_fail_clean () =
+let test_run_drains_clean () =
   let e = E.create () in
   let hits = ref 0 in
   for _ = 1 to 5 do
     E.schedule e ~delay:3 (fun () -> incr hits)
   done;
-  E.drain_or_fail e;
+  E.run e;
   check_int "clean drain fires everything" 5 !hits
 
 let test_heap_stress () =
@@ -459,8 +479,7 @@ let () =
           Alcotest.test_case "run until" `Quick test_run_until;
           Alcotest.test_case "past rejected" `Quick test_schedule_past_rejected;
           Alcotest.test_case "livelock guard" `Quick test_livelock_guard;
-          Alcotest.test_case "drain_or_fail clean" `Quick
-            test_drain_or_fail_clean;
+          Alcotest.test_case "run drains clean" `Quick test_run_drains_clean;
           Alcotest.test_case "heap stress" `Quick test_heap_stress;
           Alcotest.test_case "lane rank order" `Quick test_lane_rank_order;
           Alcotest.test_case "join rejects" `Quick test_join_rejects;
