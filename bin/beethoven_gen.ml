@@ -1133,7 +1133,7 @@ let tune_cmd =
          tiebreak, mean p99 not regressed beyond 10%). Prints the \
          candidate table or, \
          with $(b,--format json), the byte-deterministic Pareto front \
-         (throughput vs p99 vs peak SLR utilization) plus cache hit/miss \
+         (throughput vs p99) plus cache hit/miss \
          counts. The search runs twice in-process; the run exits 1 if \
          the two Pareto JSON documents differ byte-for-byte or any \
          serving accounting violation is recorded.";

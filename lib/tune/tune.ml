@@ -57,7 +57,6 @@ let axis_set (k : Knobs.t) ax v =
 type score = {
   sc_rps : float;
   sc_p99_us : float;
-  sc_util : float;
   sc_qdepth_p95 : float;
   sc_completed : int;
 }
@@ -175,7 +174,7 @@ let phase_measure (r : Serve.report) =
   in
   (completed, rps, p99)
 
-let mean_score (ev : evaluation) ~util =
+let mean_score (ev : evaluation) =
   let n = max 1 (List.length ev.el_phases) in
   let fn = float_of_int n in
   let completed, rps, p99 =
@@ -186,7 +185,6 @@ let mean_score (ev : evaluation) ~util =
   {
     sc_rps = rps /. fn;
     sc_p99_us = p99 /. fn;
-    sc_util = util;
     sc_qdepth_p95 = ev.el_qdepth_p95;
     sc_completed = completed;
   }
@@ -226,9 +224,9 @@ let candidate_json (c : candidate) =
         (String.map (fun ch -> if ch = '"' then '\'' else ch) reason)
   | Evaluated e ->
       Printf.sprintf
-        "{\"id\":%d,\"knobs\":%s,\"rps\":%.1f,\"p99_us\":%.3f,\"util\":%.4f,\"qdepth_p95\":%.1f,\"completed\":%d,\"wins\":%d,\"losses\":%d,\"promoted\":%b}"
+        "{\"id\":%d,\"knobs\":%s,\"rps\":%.1f,\"p99_us\":%.3f,\"qdepth_p95\":%.1f,\"completed\":%d,\"wins\":%d,\"losses\":%d,\"promoted\":%b}"
         c.ca_id (knobs_json c.ca_knobs) e.ev_score.sc_rps
-        e.ev_score.sc_p99_us e.ev_score.sc_util e.ev_score.sc_qdepth_p95
+        e.ev_score.sc_p99_us e.ev_score.sc_qdepth_p95
         e.ev_score.sc_completed e.ev_wins e.ev_losses e.ev_promoted
 
 (* ------------------------------------------------------------------ *)
@@ -241,10 +239,7 @@ let scored c =
 let dominates (a : score) (b : score) =
   a.sc_rps >= b.sc_rps -. 1e-9
   && a.sc_p99_us <= b.sc_p99_us +. 1e-9
-  && a.sc_util <= b.sc_util +. 1e-9
-  && (a.sc_rps > b.sc_rps +. 1e-9
-     || a.sc_p99_us < b.sc_p99_us -. 1e-9
-     || a.sc_util < b.sc_util -. 1e-9)
+  && (a.sc_rps > b.sc_rps +. 1e-9 || a.sc_p99_us < b.sc_p99_us -. 1e-9)
 
 let pareto (r : result) =
   let pts = List.filter_map scored r.r_candidates in
@@ -307,8 +302,8 @@ let render (r : result) =
     r.r_budget r.r_ab_rounds
     (float_of_int r.r_phase_ps /. 1e6)
     (String.concat ", " (List.map axis_name r.r_axes));
-  pf "%-4s %-44s %12s %10s %7s %6s %9s %s\n" "id" "knobs" "rps" "p99_us"
-    "util" "A/B" "promoted" "pareto";
+  pf "%-4s %-44s %12s %10s %6s %9s %s\n" "id" "knobs" "rps" "p99_us" "A/B"
+    "promoted" "pareto";
   List.iter
     (fun c ->
       match c.ca_outcome with
@@ -316,9 +311,8 @@ let render (r : result) =
           pf "%-4d %-44s %s\n" c.ca_id (Knobs.render c.ca_knobs)
             ("infeasible: " ^ reason)
       | Evaluated e ->
-          pf "%-4d %-44s %12.1f %10.3f %6.1f%% %3d-%-2d %9s %s\n" c.ca_id
+          pf "%-4d %-44s %12.1f %10.3f %3d-%-2d %9s %s\n" c.ca_id
             (Knobs.render c.ca_knobs) e.ev_score.sc_rps e.ev_score.sc_p99_us
-            (100. *. e.ev_score.sc_util)
             e.ev_wins e.ev_losses
             (if e.ev_promoted then "yes" else "-")
             (if List.mem c.ca_id front_ids then "*" else ""))
@@ -404,11 +398,9 @@ let run ?(seed = 42) ?(budget = 6) ?(axes = all_axes)
                Serve.Session.run_phase sess ~duration_ps:phase_ps))
   in
   let fit k = B.Dse.fit ~cache (config_of ~tenants k) platform in
-  let seed_util =
-    match fit start with
-    | Ok u -> u
-    | Error m -> invalid_arg ("Tune.run: start config infeasible: " ^ m)
-  in
+  (match fit start with
+  | Ok _ -> ()
+  | Error m -> invalid_arg ("Tune.run: start config infeasible: " ^ m));
   (* propose a seeded one-knob mutation of the incumbent, biased towards
      unseen knob combinations *)
   let seen_keys = Hashtbl.create 16 in
@@ -444,7 +436,6 @@ let run ?(seed = 42) ?(budget = 6) ?(axes = all_axes)
   in
   let candidates = ref [] in
   let incumbent = ref { ca_id = 0; ca_knobs = start; ca_outcome = Infeasible "pending" } in
-  let incumbent_util = ref seed_util in
   let promotions = ref 0 and prefiltered = ref 0 in
   for id = 1 to budget do
     let knobs = propose (!incumbent).ca_knobs in
@@ -454,11 +445,11 @@ let run ?(seed = 42) ?(budget = 6) ?(axes = all_axes)
         candidates :=
           { ca_id = id; ca_knobs = knobs; ca_outcome = Infeasible m }
           :: !candidates
-    | Ok util ->
+    | Ok _ ->
         let inc_ev = evaluate (!incumbent).ca_knobs in
         let ch_ev = evaluate knobs in
-        let inc_score = mean_score inc_ev ~util:!incumbent_util in
-        let ch_score = mean_score ch_ev ~util in
+        let inc_score = mean_score inc_ev in
+        let ch_score = mean_score ch_ev in
         let wins, losses = ab_compare inc_ev ch_ev in
         let promoted =
           promotes ~inc:inc_score ~ch:ch_score ~wins ~losses
@@ -480,8 +471,7 @@ let run ?(seed = 42) ?(budget = 6) ?(axes = all_axes)
         candidates := cand :: !candidates;
         if promoted then begin
           incr promotions;
-          incumbent := cand;
-          incumbent_util := util
+          incumbent := cand
         end
   done;
   let seed_ev = evaluate start in
@@ -492,7 +482,7 @@ let run ?(seed = 42) ?(budget = 6) ?(axes = all_axes)
       ca_outcome =
         Evaluated
           {
-            ev_score = mean_score seed_ev ~util:seed_util;
+            ev_score = mean_score seed_ev;
             ev_wins = 0;
             ev_losses = 0;
             ev_promoted = false;

@@ -12,8 +12,9 @@
     + {b pre-filter} — the candidate config is elaborated through a
       shared {!Beethoven.Elaborate.Cache} via {!Beethoven.Dse.fit}; the
       full DRC (floorplan, capacity, timing) rejects infeasible knob
-      combinations before any serving phase is spent, and the fit's peak
-      per-SLR utilization becomes the candidate's resource axis. The
+      combinations before any serving phase is spent. The fit is a
+      feasibility check only: its peak per-SLR utilization is the shell's
+      SLR at every core count, so it would never separate candidates. The
       serving systems carry no kernel circuit, so after the seed
       candidate every system lookup is a cache hit;
     + {b live evaluation} — a fresh {!Serve.Session} deploys the
@@ -31,7 +32,7 @@
       more than 10%.
 
     The search emits a byte-deterministic Pareto front (throughput vs.
-    p99 vs. resource utilization) as JSON: same seed ⇒ byte-identical
+    p99) as JSON: same seed ⇒ byte-identical
     output across processes, which is what the [@tune] gate compares. *)
 
 module Knobs : sig
@@ -60,7 +61,6 @@ val axis_of_name : string -> axis option
 type score = {
   sc_rps : float;  (** mean over phases of total achieved requests/s *)
   sc_p99_us : float;  (** mean over phases of the worst tenant p99 *)
-  sc_util : float;  (** peak per-SLR utilization of the elaborated SoC *)
   sc_qdepth_p95 : float;
       (** p95 tenant queue depth over the evaluation, from the
           {!Trace.Series} snapshot *)
@@ -117,7 +117,7 @@ val run :
 
 val pareto : result -> candidate list
 (** The non-dominated evaluated candidates (maximize throughput,
-    minimize p99, minimize utilization), sorted by descending throughput
+    minimize p99), sorted by descending throughput
     then ascending p99 then id. *)
 
 val pareto_json : result -> string
