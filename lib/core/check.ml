@@ -318,17 +318,6 @@ let scratchpad_capacity (config : Config.t) (p : D.t) =
         else []
       end
 
-let floorplan_feasibility (config : Config.t) (p : D.t) =
-  match Floorplan.place config p with
-  | (_ : Floorplan.t) -> []
-  | exception (Failure m | Invalid_argument m) ->
-      [
-        err ~loc:config.Config.acc_name
-          ~hint:"reduce cores/memories, raise the spill threshold, or pick \
-                 a larger platform"
-          "drc-floorplan" m;
-      ]
-
 (* ---- static timing over RTL-DSL kernels ---- *)
 
 (* Worst-path budget in Sta "levels of logic". Calibrated against the
@@ -351,6 +340,8 @@ let analyze_kernel (sys : Config.system) =
   match sys.Config.kernel_circuit with
   | None -> { ka_lint = []; ka_sta = None; ka_stats = None }
   | Some c ->
+      (* one levelization serves lint's dataflow pass and the STA *)
+      let lv = Hw.Levelize.of_circuit c in
       let lint =
         List.map
           (fun (d : Diag.t) ->
@@ -361,11 +352,11 @@ let analyze_kernel (sys : Config.system) =
                   sys.Config.sys_name ^ ": circuit " ^ Hw.Circuit.name c
             in
             { d with Diag.loc = Some loc })
-          (Hw.Lint.circuit ~lutram_max_bits:FM.lutram_max_bits c)
+          (Hw.Lint.circuit ~lutram_max_bits:FM.lutram_max_bits lv)
       in
       {
         ka_lint = lint;
-        ka_sta = Some (Hw.Sta.of_circuit c);
+        ka_sta = Some (Hw.Sta.analyze lv);
         ka_stats = Some (Hw.Circuit.stats c);
       }
 
@@ -385,66 +376,71 @@ let sta ?analyses (config : Config.t) =
     analyses
 
 let sta_paths ?(budget = default_sta_budget) ~analyses (config : Config.t)
-    (p : D.t) =
-  (* placement infeasibility is drc-floorplan's report, not ours *)
-  match Floorplan.place config p with
-  | exception (Failure _ | Invalid_argument _) -> []
-  | fp ->
-      let tax = p.D.noc.Noc.Params.slr_crossing_latency_cycles in
-      List.concat_map
-        (fun (sys : Config.system) ->
-          match
-            Option.bind
-              (List.assoc_opt sys.Config.sys_name analyses)
-              (fun a -> a.ka_sta)
-          with
-          | None -> []
-          | Some r ->
-              (* the frontend (command/memory roots) lives with the shell
-                 on SLR 0; a core placed n dies away pays the crossing
-                 penalty on every path to it *)
-              let crossings =
-                let worst = ref 0 in
-                for core = 0 to sys.Config.n_cores - 1 do
-                  worst :=
-                    max !worst
-                      (abs
-                         (Floorplan.slr_of fp ~system:sys.Config.sys_name
-                            ~core))
-                done;
-                !worst
-              in
-              let taxed = r.Hw.Sta.r_max_delay + (tax * crossings) in
-              if taxed <= budget then []
-              else
-                let loc = config.Config.acc_name ^ "." ^ sys.Config.sys_name in
-                let msg =
-                  Printf.sprintf
-                    "worst path of kernel %S is %d (delay %d + %d SLR \
-                     crossing(s) x %d), over the budget of %d"
-                    r.Hw.Sta.r_circuit taxed r.Hw.Sta.r_max_delay crossings
-                    tax budget
-                in
-                let hint =
-                  "pipeline the kernel (cut the worst path with registers) \
-                   or keep its cores on the shell SLR"
-                in
-                if crossings > 0 then
-                  [ err ~loc ~hint "drc-sta-slr-path" msg ]
-                else [ warn ~loc ~hint "drc-sta-slr-path" msg ])
-        config.Config.systems
+    (p : D.t) fp =
+  let tax = p.D.noc.Noc.Params.slr_crossing_latency_cycles in
+  List.concat_map
+    (fun (sys : Config.system) ->
+      match
+        Option.bind
+          (List.assoc_opt sys.Config.sys_name analyses)
+          (fun a -> a.ka_sta)
+      with
+      | None -> []
+      | Some r ->
+          (* the frontend (command/memory roots) lives with the shell on
+             SLR 0; a core placed n dies away pays the crossing penalty on
+             every path to it *)
+          let crossings =
+            let worst = ref 0 in
+            for core = 0 to sys.Config.n_cores - 1 do
+              worst :=
+                max !worst
+                  (abs (Floorplan.slr_of fp ~system:sys.Config.sys_name ~core))
+            done;
+            !worst
+          in
+          let taxed = r.Hw.Sta.r_max_delay + (tax * crossings) in
+          if taxed <= budget then []
+          else
+            let loc = config.Config.acc_name ^ "." ^ sys.Config.sys_name in
+            let msg =
+              Printf.sprintf
+                "worst path of kernel %S is %d (delay %d + %d SLR \
+                 crossing(s) x %d), over the budget of %d"
+                r.Hw.Sta.r_circuit taxed r.Hw.Sta.r_max_delay crossings tax
+                budget
+            in
+            let hint =
+              "pipeline the kernel (cut the worst path with registers) or \
+               keep its cores on the shell SLR"
+            in
+            if crossings > 0 then [ err ~loc ~hint "drc-sta-slr-path" msg ]
+            else [ warn ~loc ~hint "drc-sta-slr-path" msg ])
+    config.Config.systems
 
 let run ?sta_budget ?analyses (config : Config.t) (p : D.t) =
   let analyses = analyses_of ?analyses config in
   let structural = structure config in
-  let mapping =
+  let mapping, floorplan =
     (* capacity / placement checks assume a structurally sound config *)
-    if Diag.has_errors structural then []
+    if Diag.has_errors structural then ([], None)
     else
-      axi_capacity config p
-      @ scratchpad_capacity config p
-      @ floorplan_feasibility config p
-      @ sta_paths ?budget:sta_budget ~analyses config p
+      let capacity = axi_capacity config p @ scratchpad_capacity config p in
+      (* the one placement: drc-floorplan when it fails, the timing tax
+         and the elaborated floorplan when it succeeds *)
+      match Floorplan.place config p with
+      | fp ->
+          (capacity @ sta_paths ?budget:sta_budget ~analyses config p fp,
+           Some fp)
+      | exception (Failure m | Invalid_argument m) ->
+          ( capacity
+            @ [
+                err ~loc:config.Config.acc_name
+                  ~hint:"reduce cores/memories, raise the spill threshold, \
+                         or pick a larger platform"
+                  "drc-floorplan" m;
+              ],
+            None )
   in
   let lint = List.concat_map (fun (_, a) -> a.ka_lint) analyses in
-  structural @ mapping @ lint
+  (structural @ mapping @ lint, floorplan)

@@ -28,8 +28,8 @@
       that exceed the platform's total block-memory bits (error), or the
       preferred cell type's count so that spilling is certain (warning);
       on ASIC targets, requests the SRAM compiler cannot realize (error).
-    - [drc-floorplan] (error) — the placement pre-check: some core fits
-      on no SLR.
+    - [drc-floorplan] (error) — the placement check: some core fits on
+      no SLR.
     - [drc-sta-slr-path] (warning/error) — the {!Hw.Sta} worst-path
       estimate of an RTL-DSL kernel, taxed with the platform NoC's
       SLR-crossing penalty for every die between the core's placement
@@ -37,6 +37,9 @@
       budget. On-die overruns warn; a path that additionally crosses
       dies errors — exactly the paths the paper's floorplanner exists to
       keep short.
+
+    Both placement rules read one {!Floorplan.place}, which {!run}
+    returns so elaboration does not place the design again.
 
     Kernel circuits attached to systems are additionally run through
     {!Hw.Lint.circuit} (with the platform's LUTRAM budget), and those
@@ -55,7 +58,7 @@ val default_sta_budget : int
 
     The expensive, placement-independent slice of the DRC: the netlist
     lint, the {!Hw.Sta} report and the circuit statistics of one system's
-    kernel circuit. It reads only the system's name (which prefixes the
+    kernel circuit, over one {!Hw.Levelize} of it. It reads only the system's name (which prefixes the
     lint locations) and its kernel circuit, and those two are the key
     {!Elaborate.Cache} reuses it under: a config delta that keeps a
     system's name and circuit replays its analysis instead of re-linting
@@ -95,10 +98,15 @@ val run :
   ?analyses:(string * kernel_analysis) list ->
   Config.t ->
   Platform.Device.t ->
-  Hw.Diag.t list
-(** Run every design rule, the per-system netlist lint pass included.
-    [sta_budget] overrides {!default_sta_budget}; [analyses] supplies
-    precomputed (typically cached) per-system kernel analyses — the
-    result is identical to a fresh run as long as each entry matches
-    {!analyze_kernel} of the same-named system. The result is unfiltered: apply
+  Hw.Diag.t list * Floorplan.t option
+(** Run every design rule, the per-system netlist lint pass included,
+    and return the diagnostics with the design's placement. The config
+    is placed once, and only when its structural rules pass:
+    [drc-floorplan] and [drc-sta-slr-path] read that placement, and it
+    is [None] exactly when it was not attempted or failed (then an
+    error diagnostic says why). [sta_budget] overrides
+    {!default_sta_budget}; [analyses] supplies precomputed (typically
+    cached) per-system kernel analyses — the result is identical to a
+    fresh run as long as each entry matches {!analyze_kernel} of the
+    same-named system. The diagnostics are unfiltered: apply
     {!Hw.Diag.waive} / {!Hw.Diag.promote_warnings} for policy. *)

@@ -58,9 +58,10 @@ let cmd_ep_id config ~system ~core =
    cache-equivalence property test/test_tune.ml pins. *)
 let elaborate_with ~analyses (config : Config.t)
     (platform : Platform.Device.t) =
-  let diagnostics = Check.run ~analyses config platform in
+  let diagnostics, placed = Check.run ~analyses config platform in
   Hw.Diag.raise_if_errors ~what:"design-rule check" diagnostics;
-  let floorplan = Floorplan.place config platform in
+  (* a config Check.run could not place carries an error diagnostic *)
+  let floorplan = Option.get placed in
   let cores = all_cores config in
   (* command NoC: one endpoint per core *)
   let cmd_endpoints =

@@ -33,7 +33,8 @@ val elaborate : Config.t -> Platform.Device.t -> t
 (** Runs {!Check.run} first and raises [Failure] with the rendered error
     diagnostics when any rule at error severity fires — a configuration
     that cannot map to the platform never reaches the downstream flow.
-    Warnings and infos are retained in [diagnostics]. *)
+    Warnings and infos are retained in [diagnostics]. The floorplan is
+    the one {!Check.run} placed: an elaboration places its design once. *)
 
 (** Elaboration cache.
 
@@ -47,8 +48,11 @@ val elaborate : Config.t -> Platform.Device.t -> t
     platform) is a hit for every system; a freshly built circuit is a
     miss for its system only. Systems without a kernel circuit always
     hit after their first lookup. Global artifacts (floorplan, NoCs,
-    resource totals) are always rebuilt: they depend on the whole config
-    and are cheap.
+    resource totals) are rebuilt on every call: they depend on the whole
+    config. Their cost is the one placement, and for an RTL-DSL kernel
+    without declared resources that placement constant-folds the netlist
+    for its resource estimate — the one pass over a kernel circuit the
+    cache does not save.
 
     {!elaborate} through a cache is byte-equivalent to a fresh
     {!Elaborate.elaborate}: identical diagnostics, STA reports and

@@ -370,9 +370,8 @@ let redundant_reset t =
 let lint t =
   read_before_init t @ const_output t @ dead_mux_arm t @ redundant_reset t
 
-let crosscheck t =
+let crosscheck t ~folded =
   let c = Levelize.circuit t.lv in
-  let folded = Opt.constant_fold c in
   List.filter_map
     (fun ((n, s), (n', s')) ->
       assert (n = n');

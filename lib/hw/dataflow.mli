@@ -52,8 +52,10 @@ val lint : t -> Diag.t list
     — a register's data input provably always equals its reset value, so
     the clear term is redundant). *)
 
-val crosscheck : t -> Diag.t list
-(** Differential soundness check: every output {!Opt.constant_fold}
-    reduces to a constant must be [Const] of the same bits here. Any
-    divergence is an error-severity [dataflow-opt-divergence] diagnostic
-    — it means one of the two passes mis-evaluated a node. *)
+val crosscheck : t -> folded:Circuit.t -> Diag.t list
+(** Differential soundness check: every output [folded] (the
+    {!Opt.constant_fold} of the analysed circuit, which the caller
+    computes once and may share) reduces to a constant must be [Const]
+    of the same bits here. Any divergence is an error-severity
+    [dataflow-opt-divergence] diagnostic — it means one of the two
+    passes mis-evaluated a node. *)

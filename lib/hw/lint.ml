@@ -253,9 +253,9 @@ let naming_rules c =
   in
   reg_diag @ mem_diags
 
-let fold_rule c =
+let fold_rule c ~folded =
   let before = Opt.node_count c in
-  let after = Opt.node_count (Opt.constant_fold c) in
+  let after = Opt.node_count folded in
   if after < before then
     [
       info ~hint:"run Hw.Opt.constant_fold before emitting Verilog"
@@ -266,14 +266,15 @@ let fold_rule c =
     ]
   else []
 
-let dataflow_rules c =
-  let df = Dataflow.run (Levelize.of_circuit c) in
-  Dataflow.lint df @ Dataflow.crosscheck df
-
-let circuit ?(lutram_max_bits = default_lutram_max_bits) c =
+(* one fold serves [const-foldable] and the dataflow cross-check *)
+let circuit ?(lutram_max_bits = default_lutram_max_bits) lv =
+  let c = Levelize.circuit lv in
+  let folded = Opt.constant_fold c in
+  let df = Dataflow.run lv in
   mux_rules c
   @ memory_rules ~lutram_max_bits c
-  @ naming_rules c @ fold_rule c @ dataflow_rules c
+  @ naming_rules c @ fold_rule c ~folded @ Dataflow.lint df
+  @ Dataflow.crosscheck df ~folded
 
 (* ---- dead logic: needs the set of constructed signals ---- *)
 
@@ -306,4 +307,5 @@ let graph ?(lutram_max_bits = default_lutram_max_bits) ?(tracked = []) ~name
     outputs =
   match Circuit.analyze ~name ~outputs with
   | Error diags -> diags
-  | Ok c -> circuit ~lutram_max_bits c @ dead_logic ~tracked c
+  | Ok c ->
+      circuit ~lutram_max_bits (Levelize.of_circuit c) @ dead_logic ~tracked c

@@ -55,11 +55,15 @@ val rules : (string * Diag.severity * string) list
 (** (rule id, default severity, one-line rationale) for every rule this
     module can emit. *)
 
-val circuit : ?lutram_max_bits:int -> Circuit.t -> Diag.t list
-(** Lint a well-formed circuit. [lutram_max_bits] is the largest memory
-    (in bits) the target can realize as distributed RAM with asynchronous
-    reads; defaults to 1024 (the composer's LUTRAM threshold). Pass the
-    platform's own figure to cross-check against its memory cells. *)
+val circuit : ?lutram_max_bits:int -> Levelize.t -> Diag.t list
+(** Lint a well-formed circuit, given as its levelization so a caller
+    that also times it ({!Sta.analyze}) levelizes once. The circuit is
+    constant-folded once: [const-foldable] and the
+    [dataflow-opt-divergence] cross-check share that fold.
+    [lutram_max_bits] is the largest memory (in bits) the target can
+    realize as distributed RAM with asynchronous reads; defaults to 1024
+    (the composer's LUTRAM threshold). Pass the platform's own figure to
+    cross-check against its memory cells. *)
 
 val graph :
   ?lutram_max_bits:int ->
