@@ -236,15 +236,13 @@ let config ?(n_cores = 1) () =
         ();
     ]
 
-let rtl_behavior = B.Rtl_core.behavior ~build:circuit ()
-
 (* funct 0 (load_kv) is the TLM core's scratchpad fill; funct 1 enters
    the netlist *)
 let behavior : B.Soc.behavior =
  fun ctx beats ~respond ->
   match (List.hd beats).B.Rocc.funct with
   | 0 -> Accel.behavior ctx beats ~respond
-  | _ -> rtl_behavior ctx beats ~respond
+  | _ -> B.Rtl_core.behavior ctx beats ~respond
 
 type result = {
   verified : bool;

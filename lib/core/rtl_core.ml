@@ -110,7 +110,7 @@ end)
 let instances : (string * int, core_state) Hashtbl.t Per_soc.t =
   Per_soc.create 8
 
-let state_of ~build (ctx : Soc.ctx) =
+let state_of (ctx : Soc.ctx) =
   let cores =
     match Per_soc.find_opt instances ctx.Soc.soc with
     | Some cores -> cores
@@ -123,8 +123,16 @@ let state_of ~build (ctx : Soc.ctx) =
   match Hashtbl.find_opt cores key with
   | Some st -> st
   | None ->
-      let circuit = build () in
-      validate circuit ctx.Soc.system;
+      let sys = ctx.Soc.system in
+      let circuit =
+        match sys.Config.kernel_circuit with
+        | Some c -> c
+        | None ->
+            failwith
+              (Printf.sprintf "Rtl_core: system %s declares no kernel_circuit"
+                 sys.Config.sys_name)
+      in
+      validate circuit sys;
       let sim = Hw.Sim.create circuit in
       let reads =
         List.map
@@ -180,9 +188,9 @@ let state_of ~build (ctx : Soc.ctx) =
 
 let high sim name = Hw.Sim.output_int sim name = 1
 
-let behavior ~build () : Soc.behavior =
+let behavior : Soc.behavior =
  fun ctx beats ~respond ->
-  let st = state_of ~build ctx in
+  let st = state_of ctx in
   let sim = st.sim in
   let soc = ctx.Soc.soc in
   let pending_beats = ref beats in

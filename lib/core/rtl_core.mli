@@ -32,10 +32,15 @@
     when the core raises [resp_valid] *and* every write transaction it
     opened has received its final write response. *)
 
-val behavior : build:(unit -> Hw.Circuit.t) -> unit -> Soc.behavior
-(** A {!Soc.behavior} that instantiates one circuit per core (lazily, via
-    [build]) and clocks it at the fabric rate while a command is active,
-    on {!Hw.Sim.create}'s default backend. Each core's simulator lives as
-    long as its SoC: the behavior does not keep a finished SoC reachable.
-    Raises [Failure] at first use if the circuit is missing a required
-    port or a port width disagrees with the channel configuration. *)
+val behavior : Soc.behavior
+(** A {!Soc.behavior} that simulates its system's declared
+    [kernel_circuit] — the netlist {!Check} linted and timed, the
+    floorplan placed and {!Elaborate.verilog} emits — with one simulator
+    per core (created at the core's first command), clocked at the
+    fabric rate while a command is active, on {!Hw.Sim.create}'s default
+    backend. Each core's simulator lives as long as its SoC: the
+    behavior does not keep a finished SoC reachable. Raises [Failure] at
+    the first command if the system declares no kernel circuit (the
+    message names the system), if the circuit is missing a required
+    port, or if a port width disagrees with the channel
+    configuration. *)

@@ -82,7 +82,7 @@ let config ?(n_cores = 1) () =
         ();
     ]
 
-let behavior = B.Rtl_core.behavior ~build:circuit ()
+let behavior = B.Rtl_core.behavior
 
 let run ?(n_cores = 1) ?(n_eles = 256) ~platform () =
   let design = B.Elaborate.elaborate (config ~n_cores ()) platform in

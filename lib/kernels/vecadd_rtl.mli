@@ -9,8 +9,9 @@ val command : Beethoven.Cmd_spec.command
     (payload 2). *)
 
 val circuit : unit -> Hw.Circuit.t
-(** A fresh instance of the core netlist (also used for Verilog emission
-    and resource estimation via [kernel_circuit]). *)
+(** A fresh instance of the core netlist. {!config} declares one as its
+    system's [kernel_circuit]: the netlist the composer lints, places and
+    emits, and the one {!behavior} simulates. *)
 
 val config : ?n_cores:int -> unit -> Beethoven.Config.t
 val behavior : Beethoven.Soc.behavior

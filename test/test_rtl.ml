@@ -166,28 +166,53 @@ let test_rtl_core_sequential_commands () =
     "three adds accumulated" 3l
     (B.Soc.read_u32 soc (p.H.rp_addr + 400))
 
+(* the first vecadd command on a VecAddRTL SoC whose kernel circuit is
+   [circuit]; the Failure message the bridge raises, if any *)
+let first_rtl_command_failure circuit =
+  let cfg = Kernels.Vecadd_rtl.config () in
+  let cfg =
+    {
+      cfg with
+      B.Config.systems =
+        List.map
+          (fun (sys : B.Config.system) ->
+            { sys with B.Config.kernel_circuit = circuit })
+          cfg.B.Config.systems;
+    }
+  in
+  let design = B.Elaborate.elaborate cfg D.aws_f1 in
+  let soc = B.Soc.create design ~behaviors:(fun _ -> B.Rtl_core.behavior) in
+  let handle = Runtime.Handle.create soc in
+  match
+    Runtime.Handle.await handle
+      (Runtime.Handle.send handle ~system:"VecAddRTL" ~core:0
+         ~cmd:Kernels.Vecadd_rtl.command
+         ~args:[ ("vec_addr", 0L); ("addend", 0L); ("n_eles", 1L) ])
+  with
+  | _ -> None
+  | exception Failure msg -> Some msg
+
+let contains msg sub =
+  let n = String.length sub and m = String.length msg in
+  let rec go i = i + n <= m && (String.sub msg i n = sub || go (i + 1)) in
+  go 0
+
 let test_rtl_missing_port_rejected () =
-  let bad () =
+  let bad =
     let open Hw.Signal in
     Hw.Circuit.create ~name:"bad" ~outputs:[ ("req_ready", input "x" 1) ]
   in
-  let cfg = Kernels.Vecadd_rtl.config () in
-  let design = B.Elaborate.elaborate cfg D.aws_f1 in
-  let soc =
-    B.Soc.create design ~behaviors:(fun _ -> B.Rtl_core.behavior ~build:bad ())
-  in
-  let handle = Runtime.Handle.create soc in
-  let raised = ref false in
-  (try
-     let h =
-       Runtime.Handle.send handle ~system:"VecAddRTL" ~core:0
-         ~cmd:Kernels.Vecadd_rtl.command
-         ~args:[ ("vec_addr", 0L); ("addend", 0L); ("n_eles", 1L) ]
-     in
-     ignore (Runtime.Handle.await handle h)
-   with Failure msg ->
-     raised := String.length msg > 0);
-  check_bool "missing ports rejected with a diagnostic" true !raised
+  match first_rtl_command_failure (Some bad) with
+  | Some msg ->
+      check_bool ("names the missing port: " ^ msg) true
+        (contains msg "missing output port")
+  | None -> Alcotest.fail "a circuit without the bridge's ports must fail"
+
+let test_rtl_no_kernel_circuit_rejected () =
+  match first_rtl_command_failure None with
+  | Some msg ->
+      check_bool ("names the system: " ^ msg) true (contains msg "VecAddRTL")
+  | None -> Alcotest.fail "an RTL system without a kernel circuit must fail"
 
 (* a finished run must not keep its SoC reachable: the bridge's
    simulators (and their Reader/Writer handles) live as long as the SoC *)
@@ -359,6 +384,8 @@ let () =
             test_rtl_core_sequential_commands;
           Alcotest.test_case "missing ports" `Quick
             test_rtl_missing_port_rejected;
+          Alcotest.test_case "no kernel circuit" `Quick
+            test_rtl_no_kernel_circuit_rejected;
           Alcotest.test_case "finished SoCs are released" `Quick
             test_rtl_core_releases_socs;
         ] );
