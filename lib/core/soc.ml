@@ -1013,7 +1013,8 @@ let rec pump_core t (ci : core_inst) =
 (* One message over the command NoC with fault decoration: delay
    injection/recovery is logged, drops are recorded under [key] for the
    runtime watchdog to resolve. Without a fault injector this is a plain
-   [Noc.send]. *)
+   [Noc.send]. [site] formats the fault-log label; only a delay or a
+   drop forces it. *)
 let cmd_noc_send t ~ep_id ~key ~drop_cls ~site ?span k =
   let cmd_noc = t.design.Elaborate.cmd_noc in
   let tracer = t.tracer in
@@ -1025,7 +1026,8 @@ let cmd_noc_send t ~ep_id ~key ~drop_cls ~site ?span k =
       let k' () =
         if !delayed then
           Fault.Injector.log inj ~now:(Desim.Engine.now t.engine)
-            ~cls:Fault.Class.Noc_delay ~kind:Fault.Log.Recovered ~site;
+            ~cls:Fault.Class.Noc_delay ~kind:Fault.Log.Recovered
+            ~site:(site ());
         k ()
       in
       match
@@ -1037,10 +1039,10 @@ let cmd_noc_send t ~ep_id ~key ~drop_cls ~site ?span k =
           delayed := true;
           Fault.Injector.log inj ~now:(Desim.Engine.now t.engine)
             ~cls:Fault.Class.Noc_delay ~kind:Fault.Log.Injected
-            ~site:(Printf.sprintf "%s (+%d ps)" site d)
+            ~site:(Printf.sprintf "%s (+%d ps)" (site ()) d)
       | Noc.Dropped ->
           Fault.Injector.note_lost inj ~now:(Desim.Engine.now t.engine)
-            ~cls:drop_cls ~key ~site;
+            ~cls:drop_cls ~key ~site:(site ());
           (match (tracer, span) with
           | Some tr, Some sp ->
               (* tie the lost message back to its ledger entry *)
@@ -1103,9 +1105,9 @@ let send_command ?span t (cmd : Rocc.t) ~on_response =
                frontend *)
             cmd_noc_send t ~ep_id:ep ~key:ep
               ~drop_cls:Fault.Class.Noc_resp_drop
-              ~site:
-                (Printf.sprintf "resp sys=%d core=%d" cmd.Rocc.system_id
-                   cmd.Rocc.core_id)
+              ~site:(fun () ->
+                Printf.sprintf "resp sys=%d core=%d" cmd.Rocc.system_id
+                  cmd.Rocc.core_id)
               ?span
               (fun () ->
                 Desim.Engine.schedule t.engine ~delay:mmio_ps (fun () ->
@@ -1151,9 +1153,9 @@ let send_command ?span t (cmd : Rocc.t) ~on_response =
      the beat to the core *)
   Desim.Engine.schedule t.engine ~delay:mmio_ps (fun () ->
       cmd_noc_send t ~ep_id:ep ~key:ep ~drop_cls:Fault.Class.Noc_cmd_drop
-        ~site:
-          (Printf.sprintf "cmd beat sys=%d core=%d funct=%d"
-             cmd.Rocc.system_id cmd.Rocc.core_id cmd.Rocc.funct)
+        ~site:(fun () ->
+          Printf.sprintf "cmd beat sys=%d core=%d funct=%d"
+            cmd.Rocc.system_id cmd.Rocc.core_id cmd.Rocc.funct)
         ?span deliver)
 
 (* ------------------------------------------------------------------ *)
