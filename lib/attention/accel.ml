@@ -214,6 +214,8 @@ let run ?(n_queries_per_core = 64) ?(n_cores = 23) ~platform () =
     (fun core (keys, values, queries) ->
       let _, _, _, po = allocs.(core) in
       let out_host = H.host_bytes handle po in
+      let float_keys = Array.map (Array.map A3.dequantize) keys in
+      let float_values = Array.map (Array.map A3.dequantize) values in
       Array.iteri
         (fun qi query ->
           let expect = A3.attend_fixed ~query ~keys ~values in
@@ -222,8 +224,7 @@ let run ?(n_queries_per_core = 64) ?(n_cores = 23) ~platform () =
           let float_ref =
             A3.attend_float
               ~query:(Array.map A3.dequantize query)
-              ~keys:(Array.map (Array.map A3.dequantize) keys)
-              ~values:(Array.map (Array.map A3.dequantize) values)
+              ~keys:float_keys ~values:float_values
           in
           let err = A3.mean_abs_error got float_ref in
           if err > !max_error then max_error := err)
