@@ -720,7 +720,7 @@ let sim_speed () =
 let tune () =
   header "tune"
     "Closed-loop autotuning: a measured one-knob search over the serving\n\
-     SoC (prefetch depth, cores, batching, per-core cap), pre-filtered\n\
+     SoC (cores, batching, per-core cap), pre-filtered\n\
      through the elaboration cache (keyed on each system's name and\n\
      kernel circuit), A/B-promoting only on paired rps wins under\n\
      byte-identical offered load.";

@@ -26,11 +26,11 @@ val fit :
   ?cache:Elaborate.Cache.cache ->
   Config.t ->
   Platform.Device.t ->
-  (float, string) result
+  (unit, string) result
 (** Full-DRC fit check: elaborate the config (through [cache] when
-    given) and return [Ok peak_slr_utilization], or [Error reason] when
-    any design rule at error severity rejects it. This is the oracle the
-    tuner uses to pre-filter candidates. *)
+    given) and return [Ok ()], or [Error reason] when any design rule at
+    error severity rejects it. This is the oracle the tuner uses to
+    pre-filter candidates. *)
 
 val sweep_cores :
   config_of:(n_cores:int -> Config.t) ->

@@ -991,14 +991,10 @@ module Session = struct
     mutable se_last : report option;
   }
 
-  let create ?tracer ?plan ?(platform = Platform.Device.aws_f1) ?systems cfg
-      () =
+  let create ?tracer ?plan ?(platform = Platform.Device.aws_f1) cfg () =
     let kinds = kinds_used cfg.c_tenants in
-    let system_of =
-      match systems with None -> system_of_kind | Some f -> f
-    in
     let systems =
-      List.map (fun k -> system_of k ~n_cores:cfg.c_n_cores) kinds
+      List.map (fun k -> system_of_kind k ~n_cores:cfg.c_n_cores) kinds
     in
     let inj = Option.map Fault.Injector.create plan in
     let config = B.Config.make ~name:"serve" systems in

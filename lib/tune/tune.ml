@@ -1,56 +1,45 @@
 module B = Beethoven
 
 module Knobs = struct
-  type t = {
-    kn_cores : int;
-    kn_in_flight : int;
-    kn_batch : int;
-    kn_core_cap : int;
-  }
+  type t = { kn_cores : int; kn_batch : int; kn_core_cap : int }
 
-  let default =
-    { kn_cores = 2; kn_in_flight = 1; kn_batch = 1; kn_core_cap = 2 }
+  let default = { kn_cores = 2; kn_batch = 1; kn_core_cap = 2 }
 
   let render k =
-    Printf.sprintf "cores=%d inflight=%d batch=%d cap=%d" k.kn_cores
-      k.kn_in_flight k.kn_batch k.kn_core_cap
+    Printf.sprintf "cores=%d batch=%d cap=%d" k.kn_cores k.kn_batch
+      k.kn_core_cap
 
   let key = render
 end
 
-type axis = Cores | In_flight | Batch | Core_cap
+type axis = Cores | Batch | Core_cap
 
-let all_axes = [ Cores; In_flight; Batch; Core_cap ]
+let all_axes = [ Cores; Batch; Core_cap ]
 
 let axis_name = function
   | Cores -> "cores"
-  | In_flight -> "prefetch"
   | Batch -> "batch"
   | Core_cap -> "core-cap"
 
 let axis_of_name = function
   | "cores" -> Some Cores
-  | "prefetch" | "in-flight" -> Some In_flight
   | "batch" -> Some Batch
   | "core-cap" | "cap" -> Some Core_cap
   | _ -> None
 
 let axis_values = function
   | Cores -> [ 1; 2; 3; 4; 6; 8 ]
-  | In_flight -> [ 1; 2; 4; 8 ]
   | Batch -> [ 1; 2; 4; 8; 16 ]
   | Core_cap -> [ 1; 2; 4; 8 ]
 
 let axis_get (k : Knobs.t) = function
   | Cores -> k.Knobs.kn_cores
-  | In_flight -> k.Knobs.kn_in_flight
   | Batch -> k.Knobs.kn_batch
   | Core_cap -> k.Knobs.kn_core_cap
 
 let axis_set (k : Knobs.t) ax v =
   match ax with
   | Cores -> { k with Knobs.kn_cores = v }
-  | In_flight -> { k with Knobs.kn_in_flight = v }
   | Batch -> { k with Knobs.kn_batch = v }
   | Core_cap -> { k with Knobs.kn_core_cap = v }
 
@@ -108,39 +97,13 @@ let tenants () =
       ();
   ]
 
-(* Deploy a candidate: the canonical serving systems with the prefetch
-   knob rewritten (names are preserved, so dispatch and behaviors still
-   resolve). *)
-let deploy (k : Knobs.t) kind ~n_cores =
-  let sys = Serve.system_of_kind kind ~n_cores in
-  let rd (rc : B.Config.read_channel) =
-    {
-      rc with
-      B.Config.rc_max_in_flight = k.Knobs.kn_in_flight;
-      rc_buffer_beats =
-        max rc.B.Config.rc_buffer_beats
-          (rc.B.Config.rc_burst_beats * k.Knobs.kn_in_flight);
-    }
-  in
-  let wr (wc : B.Config.write_channel) =
-    {
-      wc with
-      B.Config.wc_max_in_flight = k.Knobs.kn_in_flight;
-      wc_buffer_beats =
-        max wc.B.Config.wc_buffer_beats
-          (wc.B.Config.wc_burst_beats * k.Knobs.kn_in_flight);
-    }
-  in
-  {
-    sys with
-    B.Config.read_channels = List.map rd sys.B.Config.read_channels;
-    write_channels = List.map wr sys.B.Config.write_channels;
-  }
-
+(* A candidate's deployed systems: the canonical serving systems at its
+   core count, as its serving session elaborates them. *)
 let config_of ~tenants (k : Knobs.t) =
-  let kinds = Serve.kinds_used tenants in
   B.Config.make ~name:"tune"
-    (List.map (fun kind -> deploy k kind ~n_cores:k.Knobs.kn_cores) kinds)
+    (List.map
+       (fun kind -> Serve.system_of_kind kind ~n_cores:k.Knobs.kn_cores)
+       (Serve.kinds_used tenants))
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                         *)
@@ -213,8 +176,8 @@ let promotes ~(inc : score) ~(ch : score) ~wins ~losses =
 
 let knobs_json (k : Knobs.t) =
   Printf.sprintf
-    "{\"cores\":%d,\"prefetch\":%d,\"batch\":%d,\"core_cap\":%d}"
-    k.Knobs.kn_cores k.Knobs.kn_in_flight k.Knobs.kn_batch k.Knobs.kn_core_cap
+    "{\"cores\":%d,\"batch\":%d,\"core_cap\":%d}" k.Knobs.kn_cores
+    k.Knobs.kn_batch k.Knobs.kn_core_cap
 
 let candidate_json (c : candidate) =
   match c.ca_outcome with
@@ -353,7 +316,7 @@ let run ?(seed = 42) ?(budget = 6) ?(axes = all_axes)
       Serve.config ~seed ~duration_ps:phase_ps ~batch_max:k.Knobs.kn_batch
         ~core_cap:k.Knobs.kn_core_cap ~n_cores:k.Knobs.kn_cores ~tenants ()
     in
-    (tracer, Serve.Session.create ~tracer ~platform ~systems:(deploy k) cfg ())
+    (tracer, Serve.Session.create ~tracer ~platform cfg ())
   in
   let seal k tracer reports =
     let qdepth =
@@ -399,7 +362,7 @@ let run ?(seed = 42) ?(budget = 6) ?(axes = all_axes)
   in
   let fit k = B.Dse.fit ~cache (config_of ~tenants k) platform in
   (match fit start with
-  | Ok _ -> ()
+  | Ok () -> ()
   | Error m -> invalid_arg ("Tune.run: start config infeasible: " ^ m));
   (* propose a seeded one-knob mutation of the incumbent, biased towards
      unseen knob combinations *)
@@ -445,7 +408,7 @@ let run ?(seed = 42) ?(budget = 6) ?(axes = all_axes)
         candidates :=
           { ca_id = id; ca_knobs = knobs; ca_outcome = Infeasible m }
           :: !candidates
-    | Ok _ ->
+    | Ok () ->
         let inc_ev = evaluate (!incumbent).ca_knobs in
         let ch_ev = evaluate knobs in
         let inc_score = mean_score inc_ev in
