@@ -392,6 +392,33 @@ let concat_list parts =
     parts;
   canonicalize r
 
+(* head of the array = most-significant field; [or_window] takes at
+   most limb_bits bits at a time *)
+let concat_ints ~widths vs =
+  let n = Array.length vs in
+  if Array.length widths <> n then
+    invalid_arg "Bits.concat_ints: widths and values differ in length";
+  let total = ref 0 in
+  for i = 0 to n - 1 do
+    let w = widths.(i) in
+    if w < 0 || w > 62 then
+      invalid_arg "Bits.concat_ints: field width must be in [0, 62]";
+    total := !total + w
+  done;
+  let r = make !total in
+  let pos = ref !total in
+  for i = 0 to n - 1 do
+    let w = widths.(i) in
+    pos := !pos - w;
+    let v = ref (vs.(i) land ((1 lsl w) - 1)) and k = ref 0 in
+    while !v <> 0 do
+      or_window r.limbs (!pos + !k) (!v land limb_mask);
+      v := !v lsr limb_bits;
+      k := !k + limb_bits
+    done
+  done;
+  r
+
 let sext t w =
   if w <= t.width then resize t w
   else begin

@@ -103,6 +103,13 @@ val concat : t -> t -> t
 val concat_list : t list -> t
 (** [concat_list [a; b; c]] = [concat a (concat b c)]. *)
 
+val concat_ints : widths:int array -> int array -> t
+(** [concat_ints ~widths vs] concatenates fields, [vs.(0)] the
+    most-significant: field [i] is the low [widths.(i)] bits of
+    [vs.(i)]. One allocation, no intermediate vectors — the wide-concat
+    path of the compiled simulator. Raises [Invalid_argument] when the
+    arrays differ in length or a width is outside [0, 62]. *)
+
 val sext : t -> int -> t
 (** Sign-extend (or truncate) to the given width. *)
 

@@ -3,9 +3,10 @@
     {!Cyclesim} (the reference interpreter) and {!Compile} (the
     levelized compiled backend) implement the same evaluation model and
     the same module interface {!S}; this module pins that interface down
-    and provides a runtime-selectable dispatch so hot callers
-    ([Core.Rtl_core], the bench harness, [beethoven_gen sim]) can switch
-    backends with a value instead of a functor. *)
+    and provides a runtime-selectable dispatch so callers (the bench
+    harnesses, [beethoven_gen sim]) can switch backends with a value
+    instead of a functor. [Core.Rtl_core] drives {!Compile} directly,
+    through its port handles. *)
 
 (** The simulator operations both backends provide, with identical
     semantics and exceptions (see {!Cyclesim} for the documentation of

@@ -190,6 +190,15 @@ let byte_props =
         && List.for_all
              (fun i -> Bytes.get_uint8 b i = (v lsr (8 * i)) land 0xff)
              (List.init (Bytes.length b) Fun.id));
+    prop "concat_ints is concat_list of the fields"
+      (QCheck.make QCheck.Gen.(list_size (1 -- 12) gen_wv))
+      (fun fields ->
+        let widths = Array.of_list (List.map fst fields) in
+        let vs = Array.of_list (List.map snd fields) in
+        Bits.equal
+          (Bits.concat_ints ~widths vs)
+          (Bits.concat_list
+             (List.map (fun (w, v) -> Bits.of_int ~width:w v) fields)));
   ]
 
 let () =
