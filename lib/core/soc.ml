@@ -719,6 +719,30 @@ module Scratchpad = struct
     if row < 0 || row >= depth sp then invalid_arg "Scratchpad.get: row";
     Bytes.sub sp.sp_data (row * sp.sp_row_bytes) sp.sp_row_bytes
 
+  let load_row (sp : sp) row buf =
+    if row < 0 || row >= depth sp then invalid_arg "Scratchpad.load_row: row";
+    let n = sp.sp_row_bytes in
+    if Bytes.length buf <> n then invalid_arg "Scratchpad.load_row: row width";
+    let base = row * n in
+    (* eight bytes at a time, then the tail *)
+    let i = ref 0 in
+    while
+      !i + 8 <= n
+      && Int64.equal
+           (Bytes.get_int64_ne sp.sp_data (base + !i))
+           (Bytes.get_int64_ne buf !i)
+    do
+      i := !i + 8
+    done;
+    while !i < n && Bytes.get sp.sp_data (base + !i) = Bytes.get buf !i do
+      incr i
+    done;
+    if !i = n then false
+    else begin
+      Bytes.blit sp.sp_data base buf 0 n;
+      true
+    end
+
   let set (sp : sp) row v =
     if row < 0 || row >= depth sp then invalid_arg "Scratchpad.set: row";
     if Bytes.length v <> sp.sp_row_bytes then

@@ -84,6 +84,12 @@ module Scratchpad : sig
   val get : sp -> int -> Bytes.t
   (** Row contents ([data_bits/8] bytes, zero-padded). *)
 
+  val load_row : sp -> int -> Bytes.t -> bool
+  (** [load_row sp row buf] makes [buf] (one row wide) hold the row's
+      contents and says whether that changed it. It compares in place:
+      a row [buf] already holds costs no copy and no allocation. Raises
+      [Invalid_argument] on a bad row or buffer width. *)
+
   val set : sp -> int -> Bytes.t -> unit
   val depth : sp -> int
 end
