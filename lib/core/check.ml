@@ -334,14 +334,17 @@ type kernel_analysis = {
   ka_lint : Diag.t list;
   ka_sta : Hw.Sta.report option;
   ka_stats : (string * int) list option;
+  ka_size : Resource_model.kernel_size option;
 }
 
 let analyze_kernel (sys : Config.system) =
   match sys.Config.kernel_circuit with
-  | None -> { ka_lint = []; ka_sta = None; ka_stats = None }
+  | None -> { ka_lint = []; ka_sta = None; ka_stats = None; ka_size = None }
   | Some c ->
-      (* one levelization serves lint's dataflow pass and the STA *)
+      (* one levelization serves lint's dataflow pass and the STA, one
+         fold serves lint and the placement's logic estimate *)
       let lv = Hw.Levelize.of_circuit c in
+      let folded = Hw.Opt.constant_fold c in
       let lint =
         List.map
           (fun (d : Diag.t) ->
@@ -352,12 +355,13 @@ let analyze_kernel (sys : Config.system) =
                   sys.Config.sys_name ^ ": circuit " ^ Hw.Circuit.name c
             in
             { d with Diag.loc = Some loc })
-          (Hw.Lint.circuit ~lutram_max_bits:FM.lutram_max_bits lv)
+          (Hw.Lint.circuit ~lutram_max_bits:FM.lutram_max_bits ~folded lv)
       in
       {
         ka_lint = lint;
         ka_sta = Some (Hw.Sta.analyze lv);
         ka_stats = Some (Hw.Circuit.stats c);
+        ka_size = Some (Resource_model.kernel_size folded);
       }
 
 let analyses_of ?analyses (config : Config.t) =
@@ -428,7 +432,12 @@ let run ?sta_budget ?analyses (config : Config.t) (p : D.t) =
       let capacity = axi_capacity config p @ scratchpad_capacity config p in
       (* the one placement: drc-floorplan when it fails, the timing tax
          and the elaborated floorplan when it succeeds *)
-      match Floorplan.place config p with
+      let kernel_sizes =
+        List.filter_map
+          (fun (name, a) -> Option.map (fun s -> (name, s)) a.ka_size)
+          analyses
+      in
+      match Floorplan.place ~kernel_sizes config p with
       | fp ->
           (capacity @ sta_paths ?budget:sta_budget ~analyses config p fp,
            Some fp)

@@ -72,11 +72,16 @@ type kernel_analysis = {
       (** static timing of the kernel circuit, [None] without one *)
   ka_stats : (string * int) list option;
       (** {!Hw.Circuit.stats} of the kernel circuit *)
+  ka_size : Resource_model.kernel_size option;
+      (** node count and register bits of the constant-folded kernel
+          circuit, which the placement's logic estimate reads *)
 }
 
 val analyze_kernel : Config.system -> kernel_analysis
 (** Lint + STA + stats of one system's kernel circuit. A pure function
-    of the system's name and kernel circuit. *)
+    of the system's name and kernel circuit. The circuit is
+    constant-folded once: lint and [ka_size] share the fold, so an
+    elaboration that reuses the analysis folds nothing. *)
 
 val analyses_of :
   ?analyses:(string * kernel_analysis) list ->

@@ -49,10 +49,10 @@ val elaborate : Config.t -> Platform.Device.t -> t
     miss for its system only. Systems without a kernel circuit always
     hit after their first lookup. Global artifacts (floorplan, NoCs,
     resource totals) are rebuilt on every call: they depend on the whole
-    config. Their cost is the one placement, and for an RTL-DSL kernel
-    without declared resources that placement constant-folds the netlist
-    for its resource estimate — the one pass over a kernel circuit the
-    cache does not save.
+    config. Their cost is the one placement, whose logic estimate for an
+    RTL-DSL kernel reads the folded node count and register bits the
+    kernel analysis recorded, so a cached elaboration makes no pass over
+    a kernel circuit.
 
     {!elaborate} through a cache is byte-equivalent to a fresh
     {!Elaborate.elaborate}: identical diagnostics, STA reports and

@@ -52,7 +52,7 @@ let cells_resource (choice : FM.choice) =
    frontend, which are generated after placement and must still fit. *)
 let interconnect_reserve = 0.08
 
-let place (config : Config.t) (p : Platform.Device.t) =
+let place ?(kernel_sizes = []) (config : Config.t) (p : Platform.Device.t) =
   let slrs = Array.of_list p.Platform.Device.slrs in
   let used =
     Array.map (fun s -> s.Platform.Device.shell) slrs
@@ -72,7 +72,11 @@ let place (config : Config.t) (p : Platform.Device.t) =
   let places = ref [] in
   List.iter
     (fun sys ->
-      let logic = Resource_model.core_logic sys p in
+      let logic =
+        Resource_model.core_logic
+          ?kernel_size:(List.assoc_opt sys.Config.sys_name kernel_sizes)
+          sys p
+      in
       let requests = memory_requests sys p in
       for core = 0 to sys.Config.n_cores - 1 do
         (* trial-map the memories against each SLR, pick the SLR with the

@@ -28,8 +28,16 @@ type t = {
   platform : Platform.Device.t;
 }
 
-val place : Config.t -> Platform.Device.t -> t
-(** Raises [Failure] with a diagnostic when the design cannot fit. *)
+val place :
+  ?kernel_sizes:(string * Resource_model.kernel_size) list ->
+  Config.t ->
+  Platform.Device.t ->
+  t
+(** Raises [Failure] with a diagnostic when the design cannot fit.
+    [kernel_sizes] gives, per system name, the {!Resource_model.kernel_size}
+    of the system's constant-folded kernel circuit (as
+    {!Check.analyze_kernel} records it); a system missing from it has its
+    circuit folded here. *)
 
 val slr_of : t -> system:string -> core:int -> int
 

@@ -22,21 +22,32 @@ let mem_noc_width_bits (p : Platform.Device.t) =
 
 let cmd_noc_width_bits = Rocc.width + 16
 
-(* rough LUT/FF estimate for a kernel written in the RTL DSL *)
-let circuit_estimate c =
-  (* estimate on the folded netlist, as the tool flow would see it *)
-  let stats = Hw.Circuit.stats (Hw.Opt.constant_fold c) in
-  let get k = Option.value ~default:0 (List.assoc_opt k stats) in
-  (* ~1.5 LUT per netlist node bit is a crude but serviceable proxy *)
-  let nodes = get "nodes" in
-  let reg_bits = get "register_bits" in
-  let lut = nodes * 3 in
-  R.make ~clb:(lut / 7) ~lut ~ff:reg_bits ()
+type kernel_size = { ks_nodes : int; ks_register_bits : int }
 
-let core_logic (sys : Config.system) (_p : Platform.Device.t) =
+(* the ["nodes"] and ["register_bits"] entries of [Hw.Circuit.stats] *)
+let kernel_size c =
+  {
+    ks_nodes = List.length (Hw.Circuit.signals_in_topo_order c);
+    ks_register_bits =
+      List.fold_left (fun acc r -> acc + Hw.Signal.width r) 0
+        (Hw.Circuit.registers c);
+  }
+
+(* rough LUT/FF estimate for a kernel written in the RTL DSL *)
+let kernel_estimate { ks_nodes; ks_register_bits } =
+  (* ~1.5 LUT per netlist node bit is a crude but serviceable proxy *)
+  let lut = ks_nodes * 3 in
+  R.make ~clb:(lut / 7) ~lut ~ff:ks_register_bits ()
+
+let core_logic ?kernel_size:size (sys : Config.system) (_p : Platform.Device.t) =
   let kernel =
     match sys.Config.kernel_circuit with
-    | Some c when sys.Config.kernel_resources = R.zero -> circuit_estimate c
+    | Some c when sys.Config.kernel_resources = R.zero ->
+        (* estimate on the folded netlist, as the tool flow would see it *)
+        kernel_estimate
+          (match size with
+          | Some s -> s
+          | None -> kernel_size (Hw.Opt.constant_fold c))
     | _ -> sys.Config.kernel_resources
   in
   let each base l = R.scale base (List.length l) in

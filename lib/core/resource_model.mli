@@ -18,6 +18,22 @@ val mem_noc_width_bits : Platform.Device.t -> int
 val cmd_noc_width_bits : int
 (** RoCC command width + routing. *)
 
+type kernel_size = {
+  ks_nodes : int;  (** the ["nodes"] of {!Hw.Circuit.stats} *)
+  ks_register_bits : int;  (** its ["register_bits"] *)
+}
+(** The two figures of an RTL-DSL kernel the logic estimate reads. *)
+
+val kernel_size : Hw.Circuit.t -> kernel_size
+(** Of the circuit as given; the estimate reads the constant-folded
+    netlist's, as the tool flow would see it. *)
+
 val core_logic :
-  Config.system -> Platform.Device.t -> Platform.Resources.t
-(** Per-core logic cost: kernel + all primitive bases (no memory cells). *)
+  ?kernel_size:kernel_size ->
+  Config.system ->
+  Platform.Device.t ->
+  Platform.Resources.t
+(** Per-core logic cost: kernel + all primitive bases (no memory cells).
+    A kernel circuit without declared [kernel_resources] is estimated
+    from [kernel_size], which must be that of its constant fold; without
+    it the circuit is folded here. *)
