@@ -26,7 +26,7 @@ and write_port = { wp_enable : t; wp_addr : t; wp_data : t }
 
 and mem_t = {
   m_id : int;
-  m_name : string;
+  m_name : string option; (* as given to [Mem.create] *)
   m_size : int;
   m_width : int;
   mutable m_writes : write_port list;
@@ -176,16 +176,23 @@ let reg ?enable ?clear ?init d =
   | _ -> ());
   fresh d.width (Reg { d; enable; clear; init })
 
+(* an unnamed memory is called after its uid *)
+let mem_name (m : mem_t) =
+  match m.m_name with Some n -> n | None -> Printf.sprintf "mem_%d" m.m_id
+
 module Mem = struct
   type mem = mem_t
 
   let create ?name ~size ~width () =
     if size <= 0 || width <= 0 then invalid_arg "Mem.create: bad dimensions";
     incr next_id;
-    let m_name =
-      match name with Some n -> n | None -> Printf.sprintf "mem_%d" !next_id
-    in
-    { m_id = !next_id; m_name; m_size = size; m_width = width; m_writes = [] }
+    {
+      m_id = !next_id;
+      m_name = name;
+      m_size = size;
+      m_width = width;
+      m_writes = [];
+    }
 
   (* bits needed to index [size] entries (>= 1: an address port always has
      at least one bit) *)
@@ -202,7 +209,7 @@ module Mem = struct
         (Printf.sprintf
            "Signal.Mem: %d-bit address cannot index %s (%d entries need %d \
             bits)"
-           addr.width m.m_name m.m_size (addr_bits_for m.m_size))
+           addr.width (mem_name m) m.m_size (addr_bits_for m.m_size))
 
   let write m ~enable ~addr ~data =
     if enable.width <> 1 then invalid_arg "Mem.write: enable must be 1 bit";
@@ -231,5 +238,5 @@ let mem_uid (m : mem_t) = m.m_id
 let mem_addr_bits (m : mem_t) = Mem.addr_bits_for m.m_size
 let mem_size (m : mem_t) = m.m_size
 let mem_width (m : mem_t) = m.m_width
-let mem_name (m : mem_t) = m.m_name
+let mem_given_name (m : mem_t) = m.m_name
 let mem_write_ports (m : mem_t) = List.rev m.m_writes

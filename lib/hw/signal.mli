@@ -150,4 +150,9 @@ val mem_addr_bits : Mem.mem -> int
 val mem_size : Mem.mem -> int
 val mem_width : Mem.mem -> int
 val mem_name : Mem.mem -> string
+(** The name given to {!Mem.create}; an unnamed memory's is [mem_<uid>]. *)
+
+val mem_given_name : Mem.mem -> string option
+(** The name given to {!Mem.create}, if one was. *)
+
 val mem_write_ports : Mem.mem -> write_port list

@@ -230,6 +230,58 @@ let test_verilog_emission () =
   check_bool "named register" true (has "sum_r");
   check_bool "endmodule" true (has "endmodule")
 
+(* An unnamed memory is numbered past every name already declared: here
+   a memory named "mem_0" and signals named "mem" (emitted "mem_<i>")
+   take the names it would have had. Every identifier the module
+   declares is distinct. *)
+let test_verilog_memory_names () =
+  let open Signal in
+  let a = input "a" 4 in
+  let chain =
+    List.fold_left
+      (fun acc k -> (acc +: of_int ~width:4 k) -- "mem")
+      a (List.init 6 Fun.id)
+  in
+  let named = Mem.create ~name:"mem_0" ~size:16 ~width:4 () in
+  let anon1 = Mem.create ~size:16 ~width:4 () in
+  let anon2 = Mem.create ~size:16 ~width:4 () in
+  List.iter
+    (fun m -> Mem.write m ~enable:vdd ~addr:a ~data:chain)
+    [ named; anon1; anon2 ];
+  let outputs =
+    List.mapi
+      (fun i m -> (Printf.sprintf "o%d" i, Mem.read_async m ~addr:chain))
+      [ named; anon1; anon2 ]
+  in
+  let v = Verilog.of_circuit (Circuit.create ~name:"mems" ~outputs) in
+  let declared =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' (String.trim line) with
+        | ("input" | "output" | "wire" | "reg") :: rest -> (
+            let rest =
+              List.filter (fun w -> w <> "" && w.[0] <> '[') rest
+            in
+            match rest with
+            | name :: _ ->
+                Some (String.concat "" (String.split_on_char ';' name))
+            | [] -> None)
+        | _ -> None)
+      (String.split_on_char '\n' v)
+  in
+  let unique = List.sort_uniq compare declared in
+  check_int "every declared name is distinct" (List.length declared)
+    (List.length unique);
+  check_bool "the named memory keeps its name" true
+    (List.mem "mem_0" declared);
+  check_int "three memories declared" 3
+    (List.length
+       (List.filter
+          (fun line ->
+            let n = String.length line in
+            n > 7 && String.sub line (n - 7) 7 = "[0:15];")
+          (String.split_on_char '\n' v)))
+
 (* property: a registered adder pipeline computes the same as a delayed
    functional model, for random input streams *)
 let prop_pipeline =
@@ -288,6 +340,10 @@ let () =
           Alcotest.test_case "reg breaks loop" `Quick test_reg_breaks_loop;
           Alcotest.test_case "introspection" `Quick test_circuit_introspection;
         ] );
-      ("verilog", [ Alcotest.test_case "emission" `Quick test_verilog_emission ]);
+      ( "verilog",
+        [
+          Alcotest.test_case "emission" `Quick test_verilog_emission;
+          Alcotest.test_case "memory names" `Quick test_verilog_memory_names;
+        ] );
       ("properties", [ prop_pipeline ]);
     ]
