@@ -25,27 +25,21 @@ type config = {
   cl_tenants : Tenant.t list;
   cl_devices : int;
   cl_warm : int;
-  cl_heartbeat_ps : int;
-  cl_drain_ps : int;
 }
 
 let config ?(seed = 42) ?(duration_ps = 2_000_000_000) ?(devices = 2)
-    ?warm ?(heartbeat_ps = 50_000_000) ?(drain_ps = 150_000_000) ~tenants () =
+    ?warm ~tenants () =
   if tenants = [] then invalid_arg "Cluster.config: no tenants";
   if devices < 1 then invalid_arg "Cluster.config: devices must be >= 1";
   let warm = match warm with Some w -> w | None -> devices in
   if warm < 1 || warm > devices then
     invalid_arg "Cluster.config: warm must be in [1, devices]";
-  if heartbeat_ps < 1 then invalid_arg "Cluster.config: heartbeat must be >= 1";
-  if drain_ps < 0 then invalid_arg "Cluster.config: drain must be >= 0";
   {
     cl_seed = seed;
     cl_duration_ps = duration_ps;
     cl_tenants = tenants;
     cl_devices = devices;
     cl_warm = warm;
-    cl_heartbeat_ps = heartbeat_ps;
-    cl_drain_ps = drain_ps;
   }
 
 (* Fleet constants *)
@@ -53,6 +47,8 @@ let platforms =
   (* cycled over slots: the heterogeneous fleet mix *)
   [ Platform.Device.aws_f1; Platform.Device.u200; Platform.Device.kria ]
 
+let heartbeat_ps = 50_000_000 (* health-probe period *)
+let drain_ps = 150_000_000 (* in-flight settle window after quarantine *)
 let n_cores = 2 (* cores per deployed system per device *)
 let core_cap = 4 (* per-core outstanding-command bound *)
 let suspect_misses = 2 (* consecutive missed probes -> suspect *)
@@ -82,7 +78,6 @@ type devstate = {
   dv_platform : Platform.Device.t;
   mutable dv_gen : int;
   mutable dv_inj : Fault.Injector.t;
-  mutable dv_tracer : Trace.t option;
   mutable dv_state : Health.state;
   mutable dv_frozen : bool;  (* the SoC's lane is halted *)
   mutable dv_misses : int;  (* consecutive missed heartbeats *)
@@ -160,7 +155,7 @@ let transition st dv state =
    generation gets its own forked injector (scope = slot + devices *
    gen), so sibling devices and successive reboots draw from independent
    seeded streams. *)
-let boot_soc cfg ~host ~plan ~traced ~slot ~gen ~platform =
+let boot_soc cfg ~host ~plan ~slot ~gen ~platform =
   let kinds = Serve.kinds_used cfg.cl_tenants in
   let systems =
     List.map (fun k -> Serve.system_of_kind k ~n_cores:n_cores) kinds
@@ -175,37 +170,29 @@ let boot_soc cfg ~host ~plan ~traced ~slot ~gen ~platform =
       platform
   in
   let behaviors = Serve.behavior_of_system in
-  let tracer =
-    if traced then Some (Trace.create ~device:(Printf.sprintf "dev%d" slot) ())
-    else None
-  in
   (* 128 MB of device memory: embedded slots model a hugetlb pool of
      half their memory in 2 MB slots, and every outstanding request
      holds two hugepage-backed buffers — the default 64 MB pool (16
      slots) is exactly exhaustible at full core occupancy *)
   let soc =
-    B.Soc.create ~memory_bytes:(128 * 1024 * 1024) ?tracer ~fault:inj design
+    B.Soc.create ~memory_bytes:(128 * 1024 * 1024) ~fault:inj design
       ~behaviors
   in
   Desim.Engine.join (B.Soc.engine soc) ~into:host ~rank:(slot + 1);
   ( D.site ~slot ~handle:(H.create soc) ~n_sys:(List.length kinds)
       ~n_cores:n_cores ~cap:core_cap,
-    inj,
-    tracer )
+    inj )
 
-let fresh_device cfg ~host ~plan ~traced ~slot ~state =
+let fresh_device cfg ~host ~plan ~slot ~state =
   let platform =
     List.nth platforms (slot mod List.length platforms)
   in
-  let site, inj, tracer =
-    boot_soc cfg ~host ~plan ~traced ~slot ~gen:0 ~platform
-  in
+  let site, inj = boot_soc cfg ~host ~plan ~slot ~gen:0 ~platform in
   {
     dv_site = site;
     dv_platform = platform;
     dv_gen = 0;
     dv_inj = inj;
-    dv_tracer = tracer;
     dv_state = state;
     dv_frozen = false;
     dv_misses = 0;
@@ -224,14 +211,12 @@ let reboot st dv =
   let cfg = st.st_cfg in
   dv.dv_busy_prev <- dv.dv_busy_prev + H.server_busy_ps (handle dv);
   dv.dv_gen <- dv.dv_gen + 1;
-  let traced = dv.dv_tracer <> None || (st.st_tracer <> None) in
-  let site, inj, tracer =
-    boot_soc cfg ~host:st.st_host ~plan:st.st_plan ~traced ~slot:(slot dv)
+  let site, inj =
+    boot_soc cfg ~host:st.st_host ~plan:st.st_plan ~slot:(slot dv)
       ~gen:dv.dv_gen ~platform:dv.dv_platform
   in
   dv.dv_site <- site;
   dv.dv_inj <- inj;
-  dv.dv_tracer <- tracer;
   dv.dv_frozen <- false;
   dv.dv_misses <- 0;
   dv.dv_brownout <- 0;
@@ -487,7 +472,7 @@ let quarantine_device st dv ~reason =
     |> List.iter (fun ts -> degrade st ts);
     let gen = dv.dv_gen in
     schedule_action st
-      ~at:(now st + st.st_cfg.cl_drain_ps)
+      ~at:(now st + drain_ps)
       (fun () -> finish_drain st dv ~gen)
   end
 
@@ -555,7 +540,7 @@ let cluster_busy st =
    quarantine the device and for its drain deadline, and the replays
    back off in between (about 38 ms at the defaults). *)
 let stall_bound st =
-  let p = Fault.Policy.default and cfg = st.st_cfg in
+  let p = Fault.Policy.default in
   let watchdog =
     n_cores * p.Fault.Policy.cmd_timeout_ps
     * ((1 lsl (p.Fault.Policy.cmd_max_retries + 1)) - 1)
@@ -564,7 +549,7 @@ let stall_bound st =
     (fun m l -> max m l.D.l_t.Tenant.t_deadline_ps)
     0 (tenants st)
   + (replay_max_retries + 1)
-    * (watchdog + (quarantine_misses * cfg.cl_heartbeat_ps) + cfg.cl_drain_ps)
+    * (watchdog + (quarantine_misses * heartbeat_ps) + drain_ps)
   + (replay_backoff_ps * ((1 lsl replay_max_retries) - 1))
 
 let settled st =
@@ -610,7 +595,6 @@ let check_progress st =
    SLO window. All decisions draw from each device's forked stream, so
    the round is deterministic. *)
 let rec heartbeat st =
-  let cfg = st.st_cfg in
   Array.iter
     (fun dv ->
       match dv.dv_state with
@@ -691,8 +675,7 @@ let rec heartbeat st =
   end;
   if now st < st.st_horizon || cluster_busy st then begin
     check_progress st;
-    schedule_action st ~at:(now st + cfg.cl_heartbeat_ps) (fun () ->
-        heartbeat st)
+    schedule_action st ~at:(now st + heartbeat_ps) (fun () -> heartbeat st)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -760,8 +743,6 @@ type report = {
   c_replayed_ok : int;
   c_duplicates : int;
   c_lost_acked : int;
-  c_degraded_sheds : int;
-  c_device_tracers : (string * Trace.t) list;
 }
 
 (* Build the cluster state and boot every device slot. Shared by the
@@ -780,7 +761,7 @@ let mk_state ?tracer ?plan cfg =
   in
   let devices =
     Array.init cfg.cl_devices (fun slot ->
-        fresh_device cfg ~host ~plan ~traced:(tracer <> None) ~slot
+        fresh_device cfg ~host ~plan ~slot
           ~state:
             (if slot < cfg.cl_warm then Health.Healthy else Health.Standby))
   in
@@ -877,14 +858,6 @@ let mk_report st ~duration_ps =
     c_replayed_ok = st.st_replayed_ok;
     c_duplicates = st.st_duplicates;
     c_lost_acked = Hashtbl.length st.st_acked - completed_total;
-    c_degraded_sheds =
-      Array.fold_left (fun a l -> a + l.D.l_shed_degraded) 0 (tenants st);
-    c_device_tracers =
-      Array.to_list st.st_devices
-      |> List.filter_map (fun dv ->
-             match dv.dv_tracer with
-             | Some tr -> Some (Printf.sprintf "dev%d" (slot dv), tr)
-             | None -> None);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -936,8 +909,7 @@ module Session = struct
     st.st_served_ps <- st.st_served_ps + duration_ps;
     (* no heartbeat is pending between phases (a phase's drive runs the
        agenda dry and a sleep arms none), so the chain is re-armed here *)
-    schedule_action st ~at:(t0 + st.st_cfg.cl_heartbeat_ps) (fun () ->
-        heartbeat st);
+    schedule_action st ~at:(t0 + heartbeat_ps) (fun () -> heartbeat st);
     start_clients ~salt:st.st_phases ~t0 ~horizon:(t0 + duration_ps) st;
     st.st_phases <- st.st_phases + 1;
     drive st;

@@ -48,8 +48,6 @@ type config = {
   cl_tenants : Serve.Tenant.t list;
   cl_devices : int;  (** total device slots *)
   cl_warm : int;  (** slots initially serving; the rest are standby *)
-  cl_heartbeat_ps : int;  (** health-probe period *)
-  cl_drain_ps : int;  (** in-flight settle window after quarantine *)
 }
 
 val config :
@@ -57,25 +55,23 @@ val config :
   ?duration_ps:int ->
   ?devices:int ->
   ?warm:int ->
-  ?heartbeat_ps:int ->
-  ?drain_ps:int ->
   tenants:Serve.Tenant.t list ->
   unit ->
   config
-(** Defaults: seed 42, 2 ms, 2 devices all warm, heartbeat 50 µs (at
-    least 1 ps), drain 150 µs (at least 0). The rest of the fleet is
-    fixed: platforms [[aws_f1; u200; kria]] cycled over slots, 2 cores
-    per system, core cap 4, suspect after 2 missed probes, quarantine
-    after 4, 3 replay retries at 20 µs base backoff, 64 KB resident set,
-    promotion after 3 hot probes at 50% violations. A drive runs as long
-    as its events do. Past the phase's horizon the heartbeat monitor
-    fails it ([Failure], naming each tenant with queued requests, its
-    queue length and home, and each device's in-flight count) once no
-    request has settled for a bound derived from the config and these
-    constants: the largest tenant deadline, plus 4 attempts of the
-    device watchdog over every resend and core, 4 missed probes and the
-    drain deadline, plus the replay backoffs (about 38 ms at the
-    defaults). *)
+(** Defaults: seed 42, 2 ms, 2 devices all warm. The rest of the fleet
+    is fixed: platforms [[aws_f1; u200; kria]] cycled over slots, 2
+    cores per system, core cap 4, a heartbeat probe every 50 µs, suspect
+    after 2 missed probes, quarantine after 4, a 150 µs drain window
+    after quarantine, 3 replay retries at 20 µs base backoff, 64 KB
+    resident set, promotion after 3 hot probes at 50% violations. A
+    drive runs as long as its events do. Past the phase's horizon the
+    heartbeat monitor fails it ([Failure], naming each tenant with
+    queued requests, its queue length and home, and each device's
+    in-flight count) once no request has settled for a bound derived
+    from the config and these constants: the largest tenant deadline,
+    plus 4 attempts of the device watchdog over every resend and core,
+    4 missed probes and the drain deadline, plus the replay backoffs
+    (about 38 ms at the defaults). *)
 
 (** {1 Chaos schedule} *)
 
@@ -128,10 +124,6 @@ type report = {
       (** duplicate acks dropped by txn-id dedup (a browned-out device
           completing a command that was already replayed elsewhere) *)
   c_lost_acked : int;  (** acked txns missing from tenant ledgers — 0 *)
-  c_degraded_sheds : int;
-  c_device_tracers : (string * Trace.t) list;
-      (** per-device tracers (current generation) when the run was
-          traced; every track is prefixed ["devN/"] *)
 }
 
 val run :
@@ -148,12 +140,13 @@ val run :
     injector ({!Fault.Injector.fork}, scope = slot + devices ×
     generation), so single-device campaigns are unaffected by the
     existence of siblings. [chaos] kills/restores devices mid-run.
-    [tracer] records cluster counters and per-request spans annotated
-    with the serving device; per-device tracers (device-prefixed
-    tracks) ride in the report. This is one {!Session.run_phase} of
-    [cl_duration_ps] on a fresh {!Session.create}, with [chaos] put on
-    the agenda first. Raises [Invalid_argument] on a chaos device
-    outside [[0, cl_devices)] or a negative chaos time. *)
+    [tracer] records the [cluster.*] counters, health-transition
+    instants and one span per completed request annotated with the
+    serving device and txn; the device SoCs run untraced. This is one
+    {!Session.run_phase} of [cl_duration_ps] on a fresh
+    {!Session.create}, with [chaos] put on the agenda first. Raises
+    [Invalid_argument] on a chaos device outside [[0, cl_devices)] or a
+    negative chaos time. *)
 
 (** {1 Sessions}
 

@@ -327,19 +327,18 @@ let scratchpad_capacity (config : Config.t) (p : D.t) =
 let default_sta_budget = 256
 
 (* The placement-independent per-system analysis: the lint pass, the
-   STA report and the circuit stats of one kernel circuit. This is the
+   STA report and the folded size of one kernel circuit. This is the
    unit {!Elaborate.Cache} memoizes under the system's name and kernel
    circuit, so it must read nothing else. *)
 type kernel_analysis = {
   ka_lint : Diag.t list;
   ka_sta : Hw.Sta.report option;
-  ka_stats : (string * int) list option;
   ka_size : Resource_model.kernel_size option;
 }
 
 let analyze_kernel (sys : Config.system) =
   match sys.Config.kernel_circuit with
-  | None -> { ka_lint = []; ka_sta = None; ka_stats = None; ka_size = None }
+  | None -> { ka_lint = []; ka_sta = None; ka_size = None }
   | Some c ->
       (* one levelization serves lint's dataflow pass and the STA, one
          fold serves lint and the placement's logic estimate *)
@@ -360,7 +359,6 @@ let analyze_kernel (sys : Config.system) =
       {
         ka_lint = lint;
         ka_sta = Some (Hw.Sta.analyze lv);
-        ka_stats = Some (Hw.Circuit.stats c);
         ka_size = Some (Resource_model.kernel_size folded);
       }
 
@@ -379,8 +377,7 @@ let sta ?analyses (config : Config.t) =
     (fun (name, a) -> Option.map (fun r -> (name, r)) a.ka_sta)
     analyses
 
-let sta_paths ?(budget = default_sta_budget) ~analyses (config : Config.t)
-    (p : D.t) fp =
+let sta_paths ~analyses (config : Config.t) (p : D.t) fp =
   let tax = p.D.noc.Noc.Params.slr_crossing_latency_cycles in
   List.concat_map
     (fun (sys : Config.system) ->
@@ -404,7 +401,7 @@ let sta_paths ?(budget = default_sta_budget) ~analyses (config : Config.t)
             !worst
           in
           let taxed = r.Hw.Sta.r_max_delay + (tax * crossings) in
-          if taxed <= budget then []
+          if taxed <= default_sta_budget then []
           else
             let loc = config.Config.acc_name ^ "." ^ sys.Config.sys_name in
             let msg =
@@ -412,7 +409,7 @@ let sta_paths ?(budget = default_sta_budget) ~analyses (config : Config.t)
                 "worst path of kernel %S is %d (delay %d + %d SLR \
                  crossing(s) x %d), over the budget of %d"
                 r.Hw.Sta.r_circuit taxed r.Hw.Sta.r_max_delay crossings tax
-                budget
+                default_sta_budget
             in
             let hint =
               "pipeline the kernel (cut the worst path with registers) or \
@@ -422,7 +419,7 @@ let sta_paths ?(budget = default_sta_budget) ~analyses (config : Config.t)
             else [ warn ~loc ~hint "drc-sta-slr-path" msg ])
     config.Config.systems
 
-let run ?sta_budget ?analyses (config : Config.t) (p : D.t) =
+let run ?analyses (config : Config.t) (p : D.t) =
   let analyses = analyses_of ?analyses config in
   let structural = structure config in
   let mapping, floorplan =
@@ -439,7 +436,7 @@ let run ?sta_budget ?analyses (config : Config.t) (p : D.t) =
       in
       match Floorplan.place ~kernel_sizes config p with
       | fp ->
-          (capacity @ sta_paths ?budget:sta_budget ~analyses config p fp,
+          (capacity @ sta_paths ~analyses config p fp,
            Some fp)
       | exception (Failure m | Invalid_argument m) ->
           ( capacity

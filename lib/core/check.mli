@@ -51,13 +51,13 @@ val rules : (string * Hw.Diag.severity * string) list
     rules; lint rule ids are documented in {!Hw.Lint.rules}. *)
 
 val default_sta_budget : int
-(** Default worst-path budget (in {!Hw.Sta} delay units) for
+(** The worst-path budget (in {!Hw.Sta} delay units) of
     [drc-sta-slr-path]. *)
 
 (** {1 Per-system kernel analysis}
 
     The expensive, placement-independent slice of the DRC: the netlist
-    lint, the {!Hw.Sta} report and the circuit statistics of one system's
+    lint, the {!Hw.Sta} report and the folded size of one system's
     kernel circuit, over one {!Hw.Levelize} of it. It reads only the system's name (which prefixes the
     lint locations) and its kernel circuit, and those two are the key
     {!Elaborate.Cache} reuses it under: a config delta that keeps a
@@ -70,15 +70,13 @@ type kernel_analysis = {
           system name (empty for transaction-level kernels) *)
   ka_sta : Hw.Sta.report option;
       (** static timing of the kernel circuit, [None] without one *)
-  ka_stats : (string * int) list option;
-      (** {!Hw.Circuit.stats} of the kernel circuit *)
   ka_size : Resource_model.kernel_size option;
       (** node count and register bits of the constant-folded kernel
           circuit, which the placement's logic estimate reads *)
 }
 
 val analyze_kernel : Config.system -> kernel_analysis
-(** Lint + STA + stats of one system's kernel circuit. A pure function
+(** Lint + STA + folded size of one system's kernel circuit. A pure function
     of the system's name and kernel circuit. The circuit is
     constant-folded once: lint and [ka_size] share the fold, so an
     elaboration that reuses the analysis folds nothing. *)
@@ -99,7 +97,6 @@ val sta :
     kernel circuit (the [beethoven_gen sta] backend). *)
 
 val run :
-  ?sta_budget:int ->
   ?analyses:(string * kernel_analysis) list ->
   Config.t ->
   Platform.Device.t ->
@@ -109,8 +106,7 @@ val run :
     is placed once, and only when its structural rules pass:
     [drc-floorplan] and [drc-sta-slr-path] read that placement, and it
     is [None] exactly when it was not attempted or failed (then an
-    error diagnostic says why). [sta_budget] overrides
-    {!default_sta_budget}; [analyses] supplies precomputed (typically
+    error diagnostic says why). [analyses] supplies precomputed (typically
     cached) per-system kernel analyses — the result is identical to a
     fresh run as long as each entry matches {!analyze_kernel} of the
     same-named system. The diagnostics are unfiltered: apply

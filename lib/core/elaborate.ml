@@ -14,7 +14,6 @@ type t = {
   grand_total : R.t;
   sram_plans : (string * Platform.Sram.plan) list;
   sta : (string * Hw.Sta.report) list;
-  kernel_stats : (string * (string * int) list) list;
 }
 
 (* Flattened (system, core) list in config order. *)
@@ -148,11 +147,6 @@ let elaborate_with ~analyses (config : Config.t)
     grand_total;
     sram_plans;
     sta = Check.sta ~analyses config;
-    kernel_stats =
-      List.filter_map
-        (fun (name, a) ->
-          Option.map (fun s -> (name, s)) a.Check.ka_stats)
-        analyses;
   }
 
 let elaborate (config : Config.t) (platform : Platform.Device.t) =

@@ -25,8 +25,6 @@ type t = {
   sta : (string * Hw.Sta.report) list;
       (** per-system static timing reports for RTL-DSL kernels
           ({!Check.sta}) *)
-  kernel_stats : (string * (string * int) list) list;
-      (** per-system {!Hw.Circuit.stats} of RTL-DSL kernels *)
 }
 
 val elaborate : Config.t -> Platform.Device.t -> t
@@ -40,7 +38,7 @@ val elaborate : Config.t -> Platform.Device.t -> t
 
     The expensive slice of elaboration is per-system and
     placement-independent: linting the kernel netlist, timing it
-    ({!Hw.Sta}) and collecting its circuit statistics
+    ({!Hw.Sta}) and sizing its folded netlist
     ({!Check.analyze_kernel}). That analysis reads only the system's
     name and its kernel circuit, so the cache keys it on exactly those
     two: the name, and the circuit compared physically ([==]). A delta
@@ -55,8 +53,8 @@ val elaborate : Config.t -> Platform.Device.t -> t
     a kernel circuit.
 
     {!elaborate} through a cache is byte-equivalent to a fresh
-    {!Elaborate.elaborate}: identical diagnostics, STA reports and
-    circuit stats (the qcheck property in [test/test_tune.ml]). The
+    {!Elaborate.elaborate}: identical diagnostics, floorplan and STA
+    reports (the qcheck property in [test/test_tune.ml]). The
     tuner ([Tune]) passes one cache to every {!Dse.fit} pre-filter call,
     so a search over knob deltas analyzes each distinct (name, circuit)
     once. *)

@@ -7,7 +7,6 @@ type core_place = {
   cp_system : string;
   cp_core : int;
   cp_slr : int;
-  cp_logic : R.t;
   cp_memories : memory_map list;
   cp_total : R.t;
 }
@@ -135,7 +134,6 @@ let place ?(kernel_sizes = []) (config : Config.t) (p : Platform.Device.t) =
                 cp_system = sys.Config.sys_name;
                 cp_core = core;
                 cp_slr = slr_i;
-                cp_logic = logic;
                 cp_memories = memories;
                 cp_total = total;
               }

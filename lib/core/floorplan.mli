@@ -17,7 +17,6 @@ type core_place = {
   cp_system : string;
   cp_core : int;  (** index within the system *)
   cp_slr : int;
-  cp_logic : Platform.Resources.t;
   cp_memories : memory_map list;
   cp_total : Platform.Resources.t;  (** logic + memory cells *)
 }

@@ -24,7 +24,7 @@ let cmd_noc_width_bits = Rocc.width + 16
 
 type kernel_size = { ks_nodes : int; ks_register_bits : int }
 
-(* the ["nodes"] and ["register_bits"] entries of [Hw.Circuit.stats] *)
+(* the nodes in topological order and the total register width *)
 let kernel_size c =
   {
     ks_nodes = List.length (Hw.Circuit.signals_in_topo_order c);

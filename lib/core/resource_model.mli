@@ -19,8 +19,8 @@ val cmd_noc_width_bits : int
 (** RoCC command width + routing. *)
 
 type kernel_size = {
-  ks_nodes : int;  (** the ["nodes"] of {!Hw.Circuit.stats} *)
-  ks_register_bits : int;  (** its ["register_bits"] *)
+  ks_nodes : int;  (** nodes in the circuit's topological order *)
+  ks_register_bits : int;  (** total width of its registers *)
 }
 (** The two figures of an RTL-DSL kernel the logic estimate reads. *)
 

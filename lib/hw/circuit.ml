@@ -81,7 +81,8 @@ let analyze ~name ~outputs =
     outputs;
   let visited = Hashtbl.create 256 in
   let all_nodes = ref [] in
-  let memories : (int, Signal.Mem.mem) Hashtbl.t = Hashtbl.create 8 in
+  let mem_seen = Hashtbl.create 8 in
+  let memories = ref [] in
   (* Reach every node (combinational + sequential edges + memory write
      ports), recording the first consumer of each for error context. An
      unassigned wire is reported as a diagnostic and treated as a source
@@ -100,8 +101,9 @@ let analyze ~name ~outputs =
       | _ -> ());
       (match mem_of s with
       | Some m ->
-          if not (Hashtbl.mem memories (mem_uid m)) then begin
-            Hashtbl.add memories (mem_uid m) m;
+          if not (Hashtbl.mem mem_seen (mem_uid m)) then begin
+            Hashtbl.add mem_seen (mem_uid m) ();
+            memories := m :: !memories;
             let from = Printf.sprintf "memory %s write port" (mem_name m) in
             List.iter
               (fun wp ->
@@ -184,7 +186,7 @@ let analyze ~name ~outputs =
             (fun s -> match kind s with Mem_read_sync _ -> true | _ -> false)
             !all_nodes
         in
-        let memories = Hashtbl.fold (fun _ m acc -> m :: acc) memories [] in
+        let memories = List.rev !memories in
         Ok { name; outputs; inputs; topo; registers; memories; sync_reads }
 
 let create ~name ~outputs =
@@ -207,58 +209,3 @@ let signals_in_topo_order t = t.topo
 let registers t = t.registers
 let memories t = t.memories
 let sync_reads t = t.sync_reads
-
-let stats t =
-  let reg_bits =
-    List.fold_left (fun acc r -> acc + Signal.width r) 0 t.registers
-  in
-  let mem_bits =
-    List.fold_left (fun acc m -> acc + (mem_size m * mem_width m)) 0 t.memories
-  in
-  (* comb depth and max fanout, same definitions as Levelize (which cannot
-     be called from here — it lives above Circuit); test_lint asserts the
-     two stay in agreement *)
-  let level = Hashtbl.create 256 in
-  let comb_depth =
-    List.fold_left
-      (fun acc s ->
-        let l =
-          List.fold_left
-            (fun m d -> max m (1 + Hashtbl.find level (uid d)))
-            0 (comb_deps s)
-        in
-        Hashtbl.add level (uid s) l;
-        max acc l)
-      0 t.topo
-  in
-  let fanout = Hashtbl.create 256 in
-  let load s =
-    Hashtbl.replace fanout (uid s)
-      (1 + Option.value ~default:0 (Hashtbl.find_opt fanout (uid s)))
-  in
-  List.iter
-    (fun s ->
-      List.iter load (comb_deps s);
-      List.iter load (seq_deps s))
-    t.topo;
-  List.iter
-    (fun m ->
-      List.iter
-        (fun wp ->
-          load wp.wp_enable;
-          load wp.wp_addr;
-          load wp.wp_data)
-        (mem_write_ports m))
-    t.memories;
-  let max_fanout = Hashtbl.fold (fun _ n acc -> max n acc) fanout 0 in
-  [
-    ("nodes", List.length t.topo);
-    ("registers", List.length t.registers);
-    ("register_bits", reg_bits);
-    ("memories", List.length t.memories);
-    ("memory_bits", mem_bits);
-    ("inputs", List.length t.inputs);
-    ("outputs", List.length t.outputs);
-    ("comb_depth", comb_depth);
-    ("max_fanout", max_fanout);
-  ]

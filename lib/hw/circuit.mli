@@ -30,13 +30,12 @@ val signals_in_topo_order : t -> Signal.t list
     memory reads) appear as sources. *)
 
 val registers : t -> Signal.t list
-val memories : t -> Signal.Mem.mem list
-val sync_reads : t -> Signal.t list
 
-val stats : t -> (string * int) list
-(** Node-count statistics: regs, memories, total nodes, etc. (used by the
-    resource estimator), plus ["comb_depth"] and ["max_fanout"] computed
-    with the same definitions as {!Levelize}. *)
+val memories : t -> Signal.Mem.mem list
+(** In the order the walk from the outputs first reaches them, a function
+    of the design alone. *)
+
+val sync_reads : t -> Signal.t list
 
 (** {1 Graph introspection (used by {!Lint} and the back-ends)} *)
 

@@ -225,8 +225,8 @@ let naming_rules c =
         info ~hint:"name state with Signal.( -- ) and Mem.create ~name"
           "unnamed-state"
           (Printf.sprintf
-             "%d of %d register(s) are unnamed and will appear as s_<uid> \
-              in VCD/Verilog output"
+             "%d of %d register(s) are unnamed and will appear as \
+              s_<index> in Verilog output"
              unnamed_regs (List.length regs));
       ]
   in

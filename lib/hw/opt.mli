@@ -16,4 +16,4 @@ val constant_fold : Circuit.t -> Circuit.t
 (** Rebuild the circuit with constants propagated. *)
 
 val node_count : Circuit.t -> int
-(** Convenience: the ["nodes"] entry of {!Circuit.stats}. *)
+(** The number of nodes in the circuit's topological order. *)

@@ -11,24 +11,11 @@ let sig_name index s =
       | Input n -> n
       | _ -> Printf.sprintf "s_%d" (index s))
 
-(* The circuit's memories in the order of their first read in [topo]
-   (every memory of a circuit is reached through a read), with canonical
-   names: a memory keeps the name given to Mem.create, and an unnamed one
-   is [mem_<k>], counting up in that order past every name in [declared]
-   and every given memory name. *)
-let canonical_memories ~declared topo =
-  let seen = Hashtbl.create 8 in
-  let mems =
-    List.filter_map
-      (fun s ->
-        match kind s with
-        | (Mem_read_async (m, _) | Mem_read_sync (m, _, _))
-          when not (Hashtbl.mem seen (mem_uid m)) ->
-            Hashtbl.add seen (mem_uid m) ();
-            Some m
-        | _ -> None)
-      topo
-  in
+(* Canonical memory names, for the circuit's memories in their
+   discovery order ({!Circuit.memories}): a memory keeps the name given
+   to Mem.create, and an unnamed one is [mem_<k>], counting up in that
+   order past every name in [declared] and every given memory name. *)
+let canonical_memories ~declared mems =
   let taken = Hashtbl.create 256 in
   List.iter (fun n -> Hashtbl.replace taken n ()) declared;
   List.iter
@@ -47,7 +34,7 @@ let canonical_memories ~declared topo =
       Hashtbl.add names (mem_uid m)
         (match mem_given_name m with Some n -> n | None -> fresh ()))
     mems;
-  (mems, fun m -> Hashtbl.find names (mem_uid m))
+  fun m -> Hashtbl.find names (mem_uid m)
 
 let range w = if w = 1 then "" else Printf.sprintf "[%d:0] " (w - 1)
 
@@ -87,7 +74,8 @@ let of_circuit circuit =
   (* every other name the module declares (an input's signal name is its
      port name) *)
   let declared = ("clk" :: List.map fst outputs) @ List.map n topo in
-  let memories, mem_name = canonical_memories ~declared topo in
+  let memories = Circuit.memories circuit in
+  let mem_name = canonical_memories ~declared memories in
   List.iter
     (fun s ->
       match kind s with

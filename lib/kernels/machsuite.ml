@@ -511,7 +511,6 @@ let behavior k = Launch.behavior (launch k)
 
 type run_result = {
   n_cores : int;
-  rounds_per_core : int;
   wall_ps : int;
   measured_ops_per_sec : float;
   single_latency_ps : int;
@@ -539,7 +538,6 @@ let run ?(rounds = 1) k ~n_cores ~platform () =
   let verified = host.Launch.verify () in
   {
     n_cores;
-    rounds_per_core = rounds;
     wall_ps;
     measured_ops_per_sec =
       float_of_int (rounds * n_cores) /. (float_of_int wall_ps *. 1e-12);

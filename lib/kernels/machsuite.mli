@@ -86,7 +86,6 @@ end
 
 type run_result = {
   n_cores : int;
-  rounds_per_core : int;
   wall_ps : int;
   measured_ops_per_sec : float;
   single_latency_ps : int;  (** one invocation on one core, command to

@@ -159,11 +159,9 @@ let trace_hop t ?tracer ?(label = "noc") ?span ~engine ~ep_id ~now ~arrival
             ~bucket_width:(float_of_int t.prm.Params.clock_ps)
             lat)
 
-let send t engine ~ep_id ?(payload_beats = 1) ?tracer ?label ?span ?fault k =
-  if payload_beats < 1 then invalid_arg "Noc.send: payload_beats";
+let send t engine ~ep_id ?tracer ?label ?span ?fault k =
   t.messages <- t.messages + 1;
-  let cycles = latency_cycles t ~ep_id + (payload_beats - 1) in
-  let base = cycles * t.prm.Params.clock_ps in
+  let base = latency_cycles t ~ep_id * t.prm.Params.clock_ps in
   let now = Desim.Engine.now engine in
   match fault with
   | None ->

@@ -52,17 +52,17 @@ type delivery =
   | Delayed of int  (** delivered, but a fault added this many ps *)
 
 val send :
-  t -> Desim.Engine.t -> ep_id:int -> ?payload_beats:int ->
+  t -> Desim.Engine.t -> ep_id:int ->
   ?tracer:Trace.t -> ?label:string -> ?span:int ->
   ?fault:Fault.Injector.t * Fault.Class.t ->
   (unit -> unit) -> delivery
 (** Deliver a message from the root to [ep_id] (or vice versa — the tree is
-    symmetric): the callback fires after the one-way latency plus one cycle
-    per extra payload beat. With [fault], the injector may drop the message
-    (using the given drop class — the callback then never fires, and the
-    caller is told via [Dropped] so it can account for the loss) or delay
-    it by a bounded random amount. Delayed messages never overtake earlier
-    ones to the same endpoint: the tree preserves per-route ordering.
+    symmetric): the callback fires after the one-way latency. With
+    [fault], the injector may drop the message (using the given drop
+    class — the callback then never fires, and the caller is told via
+    [Dropped] so it can account for the loss) or delay it by a bounded
+    random amount. Delayed messages never overtake earlier ones to the
+    same endpoint: the tree preserves per-route ordering.
 
     With [tracer], the hop records a span from send to arrival (parented
     on [span], lane ["noc <label>"]) and feeds the per-label hop-latency

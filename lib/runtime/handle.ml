@@ -43,7 +43,6 @@ type t = {
   pagemap : Pagemap.t option; (* embedded platforms: the host OS's pages *)
   huge_mappings : (int, Pagemap.mapping) Hashtbl.t; (* phys base -> mapping *)
   host_buffers : (int, Bytes.t) Hashtbl.t; (* device addr -> host staging *)
-  server_op_ps : int;
   poison_freed : bool;
   (* device base -> generation of the live allocation there; a remote_ptr
      whose generation does not match is stale *)
@@ -64,7 +63,11 @@ type t = {
   mutable command_retries : int;
 }
 
-let create ?(server_op_ps = 1_500_000) ?(poison_freed = false) soc =
+(* Runtime-server service time per MMIO operation: a syscall + a handful
+   of MMIO accesses. *)
+let server_op_ps = 1_500_000
+
+let create ?(poison_freed = false) soc =
   let shared =
     (Soc.platform soc).Platform.Device.host.Platform.Device
     .shared_address_space
@@ -79,7 +82,6 @@ let create ?(server_op_ps = 1_500_000) ?(poison_freed = false) soc =
        else None);
     huge_mappings = Hashtbl.create 16;
     host_buffers = Hashtbl.create 16;
-    server_op_ps;
     poison_freed;
     gens = Hashtbl.create 16;
     next_gen = 0;
@@ -103,9 +105,9 @@ let tracer t = Soc.tracer t.soc
 let server_op ?span ?(op = "op") t k =
   let now = Desim.Engine.now t.engine in
   let start = max now t.server_free_at in
-  let finish = start + t.server_op_ps in
+  let finish = start + server_op_ps in
   t.server_free_at <- finish;
-  t.server_busy_ps <- t.server_busy_ps + t.server_op_ps;
+  t.server_busy_ps <- t.server_busy_ps + server_op_ps;
   (match tracer t with
   | None -> ()
   | Some tr ->
@@ -116,7 +118,7 @@ let server_op ?span ?(op = "op") t k =
       if start > now then
         Trace.add_arg tr sp "lock_wait_ps" (Trace.Int (start - now));
       Trace.end_span tr ~now:finish sp;
-      Trace.add tr "server.busy_ps" t.server_op_ps);
+      Trace.add tr "server.busy_ps" server_op_ps);
   Desim.Engine.schedule_at t.engine ~time:finish k;
   finish
 

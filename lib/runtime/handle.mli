@@ -19,9 +19,9 @@ exception Stale_pointer of { addr : int; bytes : int }
 (** Raised when a [remote_ptr] no longer (or not yet again) backs a live
     allocation — freed, or its base reallocated since. *)
 
-val create : ?server_op_ps:int -> ?poison_freed:bool -> Beethoven.Soc.t -> t
-(** [server_op_ps] — runtime-server service time per MMIO operation
-    (default 1.5 µs, a syscall + a handful of MMIO accesses).
+val create : ?poison_freed:bool -> Beethoven.Soc.t -> t
+(** Every runtime-server MMIO operation takes 1.5 µs (a syscall + a
+    handful of MMIO accesses) and holds the server's one lock.
     [poison_freed] — debug aid: on [mfree], fill the freed host staging
     buffer with [0xDE] so use-after-free through a stale [Bytes.t] shows
     up as poisoned data instead of silently aliasing. *)
@@ -102,7 +102,7 @@ type response_handle
 
 type batch
 (** One runtime-server occupancy shared by a coalesced submission: the
-    syscall + MMIO cost that [server_op_ps] models is paid once for the
+    1.5 µs syscall + MMIO cost of a server operation is paid once for the
     whole batch instead of once per beat. *)
 
 val begin_batch : t -> n:int -> batch

@@ -317,19 +317,14 @@ type t = {
   sc_seed : int;
   sc_backend : backend;
   sc_nodes : node list;
-  sc_max_nodes : int;  (* executed-node budget: loops cannot run past it *)
 }
 
-let make ?(max_nodes = 256) ~name ~seed ~backend nodes =
-  if max_nodes < 1 then invalid_arg "Scenario.make: max_nodes must be >= 1";
+(* executed-node budget: loops cannot run past it *)
+let max_nodes = 256
+
+let make ~name ~seed ~backend nodes =
   if nodes = [] then invalid_arg "Scenario.make: empty node list";
-  {
-    sc_name = name;
-    sc_seed = seed;
-    sc_backend = backend;
-    sc_nodes = nodes;
-    sc_max_nodes = max_nodes;
-  }
+  { sc_name = name; sc_seed = seed; sc_backend = backend; sc_nodes = nodes }
 
 (* ------------------------------------------------------------------ *)
 (* Transcript                                                         *)
@@ -362,7 +357,6 @@ type session = Sv of Serve.Session.t | Cl of Cluster.Session.t
 exception Budget_exhausted
 
 type exec = {
-  ex_sc : t;
   ex_session : session;
   ex_tracer : Trace.t option;
   mutable ex_obs : obs;
@@ -479,7 +473,7 @@ let exec_action ex = function
           Printf.sprintf "ok (%s)" label)
 
 let rec exec_node ex node =
-  if ex.ex_count >= ex.ex_sc.sc_max_nodes then raise Budget_exhausted;
+  if ex.ex_count >= max_nodes then raise Budget_exhausted;
   ex.ex_count <- ex.ex_count + 1;
   let id = ex.ex_count - 1 in
   let enter = ex_now ex in
@@ -539,7 +533,6 @@ let run ?tracer sc =
   in
   let ex =
     {
-      ex_sc = sc;
       ex_session = session;
       ex_tracer = tracer;
       ex_obs = empty_obs;
@@ -552,7 +545,7 @@ let run ?tracer sc =
   (try List.iter (exec_node ex) sc.sc_nodes
    with Budget_exhausted ->
      ex.ex_failures <-
-       Printf.sprintf "node budget exhausted (%d)" sc.sc_max_nodes
+       Printf.sprintf "node budget exhausted (%d)" max_nodes
        :: ex.ex_failures);
   let failures = List.rev ex.ex_failures in
   {

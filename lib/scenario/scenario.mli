@@ -146,14 +146,11 @@ type t = {
   sc_seed : int;
   sc_backend : backend;
   sc_nodes : node list;
-  sc_max_nodes : int;
 }
 
-val make :
-  ?max_nodes:int -> name:string -> seed:int -> backend:backend -> node list -> t
-(** [max_nodes] (default 256) bounds the total nodes executed,
-    including every loop trip — the budget that makes every scenario
-    terminate. *)
+val make : name:string -> seed:int -> backend:backend -> node list -> t
+(** A run executes at most 256 nodes, counting every loop trip — the
+    budget that makes every scenario terminate. *)
 
 (** {1 Results} *)
 

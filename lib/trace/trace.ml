@@ -29,7 +29,6 @@ type level_sample = { ls_name : string; ls_time : int; ls_value : int }
 module S = Desim.Stats
 
 type t = {
-  device : string option;
   mutable spans : span array; (* slot i holds span id i, i < n_spans *)
   mutable n_spans : int;
   mutable instants : instant list; (* reverse record order *)
@@ -43,9 +42,8 @@ type t = {
   mutable hist_order : string list;
 }
 
-let create ?device () =
+let create () =
   {
-    device;
     spans = [||];
     n_spans = 0;
     instants = [];
@@ -63,13 +61,6 @@ let fresh_txn t =
   let id = t.next_txn in
   t.next_txn <- id + 1;
   id
-
-let device t = t.device
-
-(* Every display lane of a device-scoped tracer is prefixed with the
-   device label, so traces merged across a cluster keep their origin. *)
-let lane t track =
-  match t.device with None -> track | Some d -> d ^ "/" ^ track
 
 (* -- spans ---------------------------------------------------------- *)
 
@@ -93,7 +84,7 @@ let begin_span t ~now ?parent ?txn ~track ~cat ~name () =
       sp_id = id;
       sp_parent = parent;
       sp_txn = txn;
-      sp_track = lane t track;
+      sp_track = track;
       sp_cat = cat;
       sp_name = name;
       sp_start = now;
@@ -132,7 +123,7 @@ let add_arg t id key v =
 let instant t ~now ?parent ~track ~cat ~name ?(args = []) () =
   t.instants <-
     {
-      in_track = lane t track;
+      in_track = track;
       in_cat = cat;
       in_name = name;
       in_time = now;

@@ -26,15 +26,7 @@ type arg =
   | Float of float
   | Str of string
 
-val create : ?device:string -> unit -> t
-(** [device] scopes the tracer to one device of a cluster: every span and
-    instant track it records is prefixed ["<device>/"], so per-device
-    traces stay distinguishable when a cluster report merges or compares
-    them. Counters and series are unaffected — they are already
-    per-tracer. *)
-
-val device : t -> string option
-(** The device label given to {!create}, [None] for an unscoped tracer. *)
+val create : unit -> t
 
 val fresh_txn : t -> int
 (** Mint a new transaction id (sequential from 0). *)

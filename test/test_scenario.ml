@@ -97,8 +97,11 @@ let prop_transcript_deterministic =
 
 (* ---- loop bounds and the node budget ---- *)
 
-let spin_scenario ~max_nodes ~trips =
-  Sc.make ~max_nodes ~name:"spin" ~seed:1
+(* a run executes at most this many nodes *)
+let max_nodes = 256
+
+let spin_scenario ~trips =
+  Sc.make ~name:"spin" ~seed:1
     ~backend:(single (small_cfg ()))
     [
       Sc.While
@@ -112,22 +115,22 @@ let spin_scenario ~max_nodes ~trips =
 
 let prop_budget_honored =
   qcheck ~count:20 "execution never runs past the node budget"
-    QCheck.(pair (int_range 1 24) (int_range 1 1000))
-    (fun (max_nodes, trips) ->
-      let res = Sc.run (spin_scenario ~max_nodes ~trips) in
+    QCheck.(int_range 1 1000)
+    (fun trips ->
+      let res = Sc.run (spin_scenario ~trips) in
       List.length res.Sc.res_entries <= max_nodes)
 
 let test_trip_bound () =
   (* with a generous budget, an always-true loop runs exactly
      w_max_trips trips: one entry per body node per trip, plus the
      loop's own entry *)
-  let res = Sc.run (spin_scenario ~max_nodes:256 ~trips:7) in
+  let res = Sc.run (spin_scenario ~trips:7) in
   check_bool "scenario ok" true res.Sc.res_ok;
   check_int "7 body entries + the loop entry" 8
     (List.length res.Sc.res_entries)
 
 let test_budget_exhaustion_is_a_failure () =
-  let res = Sc.run (spin_scenario ~max_nodes:4 ~trips:1000) in
+  let res = Sc.run (spin_scenario ~trips:1000) in
   check_bool "budget exhaustion fails the run" false res.Sc.res_ok;
   check_bool "a failure names the budget" true
     (List.exists (fun m -> contains m "budget") res.Sc.res_failures)

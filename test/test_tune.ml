@@ -84,13 +84,7 @@ let fingerprint (d : B.Elaborate.t) =
      ]
     @ List.map
         (fun (n, r) -> n ^ ":" ^ Hw.Sta.to_json r)
-        d.B.Elaborate.sta
-    @ List.map
-        (fun (n, stats) ->
-          n ^ ":"
-          ^ String.concat ","
-              (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) stats))
-        d.B.Elaborate.kernel_stats)
+        d.B.Elaborate.sta)
 
 let elaboration f =
   match f () with d -> Ok d | exception e -> Error (Printexc.to_string e)
