@@ -25,26 +25,29 @@ let () =
   let n = 32 in
   let adapter_cmd_funct = 9 in
   let behaviors _ : B.Soc.behavior =
-   fun ctx beats ~respond ->
-    let beat = List.hd beats in
-    if beat.B.Rocc.funct = adapter_cmd_funct then begin
-      (* unpack the RV32-friendly layout and re-issue to the RTL core *)
-      let rs1 = Int64.to_int beat.B.Rocc.payload1 in
-      let rs2 = Int64.to_int beat.B.Rocc.payload2 in
-      let addend = rs2 land 0xFFFF and count = (rs2 lsr 16) land 0xFFFF in
-      let rtl_beat =
-        {
-          beat with
-          B.Rocc.funct = 0;
-          payload1 = Int64.of_int rs1;
-          payload2 =
-            Int64.logor (Int64.of_int addend)
-              (Int64.shift_left (Int64.of_int count) 32);
-        }
-      in
-      Kernels.Vecadd_rtl.behavior ctx [ rtl_beat ] ~respond
-    end
-    else Kernels.Vecadd_rtl.behavior ctx beats ~respond
+   fun ctx ->
+    (* one RTL core per core: apply its behavior once *)
+    let rtl = Kernels.Vecadd_rtl.behavior ctx in
+    fun beats ~respond ->
+      let beat = List.hd beats in
+      if beat.B.Rocc.funct = adapter_cmd_funct then begin
+        (* unpack the RV32-friendly layout and re-issue to the RTL core *)
+        let rs1 = Int64.to_int beat.B.Rocc.payload1 in
+        let rs2 = Int64.to_int beat.B.Rocc.payload2 in
+        let addend = rs2 land 0xFFFF and count = (rs2 lsr 16) land 0xFFFF in
+        let rtl_beat =
+          {
+            beat with
+            B.Rocc.funct = 0;
+            payload1 = Int64.of_int rs1;
+            payload2 =
+              Int64.logor (Int64.of_int addend)
+                (Int64.shift_left (Int64.of_int count) 32);
+          }
+        in
+        rtl [ rtl_beat ] ~respond
+      end
+      else rtl beats ~respond
   in
   let soc = B.Soc.create design ~behaviors in
   for i = 0 to n - 1 do

@@ -237,12 +237,14 @@ let config ?(n_cores = 1) () =
     ]
 
 (* funct 0 (load_kv) is the TLM core's scratchpad fill; funct 1 enters
-   the netlist *)
+   the netlist, through the one bridge this core keeps *)
 let behavior : B.Soc.behavior =
- fun ctx beats ~respond ->
-  match (List.hd beats).B.Rocc.funct with
-  | 0 -> Accel.behavior ctx beats ~respond
-  | _ -> B.Rtl_core.behavior ctx beats ~respond
+ fun ctx ->
+  let load_kv = Accel.behavior ctx and rtl = B.Rtl_core.behavior ctx in
+  fun beats ~respond ->
+    match (List.hd beats).B.Rocc.funct with
+    | 0 -> load_kv beats ~respond
+    | _ -> rtl beats ~respond
 
 type result = {
   verified : bool;

@@ -22,7 +22,8 @@ val config : ?n_cores:int -> unit -> Beethoven.Config.t
 
 val behavior : Beethoven.Soc.behavior
 (** Dispatches funct 0 to {!Accel.behavior} (its [load_kv] scratchpad
-    fill) and funct 1 into the netlist. *)
+    fill) and funct 1 into the netlist, through the one
+    {!Beethoven.Rtl_core.behavior} bridge each core keeps. *)
 
 type result = {
   verified : bool;  (** outputs bit-exact vs {!A3.attend_fixed} *)

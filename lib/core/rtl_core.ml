@@ -66,170 +66,141 @@ type core_state = {
   spads : spad_bridge array;
 }
 
-(* One simulator per (system, core) of each SoC. The table holds its SoC
-   weakly: the bridges point back at the SoC through their Reader, Writer
-   and scratchpad handles, so a strong table would keep every SoC that
-   ever ran an RTL command alive, device memory and all. *)
-module Per_soc = Ephemeron.K1.Make (struct
-  type t = Soc.t
-
-  let equal = ( == )
-  let hash soc = Hashtbl.hash (Soc.uid soc)
-end)
-
-let instances : (string * int, core_state) Hashtbl.t Per_soc.t =
-  Per_soc.create 8
-
-let state_of (ctx : Soc.ctx) =
-  let cores =
-    match Per_soc.find_opt instances ctx.Soc.soc with
-    | Some cores -> cores
+(* The core's simulator and its port handles. *)
+let bridge (ctx : Soc.ctx) =
+  let sys = ctx.Soc.system in
+  let circuit =
+    match sys.Config.kernel_circuit with
+    | Some c -> c
     | None ->
-        let cores = Hashtbl.create 4 in
-        Per_soc.add instances ctx.Soc.soc cores;
-        cores
+        failwith
+          (Printf.sprintf "Rtl_core: system %s declares no kernel_circuit"
+             sys.Config.sys_name)
   in
-  let key = (ctx.Soc.system.Config.sys_name, ctx.Soc.core_id) in
-  match Hashtbl.find_opt cores key with
-  | Some st -> st
-  | None ->
-      let sys = ctx.Soc.system in
-      let circuit =
-        match sys.Config.kernel_circuit with
-        | Some c -> c
-        | None ->
-            failwith
-              (Printf.sprintf "Rtl_core: system %s declares no kernel_circuit"
-                 sys.Config.sys_name)
-      in
-      let sim = Hw.Compile.create circuit in
-      (* outputs are mandatory (the fabric samples them); an input the
-         netlist does not read was constant-folded away and is not
-         driven *)
-      let out name =
-        try Hw.Compile.out_port sim name
-        with Not_found ->
-          failwith
-            (Printf.sprintf "Rtl_core: circuit %s is missing output port %S"
-               (Hw.Circuit.name circuit) name)
-      in
-      let inp name =
-        try Some (Hw.Compile.in_port sim name) with Not_found -> None
-      in
-      (* a data port's zeroed mirror; driving the port with it changes
-         nothing but checks the port's width *)
-      let mirror port bytes =
-        let b = Bytes.make bytes '\000' in
-        Option.iter (fun p -> Hw.Compile.set sim p (Bits.of_bytes b)) port;
-        b
-      in
-      let req_ready = out "req_ready" in
-      let resp_valid = out "resp_valid" in
-      let resp_data = out "resp_data" in
-      let reads =
-        List.map
-          (fun (rc : Config.read_channel) ->
-            let c = rc.Config.rc_name in
-            let req_valid = out (c ^ "_req_valid") in
-            let req_addr = out (c ^ "_req_addr") in
-            let req_len = out (c ^ "_req_len") in
-            let data = inp (c ^ "_data") in
-            {
-              rb_reader = Soc.reader ctx c;
-              rb_req_valid = req_valid;
-              rb_req_addr = req_addr;
-              rb_req_len = req_len;
-              rb_data_ready = out (c ^ "_data_ready");
-              rb_req_ready = inp (c ^ "_req_ready");
-              rb_data_valid = inp (c ^ "_data_valid");
-              rb_data = data;
-              rb_fetch = Bytes.create rc.Config.rc_data_bytes;
-              rb_beat = mirror data rc.Config.rc_data_bytes;
-              rb_items = Queue.create ();
-              rb_base = 0;
-              rb_presented = false;
-              rb_active = false;
-            })
-          sys.Config.read_channels
-      in
-      let writes =
-        List.map
-          (fun (wc : Config.write_channel) ->
-            let c = wc.Config.wc_name in
-            let req_valid = out (c ^ "_req_valid") in
-            let req_addr = out (c ^ "_req_addr") in
-            let req_len = out (c ^ "_req_len") in
-            let data_valid = out (c ^ "_data_valid") in
-            let wb =
-              {
-                wb_writer = Soc.writer ctx c;
-                wb_req_valid = req_valid;
-                wb_req_addr = req_addr;
-                wb_req_len = req_len;
-                wb_data_valid = data_valid;
-                wb_data = out (c ^ "_data");
-                wb_req_ready = inp (c ^ "_req_ready");
-                wb_data_ready = inp (c ^ "_data_ready");
-                wb_base = 0;
-                wb_offset = 0;
-                wb_open = false;
-                wb_done = true;
-                wb_unacked = 0;
-                wb_on_accept = ignore;
-              }
-            in
-            wb.wb_on_accept <- (fun () -> wb.wb_unacked <- wb.wb_unacked - 1);
-            wb)
-          sys.Config.write_channels
-      in
-      (* scratchpads with RTL read ports: <name>_rd_addr / <name>_rd_data *)
-      let spads =
-        List.filter_map
-          (fun (sp : Config.scratchpad) ->
-            let nm = sp.Config.sp_name in
-            match Hw.Compile.out_port sim (nm ^ "_rd_addr") with
-            | exception Not_found -> None
-            | rd_addr ->
-                let rd_data =
-                  match inp (nm ^ "_rd_data") with
-                  | Some p -> p
-                  | None ->
-                      failwith
-                        (Printf.sprintf
-                           "Rtl_core: %s_rd_addr without a %s_rd_data input"
-                           nm nm)
-                in
-                let spad = Soc.scratchpad ctx nm in
-                Some
-                  {
-                    sb_spad = spad;
-                    sb_rd_addr = rd_addr;
-                    sb_rd_data = rd_data;
-                    (* one row wide *)
-                    sb_row =
-                      mirror (Some rd_data)
-                        (Bytes.length (Soc.Scratchpad.get spad 0));
-                  })
-          sys.Config.scratchpads
-      in
-      let st =
+  let sim = Hw.Compile.create circuit in
+  (* outputs are mandatory (the fabric samples them); an input the
+     netlist does not read was constant-folded away and is not
+     driven *)
+  let out name =
+    try Hw.Compile.out_port sim name
+    with Not_found ->
+      failwith
+        (Printf.sprintf "Rtl_core: circuit %s is missing output port %S"
+           (Hw.Circuit.name circuit) name)
+  in
+  let inp name =
+    try Some (Hw.Compile.in_port sim name) with Not_found -> None
+  in
+  (* a data port's zeroed mirror; driving the port with it changes
+     nothing but checks the port's width *)
+  let mirror port bytes =
+    let b = Bytes.make bytes '\000' in
+    Option.iter (fun p -> Hw.Compile.set sim p (Bits.of_bytes b)) port;
+    b
+  in
+  let req_ready = out "req_ready" in
+  let resp_valid = out "resp_valid" in
+  let resp_data = out "resp_data" in
+  let reads =
+    List.map
+      (fun (rc : Config.read_channel) ->
+        let c = rc.Config.rc_name in
+        let req_valid = out (c ^ "_req_valid") in
+        let req_addr = out (c ^ "_req_addr") in
+        let req_len = out (c ^ "_req_len") in
+        let data = inp (c ^ "_data") in
         {
-          sim;
-          req_valid = inp "req_valid";
-          req_funct = inp "req_funct";
-          req_p1 = inp "req_p1";
-          req_p2 = inp "req_p2";
-          resp_ready = inp "resp_ready";
-          req_ready;
-          resp_valid;
-          resp_data;
-          reads = Array.of_list reads;
-          writes = Array.of_list writes;
-          spads = Array.of_list spads;
-        }
-      in
-      Hashtbl.add cores key st;
-      st
+          rb_reader = Soc.reader ctx c;
+          rb_req_valid = req_valid;
+          rb_req_addr = req_addr;
+          rb_req_len = req_len;
+          rb_data_ready = out (c ^ "_data_ready");
+          rb_req_ready = inp (c ^ "_req_ready");
+          rb_data_valid = inp (c ^ "_data_valid");
+          rb_data = data;
+          rb_fetch = Bytes.create rc.Config.rc_data_bytes;
+          rb_beat = mirror data rc.Config.rc_data_bytes;
+          rb_items = Queue.create ();
+          rb_base = 0;
+          rb_presented = false;
+          rb_active = false;
+        })
+      sys.Config.read_channels
+  in
+  let writes =
+    List.map
+      (fun (wc : Config.write_channel) ->
+        let c = wc.Config.wc_name in
+        let req_valid = out (c ^ "_req_valid") in
+        let req_addr = out (c ^ "_req_addr") in
+        let req_len = out (c ^ "_req_len") in
+        let data_valid = out (c ^ "_data_valid") in
+        let wb =
+          {
+            wb_writer = Soc.writer ctx c;
+            wb_req_valid = req_valid;
+            wb_req_addr = req_addr;
+            wb_req_len = req_len;
+            wb_data_valid = data_valid;
+            wb_data = out (c ^ "_data");
+            wb_req_ready = inp (c ^ "_req_ready");
+            wb_data_ready = inp (c ^ "_data_ready");
+            wb_base = 0;
+            wb_offset = 0;
+            wb_open = false;
+            wb_done = true;
+            wb_unacked = 0;
+            wb_on_accept = ignore;
+          }
+        in
+        wb.wb_on_accept <- (fun () -> wb.wb_unacked <- wb.wb_unacked - 1);
+        wb)
+      sys.Config.write_channels
+  in
+  (* scratchpads with RTL read ports: <name>_rd_addr / <name>_rd_data *)
+  let spads =
+    List.filter_map
+      (fun (sp : Config.scratchpad) ->
+        let nm = sp.Config.sp_name in
+        match Hw.Compile.out_port sim (nm ^ "_rd_addr") with
+        | exception Not_found -> None
+        | rd_addr ->
+            let rd_data =
+              match inp (nm ^ "_rd_data") with
+              | Some p -> p
+              | None ->
+                  failwith
+                    (Printf.sprintf
+                       "Rtl_core: %s_rd_addr without a %s_rd_data input"
+                       nm nm)
+            in
+            let spad = Soc.scratchpad ctx nm in
+            Some
+              {
+                sb_spad = spad;
+                sb_rd_addr = rd_addr;
+                sb_rd_data = rd_data;
+                (* one row wide *)
+                sb_row =
+                  mirror (Some rd_data)
+                    (Bytes.length (Soc.Scratchpad.get spad 0));
+              })
+      sys.Config.scratchpads
+  in
+  {
+    sim;
+    req_valid = inp "req_valid";
+    req_funct = inp "req_funct";
+    req_p1 = inp "req_p1";
+    req_p2 = inp "req_p2";
+    resp_ready = inp "resp_ready";
+    req_ready;
+    resp_valid;
+    resp_data;
+    reads = Array.of_list reads;
+    writes = Array.of_list writes;
+    spads = Array.of_list spads;
+  }
 
 let set sim port v =
   match port with Some p -> Hw.Compile.set sim p v | None -> ()
@@ -297,81 +268,86 @@ let push_beat soc sim wb =
   wb.wb_unacked <- wb.wb_unacked + 1;
   Soc.Writer.push wb.wb_writer ~on_accept:wb.wb_on_accept
 
+(* The bridge is built at the core's first command and lives in this
+   closure, as long as the core's SoC. *)
 let behavior : Soc.behavior =
- fun ctx beats ~respond ->
-  let st = state_of ctx in
-  let sim = st.sim in
-  let soc = ctx.Soc.soc in
-  let pending_beats = ref beats in
-  (* the head of [pending_beats] is on the request ports *)
-  let beat_driven = ref false in
-  let resp_data = ref 0L in
-  let responded = ref false in
-  let budget = ref 10_000_000 in
-  set_int sim st.resp_ready 1;
-  let rec cycle () =
-    decr budget;
-    if !budget <= 0 then
-      failwith "Rtl_core: core never responded (cycle budget exhausted)";
-    (* -- drive inputs for this cycle -- *)
-    if not !beat_driven then begin
-      (match !pending_beats with
-      | beat :: _ -> drive_beat st beat
-      | [] -> set_int sim st.req_valid 0);
-      beat_driven := true
-    end;
-    for i = 0 to Array.length st.reads - 1 do
-      let rb = st.reads.(i) in
-      (* request port accepted only while the Reader is idle; streams
-         are serialized per channel like the hardware Reader *)
-      set_int sim rb.rb_req_ready (if rb.rb_active then 0 else 1);
-      if Queue.is_empty rb.rb_items then begin
-        set_int sim rb.rb_data_valid 0;
-        rb.rb_presented <- false
-      end
-      else present soc sim rb (Queue.peek rb.rb_items)
-    done;
-    for i = 0 to Array.length st.writes - 1 do
-      let wb = st.writes.(i) in
-      set_int sim wb.wb_req_ready (if wb.wb_open then 0 else 1);
-      set_int sim wb.wb_data_ready
-        (if wb.wb_open && wb.wb_unacked < 4 then 1 else 0)
-    done;
-    Hw.Compile.settle sim;
-    (* the fed rows settle again (addresses must not combinationally
-       depend on the returned data) *)
-    if Array.length st.spads > 0 then begin
-      for i = 0 to Array.length st.spads - 1 do
-        feed_spad sim st.spads.(i)
+ fun ctx ->
+  let st = lazy (bridge ctx) in
+  fun beats ~respond ->
+    let st = Lazy.force st in
+    let sim = st.sim in
+    let soc = ctx.Soc.soc in
+    let pending_beats = ref beats in
+    (* the head of [pending_beats] is on the request ports *)
+    let beat_driven = ref false in
+    let resp_data = ref 0L in
+    let responded = ref false in
+    let budget = ref 10_000_000 in
+    set_int sim st.resp_ready 1;
+    let rec cycle () =
+      decr budget;
+      if !budget <= 0 then
+        failwith "Rtl_core: core never responded (cycle budget exhausted)";
+      (* -- drive inputs for this cycle -- *)
+      if not !beat_driven then begin
+        (match !pending_beats with
+        | beat :: _ -> drive_beat st beat
+        | [] -> set_int sim st.req_valid 0);
+        beat_driven := true
+      end;
+      for i = 0 to Array.length st.reads - 1 do
+        let rb = st.reads.(i) in
+        (* request port accepted only while the Reader is idle; streams
+           are serialized per channel like the hardware Reader *)
+        set_int sim rb.rb_req_ready (if rb.rb_active then 0 else 1);
+        if Queue.is_empty rb.rb_items then begin
+          set_int sim rb.rb_data_valid 0;
+          rb.rb_presented <- false
+        end
+        else present soc sim rb (Queue.peek rb.rb_items)
       done;
-      Hw.Compile.settle sim
-    end;
-    (* -- sample handshakes that fire at this edge -- *)
-    let req_fired = high sim st.req_ready && !pending_beats <> [] in
-    for i = 0 to Array.length st.reads - 1 do
-      let rb = st.reads.(i) in
-      if (not rb.rb_active) && high sim rb.rb_req_valid then start_stream sim rb;
-      if rb.rb_presented && high sim rb.rb_data_ready then
-        ignore (Queue.pop rb.rb_items)
-    done;
-    for i = 0 to Array.length st.writes - 1 do
-      let wb = st.writes.(i) in
-      if (not wb.wb_open) && high sim wb.wb_req_valid then open_txn sim wb
-      else if wb.wb_open && wb.wb_unacked < 4 && high sim wb.wb_data_valid
-      then push_beat soc sim wb
-    done;
-    if high sim st.resp_valid && not !responded then begin
-      resp_data := Bits.to_int64 (Hw.Compile.get sim st.resp_data);
-      responded := true
-    end;
-    Hw.Compile.step sim;
-    if req_fired then begin
-      pending_beats := List.tl !pending_beats;
-      beat_driven := false
-    end;
-    (* -- done? -- *)
-    if !responded && Array.for_all (fun wb -> wb.wb_done) st.writes then
-      respond !resp_data
-    else Desim.Engine.schedule ctx.Soc.engine ~delay:ctx.Soc.clock_ps cycle
-  in
-  cycle ()
+      for i = 0 to Array.length st.writes - 1 do
+        let wb = st.writes.(i) in
+        set_int sim wb.wb_req_ready (if wb.wb_open then 0 else 1);
+        set_int sim wb.wb_data_ready
+          (if wb.wb_open && wb.wb_unacked < 4 then 1 else 0)
+      done;
+      Hw.Compile.settle sim;
+      (* the fed rows settle again (addresses must not combinationally
+         depend on the returned data) *)
+      if Array.length st.spads > 0 then begin
+        for i = 0 to Array.length st.spads - 1 do
+          feed_spad sim st.spads.(i)
+        done;
+        Hw.Compile.settle sim
+      end;
+      (* -- sample handshakes that fire at this edge -- *)
+      let req_fired = high sim st.req_ready && !pending_beats <> [] in
+      for i = 0 to Array.length st.reads - 1 do
+        let rb = st.reads.(i) in
+        if (not rb.rb_active) && high sim rb.rb_req_valid then
+          start_stream sim rb;
+        if rb.rb_presented && high sim rb.rb_data_ready then
+          ignore (Queue.pop rb.rb_items)
+      done;
+      for i = 0 to Array.length st.writes - 1 do
+        let wb = st.writes.(i) in
+        if (not wb.wb_open) && high sim wb.wb_req_valid then open_txn sim wb
+        else if wb.wb_open && wb.wb_unacked < 4 && high sim wb.wb_data_valid
+        then push_beat soc sim wb
+      done;
+      if high sim st.resp_valid && not !responded then begin
+        resp_data := Bits.to_int64 (Hw.Compile.get sim st.resp_data);
+        responded := true
+      end;
+      Hw.Compile.step sim;
+      if req_fired then begin
+        pending_beats := List.tl !pending_beats;
+        beat_driven := false
+      end;
+      (* -- done? -- *)
+      if !responded && Array.for_all (fun wb -> wb.wb_done) st.writes then
+        respond !resp_data
+      else Desim.Engine.schedule ctx.Soc.engine ~delay:ctx.Soc.clock_ps cycle
+    in
+    cycle ()
