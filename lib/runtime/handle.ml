@@ -2,10 +2,6 @@ module Soc = Beethoven.Soc
 module Rocc = Beethoven.Rocc
 module Cmd_spec = Beethoven.Cmd_spec
 
-let log_src = Logs.Src.create "beethoven.runtime" ~doc:"Host runtime events"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type remote_ptr = { rp_addr : int; rp_bytes : int; rp_gen : int }
 
 exception Stale_pointer of { addr : int; bytes : int }
@@ -146,9 +142,6 @@ let malloc t n =
       let m = Pagemap.mmap pm ~hugepages:true n in
       assert (Pagemap.physically_contiguous pm m);
       let addr = Pagemap.translate pm m.Pagemap.vaddr in
-      Log.debug (fun f ->
-          f "malloc %d B -> hugepage phys 0x%x (virt 0x%x)" n addr
-            m.Pagemap.vaddr);
       Hashtbl.replace t.huge_mappings addr m;
       Hashtbl.replace t.host_buffers addr (Bytes.make n '\000');
       t.next_gen <- t.next_gen + 1;
@@ -333,9 +326,6 @@ let fail handle msg =
 
 let send_raw ?span ?batch t cmd =
   let handle = fresh_handle () in
-  Log.debug (fun f ->
-      f "send sys=%d core=%d funct=%d" cmd.Rocc.system_id cmd.Rocc.core_id
-        cmd.Rocc.funct);
   let deliver () =
     Soc.send_command ?span t.soc cmd ~on_response:(fun resp ->
         if handle.raw_at = None then
@@ -623,9 +613,6 @@ let send ?batch ?queued_at t ~system ~core ~cmd ~args =
               end
               else if tries < policy.Fault.Policy.cmd_max_retries then begin
                 t.command_retries <- t.command_retries + 1;
-                Log.debug (fun f ->
-                    f "command timed out; retry %d on sys=%d core=%d"
-                      (tries + 1) sys_id target_core);
                 retire ();
                 attempt ~target_core ~tries:(tries + 1)
                   ~timeout_ps:(2 * timeout_ps)
