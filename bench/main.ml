@@ -607,15 +607,10 @@ let sim_speed () =
      the netlist idle *)
   let stimulus c =
     let st = Random.State.make [| 17 |] in
-    let random_bits w =
-      let rec chunks w =
-        if w <= 16 then [ Bits.of_int ~width:w (Random.State.int st (1 lsl w)) ]
-        else Bits.of_int ~width:16 (Random.State.int st 65536) :: chunks (w - 16)
-      in
-      Bits.concat_list (chunks w)
-    in
     Array.init cycles (fun _ ->
-        List.map (fun (n, w) -> (n, random_bits w)) (Hw.Circuit.inputs c))
+        List.map
+          (fun (n, w) -> (n, Hw.Sim.random_bits st w))
+          (Hw.Circuit.inputs c))
   in
   let drive sim inputs =
     List.iter (fun (n, v) -> Hw.Sim.set_input sim n v) inputs
@@ -633,33 +628,22 @@ let sim_speed () =
     let dt = Float.max (Sys.time () -. t0) 1e-6 in
     (dt, float_of_int cycles /. dt)
   in
-  (* short untimed lockstep sanity pass over the first 100 cycles of the
-     stimulus: the speedup is only meaningful if the two backends still
-     agree on the benchmarked designs *)
-  let lockstep_ok c stim =
-    let si = Hw.Sim.create ~backend:Hw.Sim.Interpreter c in
-    let sc = Hw.Sim.create ~backend:Hw.Sim.Compiled c in
-    let ok = ref true in
-    for i = 0 to 99 do
-      drive si stim.(i);
-      drive sc stim.(i);
-      List.iter
-        (fun (n, _) ->
-          if not (Bits.equal (Hw.Sim.output si n) (Hw.Sim.output sc n)) then
-            ok := false)
-        (Hw.Circuit.outputs c);
-      Hw.Sim.step si;
-      Hw.Sim.step sc
-    done;
-    !ok
-  in
   let rows =
     List.map
       (fun (name, c) ->
         let lv = Hw.Levelize.of_circuit c in
         let stim = stimulus c in
-        if not (lockstep_ok c stim) then
-          failwith (Printf.sprintf "sim-speed: backends diverge on %s" name);
+        (* short untimed lockstep pass over the first 100 cycles of the
+           stimulus: the speedup is only meaningful if the two backends
+           still agree on the benchmarked designs *)
+        (match
+           Hw.Sim.lockstep c ~cycles:100 ~stimulus:(fun n -> stim.(n - 1))
+         with
+        | Ok () -> ()
+        | Error where ->
+            failwith
+              (Printf.sprintf "sim-speed: backends diverge on %s at %s" name
+                 where));
         let dt_i, cps_i = time_backend Hw.Sim.Interpreter c stim in
         let dt_c, cps_c = time_backend Hw.Sim.Compiled c stim in
         let speedup = cps_c /. cps_i in

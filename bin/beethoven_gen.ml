@@ -536,13 +536,6 @@ let sim_run design backend cycles seed n_cores =
     Printf.eprintf "sim: no RTL-DSL kernels in the selected design(s)\n";
     exit 2
   end;
-  let random_bits st w =
-    let rec chunks w =
-      if w <= 16 then [ Bits.of_int ~width:w (Random.State.int st (1 lsl w)) ]
-      else Bits.of_int ~width:16 (Random.State.int st 65536) :: chunks (w - 16)
-    in
-    Bits.concat_list (chunks w)
-  in
   (* seeded stimulus: each input holds a random value for a random 1-8
      cycles, then draws a new one; every input is re-driven every cycle,
      so held cycles exercise the "input unchanged" path *)
@@ -555,7 +548,7 @@ let sim_run design backend cycles seed n_cores =
       List.map
         (fun (n, w, v, left) ->
           if !left = 0 then begin
-            v := random_bits st w;
+            v := Hw.Sim.random_bits st w;
             left := 1 + Random.State.int st 8
           end;
           decr left;
@@ -588,49 +581,10 @@ let sim_run design backend cycles seed n_cores =
           done;
           Printf.printf "  %-28s %-11s %5d cycles, output digest %08x\n" label
             (Hw.Sim.backend_name b) cycles !digest
-      | `Both ->
-          let si = Hw.Sim.create ~backend:Hw.Sim.Interpreter c in
-          let sc = Hw.Sim.create ~backend:Hw.Sim.Compiled c in
+      | `Both -> (
           let next = stimulus st c in
-          let bad = ref None in
-          (try
-             for cyc = 1 to cycles do
-               List.iter
-                 (fun (n, v) ->
-                   Hw.Sim.set_input si n v;
-                   Hw.Sim.set_input sc n v)
-                 (next ());
-               List.iter
-                 (fun (n, _) ->
-                   if not (Bits.equal (Hw.Sim.output si n) (Hw.Sim.output sc n))
-                   then begin
-                     bad := Some (Printf.sprintf "cycle %d, output %s" cyc n);
-                     raise Exit
-                   end)
-                 (Hw.Circuit.outputs c);
-               List.iter
-                 (fun m ->
-                   for a = 0 to Hw.Signal.mem_size m - 1 do
-                     if
-                       not
-                         (Bits.equal
-                            (Hw.Sim.read_memory si m a)
-                            (Hw.Sim.read_memory sc m a))
-                     then begin
-                       bad :=
-                         Some
-                           (Printf.sprintf "cycle %d, memory %s[%d]" cyc
-                              (Hw.Signal.mem_name m) a);
-                       raise Exit
-                     end
-                   done)
-                 (Hw.Circuit.memories c);
-               Hw.Sim.step si;
-               Hw.Sim.step sc
-             done
-           with Exit -> ());
-          (match !bad with
-          | None ->
+          match Hw.Sim.lockstep c ~cycles ~stimulus:(fun _ -> next ()) with
+          | Ok () ->
               Printf.printf "  %-28s lockstep OK: %d cycles, %d outputs, %d \
                              memory words compared\n"
                 label cycles
@@ -638,7 +592,7 @@ let sim_run design backend cycles seed n_cores =
                 (List.fold_left
                    (fun acc m -> acc + Hw.Signal.mem_size m)
                    0 (Hw.Circuit.memories c))
-          | Some where ->
+          | Error where ->
               diverged := true;
               Printf.printf "  %-28s DIVERGED at %s\n" label where))
     kernels;

@@ -64,3 +64,44 @@ let write_memory t m a v =
   match t with
   | I s -> Cyclesim.write_memory s m a v
   | C s -> Compile.write_memory s m a v
+
+let random_bits st width =
+  let rec chunks w =
+    if w <= 16 then [ Bits.of_int ~width:w (Random.State.int st (1 lsl w)) ]
+    else Bits.of_int ~width:16 (Random.State.int st 65536) :: chunks (w - 16)
+  in
+  Bits.concat_list (chunks width)
+
+let lockstep circuit ~cycles ~stimulus =
+  let si = create ~backend:Interpreter circuit
+  and sc = create ~backend:Compiled circuit in
+  let exception Diverged of string in
+  let agree a b where =
+    if not (Bits.equal a b) then raise (Diverged (where ()))
+  in
+  match
+    for cyc = 1 to cycles do
+      List.iter
+        (fun (n, v) ->
+          set_input si n v;
+          set_input sc n v)
+        (stimulus cyc);
+      List.iter
+        (fun (n, _) ->
+          agree (output si n) (output sc n) (fun () ->
+              Printf.sprintf "cycle %d, output %s" cyc n))
+        (Circuit.outputs circuit);
+      List.iter
+        (fun m ->
+          for a = 0 to Signal.mem_size m - 1 do
+            agree (read_memory si m a) (read_memory sc m a) (fun () ->
+                Printf.sprintf "cycle %d, memory %s[%d]" cyc
+                  (Signal.mem_name m) a)
+          done)
+        (Circuit.memories circuit);
+      step si;
+      step sc
+    done
+  with
+  | () -> Ok ()
+  | exception Diverged where -> Error where
