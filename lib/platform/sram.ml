@@ -3,32 +3,30 @@ type macro = {
   words : int;
   bits : int;
   area_um2 : float;
-  access_ps : int;
 }
 
-let m name words bits area access_ps =
-  { macro_name = name; words; bits; area_um2 = area; access_ps }
+let m name words bits area = { macro_name = name; words; bits; area_um2 = area }
 
 (* Area figures follow the usual sqrt-ish scaling of real compilers: bigger
    macros amortize periphery, so bits/um^2 improves with size. *)
 let asap7_library =
   [
-    m "sram_asap7_64x32" 64 32 450. 180;
-    m "sram_asap7_256x32" 256 32 1100. 220;
-    m "sram_asap7_256x64" 256 64 1900. 240;
-    m "sram_asap7_1024x32" 1024 32 3400. 300;
-    m "sram_asap7_1024x64" 1024 64 6100. 320;
-    m "sram_asap7_4096x32" 4096 32 12200. 420;
-    m "sram_asap7_4096x64" 4096 64 22800. 450;
+    m "sram_asap7_64x32" 64 32 450.;
+    m "sram_asap7_256x32" 256 32 1100.;
+    m "sram_asap7_256x64" 256 64 1900.;
+    m "sram_asap7_1024x32" 1024 32 3400.;
+    m "sram_asap7_1024x64" 1024 64 6100.;
+    m "sram_asap7_4096x32" 4096 32 12200.;
+    m "sram_asap7_4096x64" 4096 64 22800.;
   ]
 
 let saed32_library =
   [
-    m "sram_saed32_128x32" 128 32 5200. 600;
-    m "sram_saed32_512x32" 512 32 16500. 750;
-    m "sram_saed32_512x64" 512 64 30500. 800;
-    m "sram_saed32_2048x32" 2048 32 58000. 950;
-    m "sram_saed32_2048x64" 2048 64 109000. 1000;
+    m "sram_saed32_128x32" 128 32 5200.;
+    m "sram_saed32_512x32" 512 32 16500.;
+    m "sram_saed32_512x64" 512 64 30500.;
+    m "sram_saed32_2048x32" 2048 32 58000.;
+    m "sram_saed32_2048x64" 2048 64 109000.;
   ]
 
 type plan = {

@@ -12,14 +12,13 @@ type macro = {
   words : int;
   bits : int;  (** word width *)
   area_um2 : float;
-  access_ps : int;
 }
 
 val asap7_library : macro list
 (** A representative 7-nm-class macro set. *)
 
 val saed32_library : macro list
-(** Synopsys educational 32-nm-class macro set (larger, slower). *)
+(** Synopsys educational 32-nm-class macro set (larger macros). *)
 
 type plan = {
   macro : macro;

@@ -190,8 +190,9 @@ val quarantine_core :
   core_id:int ->
   reason:string ->
   unit
-(** Externally imposed quarantine — a cluster health monitor writing off
-    every core of a failed device, or a test forcing the state. Marks the
+(** Externally imposed quarantine: the caller writes the core off (only
+    the tests call it; a cluster that loses a device halts the device's
+    lane instead, see {!Cluster}). Marks the
     core failed (future {!send}s reroute around it or settle [Failed]),
     logs a [Quarantined] ledger entry under [cls] (default
     [Core_hang]) when the SoC carries an injector, and promptly settles
